@@ -32,6 +32,7 @@ from .evolution import (
     EvolutionConfig,
     evolve_spectral,
     evolve_local_fd,
+    evolve_local_fd_ladder,
     local_fd_steps,
     energy,
     leapfrog_energy,
@@ -84,6 +85,7 @@ __all__ = [
     "EvolutionConfig",
     "evolve_spectral",
     "evolve_local_fd",
+    "evolve_local_fd_ladder",
     "local_fd_steps",
     "energy",
     "leapfrog_energy",

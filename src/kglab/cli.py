@@ -31,7 +31,7 @@ from .evolution import (
     CauchyData,
     EvolutionConfig,
     energy,
-    evolve_local_fd,
+    evolve_local_fd_ladder,
     evolve_spectral,
     joint_support_radius,
     leapfrog_energy,
@@ -65,13 +65,15 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     r0 = joint_support_radius(data, cfg.support_threshold)
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
-    evo = EvolutionConfig(method=cfg.method, dt=cfg.dt)
+    # the leapfrog reaches every ladder time in one pass; spectral states
+    # are evolved per time inside the map
+    ladder = None
+    if cfg.method == "local-fd":
+        ladder = evolve_local_fd_ladder(data, cfg.times, EvolutionConfig(method=cfg.method, dt=cfg.dt))
 
-    def one_time(t: float):
-        if cfg.method == "spectral-exact":
-            state = evolve_spectral(data, t)
-        else:
-            state = evolve_local_fd(data, t, evo)
+    def one_time(i: int):
+        t = cfg.times[i]
+        state = evolve_spectral(data, t) if ladder is None else ladder[i]
         return (
             state,
             energy(state),
@@ -80,7 +82,7 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
             diagnostics.boundary_floor(state.phi),
         )
 
-    results = parallel_map(one_time, cfg.times)
+    results = parallel_map(one_time, range(len(cfg.times)))
     # the leapfrog scheme conserves its own quadratic form, not the
     # continuum energy
     q0 = leapfrog_energy(data, cfg.dt) if cfg.method == "local-fd" else None
@@ -297,12 +299,16 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
 def _run_report(path: Path) -> int:
     with open(path) as fh:
         report = json.load(fh)
+    verdicts = report.get("verdicts", {}) if isinstance(report, dict) else None
+    if not isinstance(verdicts, dict) or not all(isinstance(v, dict) for v in verdicts.values()):
+        message = f"{path} is not a kglab report: need an object whose verdicts are objects"
+        print(_error_json("report", message, "report.verdicts"), file=sys.stderr)
+        return EXIT_ERROR
     print(f"command: {report.get('command', '?')}")
     for key in sorted(report):
         if key in ("verdicts", "slices", "command"):
             continue
         print(f"  {key}: {report[key]}")
-    verdicts = report.get("verdicts", {})
     width = max((len(k) for k in verdicts), default=0)
     for name in sorted(verdicts):
         entry = verdicts[name]

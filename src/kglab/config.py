@@ -53,6 +53,32 @@ def _get(tree: dict, key: str, rule: str):
     return tree[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _number(tree: dict, key: str, default: float, rule: str) -> float:
+    value = tree.get(key, default)
+    _require(_is_number(value), rule, f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _section(tree: dict, key: str) -> dict:
+    section = tree.get(key, {})
+    _require(isinstance(section, dict), key, f"{key} section must be an object")
+    return section
+
+
+def _cone_margin_cells(tree: dict) -> int:
+    cells = tree.get("cone_margin_cells", CONE_MARGIN_CELLS)
+    _require(
+        isinstance(cells, int) and not isinstance(cells, bool) and cells >= 0,
+        "cone_margin_cells",
+        f"margin cells must be a non-negative integer, got {cells!r}",
+    )
+    return cells
+
+
 @dataclass(frozen=True)
 class GridSection:
     n: int
@@ -173,11 +199,11 @@ def _parse_state(tree: dict, grid: GridSection, allow_pi: bool) -> StateSection:
     _require(isinstance(s, dict), "initial_state", "initial_state must be an object")
     factory = _get(s, "factory", "initial_state.factory")
     _require(factory == "bump", "initial_state.factory", f"unknown factory {factory!r}; available: bump")
-    center = float(s.get("center", 0.0))
+    center = _number(s, "center", 0.0, "initial_state.center")
     radius = _get(s, "radius", "initial_state.radius")
-    amplitude = float(s.get("amplitude", 1.0))
+    amplitude = _number(s, "amplitude", 1.0, "initial_state.amplitude")
     _require(
-        isinstance(radius, (int, float)) and radius > 4.0 * grid.dx,
+        _is_number(radius) and radius > 4.0 * grid.dx,
         "initial_state.radius",
         f"radius {radius} must exceed 4*dx = {4.0 * grid.dx}",
     )
@@ -199,7 +225,7 @@ def _parse_times(tree: dict, grid: GridSection, key: str = "times") -> tuple[flo
     L = grid.n * grid.dx
     out = []
     for t in times:
-        _require(isinstance(t, (int, float)) and math.isfinite(t), key, f"times must be finite numbers, got {t}")
+        _require(_is_number(t), key, f"times must be finite numbers, got {t!r}")
         _require(abs(t) <= L / 4, f"{key}.margin", f"|t| = {abs(t)} exceeds the periodic safety margin L/4 = {L / 4}")
         out.append(float(t))
     return tuple(out)
@@ -235,20 +261,20 @@ def _parse_evolve(tree: dict) -> EvolveConfig:
             _require(steps >= 1 and abs(steps * dt - t) <= 1e-9 * max(t, dt), "times.dt-multiple", f"t = {t} is not a positive integer multiple of dt = {dt}")
     else:
         dt = None
-    snapshot_times = tuple(float(t) for t in tree.get("snapshot_times", []))
+    snapshot_times = tree.get("snapshot_times", [])
+    _require(isinstance(snapshot_times, list), "snapshot_times", "snapshot_times must be a list of times")
     for t in snapshot_times:
-        _require(t in times, "snapshot_times", f"snapshot time {t} is not in the time ladder")
-    thresholds = tree.get("thresholds", {})
-    support = float(thresholds.get("support", 1e-12))
-    leakage = float(thresholds.get("cone_leakage", 1e-8))
+        _require(_is_number(t) and t in times, "snapshot_times", f"snapshot time {t!r} is not in the time ladder")
+    thresholds = _section(tree, "thresholds")
+    support = _number(thresholds, "support", 1e-12, "thresholds.support")
+    leakage = _number(thresholds, "cone_leakage", 1e-8, "thresholds.cone_leakage")
     _require(support > 0, "thresholds.support", "support threshold must be positive")
     _require(leakage > 0, "thresholds.cone_leakage", "leakage ceiling must be positive")
-    cells = int(tree.get("cone_margin_cells", CONE_MARGIN_CELLS))
-    _require(cells >= 0, "cone_margin_cells", "margin cells must be non-negative")
+    cells = _cone_margin_cells(tree)
     return EvolveConfig(
         grid=grid, mass=mass, state=state, method=method,
         dt=None if dt is None else float(dt),
-        times=times, snapshot_times=snapshot_times,
+        times=times, snapshot_times=tuple(float(t) for t in snapshot_times),
         support_threshold=support, leakage_ceiling=leakage,
         cone_margin_cells=cells, out_format=_parse_format(tree),
     )
@@ -262,16 +288,16 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
     times = _parse_times(tree, grid)
     for t in times:
         _require(t > 0, "times.positive", f"leakage times must be positive, got {t}")
-    thresholds = tree.get("thresholds", {})
-    support = float(thresholds.get("support", 1e-12))
-    floor = float(tree.get("leakage_floor", 1e-10))
-    ceiling = float(tree.get("contrast_ceiling", 1e-8))
+    thresholds = _section(tree, "thresholds")
+    support = _number(thresholds, "support", 1e-12, "thresholds.support")
+    _require(support > 0, "thresholds.support", "support threshold must be positive")
+    floor = _number(tree, "leakage_floor", 1e-10, "leakage_floor")
+    ceiling = _number(tree, "contrast_ceiling", 1e-8, "contrast_ceiling")
     _require(floor > 0 and ceiling > 0, "leakage_floor", "leakage bounds must be positive")
-    tail = tree.get("tail_fit", {})
-    _require(isinstance(tail, dict), "tail_fit", "tail_fit section must be an object")
+    tail = _section(tree, "tail_fit")
     window = tail.get("window")
     _require(
-        isinstance(window, list) and len(window) == 2 and 0 < window[0] < window[1],
+        isinstance(window, list) and len(window) == 2 and all(map(_is_number, window)) and 0 < window[0] < window[1],
         "tail_fit.window",
         f"window must be [lo, hi] with 0 < lo < hi, got {window}",
     )
@@ -287,19 +313,24 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
         "tail_fit.window.wrap",
         "window must end >= 2 Compton lengths before the boundary-floor strip",
     )
-    snapshot_time = float(tail.get("snapshot_time", times[-1]))
+    snapshot_time = _number(tail, "snapshot_time", times[-1], "tail_fit.snapshot_time")
     _require(snapshot_time in times, "tail_fit.snapshot_time", f"snapshot time {snapshot_time} is not in the time ladder")
-    rate_band = float(tail.get("rate_band", 0.15))
-    min_r2 = float(tail.get("min_r2", 0.99))
-    cells = int(tree.get("cone_margin_cells", CONE_MARGIN_CELLS))
+    rate_band = _number(tail, "rate_band", 0.15, "tail_fit.rate_band")
+    _require(rate_band > 0, "tail_fit.rate_band", f"rate band must be positive, got {rate_band}")
+    min_r2 = _number(tail, "min_r2", 0.99, "tail_fit.min_r2")
+    doubling_tolerance = _number(tree, "doubling_tolerance", 0.1, "doubling_tolerance")
+    _require(doubling_tolerance > 0, "doubling_tolerance", "doubling tolerance must be positive")
+    doubling_check = tree.get("grid_doubling_check", True)
+    _require(isinstance(doubling_check, bool), "grid_doubling_check", f"grid_doubling_check must be true or false, got {doubling_check!r}")
+    cells = _cone_margin_cells(tree)
     return HegerfeldtConfig(
         grid=grid, mass=mass, state=state, times=times,
         leakage_floor=floor, contrast_ceiling=ceiling,
         support_threshold=support, cone_margin_cells=cells,
         window=(float(window[0]), float(window[1])),
         snapshot_time=snapshot_time, rate_band=rate_band, min_r2=min_r2,
-        grid_doubling_check=bool(tree.get("grid_doubling_check", True)),
-        doubling_tolerance=float(tree.get("doubling_tolerance", 0.1)),
+        grid_doubling_check=doubling_check,
+        doubling_tolerance=doubling_tolerance,
         out_format=_parse_format(tree),
     )
 

@@ -27,12 +27,19 @@ second-order accurate and exactly conserves the mode-wise quadratic form
     Q = (1 - dt^2 W^2 / 4) |Pi_k|^2 + W^2 |Phi_k|^2,
 
 W^2 the stencil eigenvalue of (-D2 + m^2); see :func:`leapfrog_energy`.
+
+The same bound makes the stepper cheap: step k updates only the window
+[lo - k, hi + k] around the initial support [lo, hi], in place, in float64
+for real data, and switches to the full periodic grid once the window
+reaches its edge.  Every cell sees the arithmetic of the full-grid scheme,
+so the results are bit-identical to it.  :func:`evolve_local_fd_ladder`
+reaches a whole time ladder in one pass of max(t) / dt steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +51,7 @@ __all__ = [
     "EvolutionConfig",
     "evolve_spectral",
     "evolve_local_fd",
+    "evolve_local_fd_ladder",
     "local_fd_steps",
     "energy",
     "leapfrog_energy",
@@ -112,14 +120,40 @@ def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
     return CauchyData(phi_t, pi_t, data.m, t0=t)
 
 
+def _apply_stencil(ext: np.ndarray, scale: float, msq: float) -> np.ndarray:
+    """(-D2 + m^2) at ext[1:-1]; ext carries one neighbour cell at each end.
+
+    The Laplacian is scaled by the reciprocal ``scale = 1/dx^2``: complex128
+    division by a real scalar multiplies by its reciprocal, so real and
+    complex data round identically.
+    """
+    mid = ext[1:-1]
+    lap = ((ext[2:] - 2.0 * mid) + ext[:-2]) * scale
+    return msq * mid - lap
+
+
+def _periodic_pad(values: np.ndarray) -> np.ndarray:
+    return np.concatenate((values[-1:], values, values[:1]))
+
+
 def _stencil(values: np.ndarray, dx: float, msq: float) -> np.ndarray:
     """(-D2 + m^2) with the periodic 3-point Laplacian."""
-    lap = (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / (dx * dx)
-    return msq * values - lap
+    return _apply_stencil(_periodic_pad(values), 1.0 / (dx * dx), msq)
 
 
 def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (step, phi, pi) after each drift-kick-drift leapfrog step.
+
+    Step k can only change the window [lo - k, hi + k] around the initial
+    joint support [lo, hi], so only that window is updated, in place; once
+    it reaches the grid edge every step updates the full periodic grid.
+    The arithmetic per cell is that of the full-grid scheme, so zeros stay
+    bit-exact zeros and the result does not depend on the window.  The
+    arrays are float64 for real data and complex128 otherwise.
+
+    No L/4 guard: the support bound is exact arithmetic on the periodic
+    grid for any number of steps, and the energy acceptance check steps
+    past L/4 on purpose.  :func:`evolve_local_fd_ladder` enforces it.
 
     The yielded arrays are live working buffers; copy them to retain.
     """
@@ -129,30 +163,55 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
     courant = dt / grid.dx
     if courant > 1.0:
         raise ValueError(f"unstable step: courant dt/dx = {courant} exceeds 1")
-    phi = np.array(data.phi.values, dtype=np.complex128)
-    pi = np.array(data.pi.values, dtype=np.complex128)
+    phi, pi = data.phi.values, data.pi.values
+    if not (phi.imag.any() or pi.imag.any()):
+        phi, pi = phi.real, pi.real
+    phi, pi = np.array(phi), np.array(pi)
+    support = np.flatnonzero((phi != 0) | (pi != 0))
+    # zero data stays zero; any window then reproduces it
+    lo, hi = (support[0], support[-1]) if support.size else (grid.n // 2, grid.n // 2)
     msq = data.m.m**2
     half = 0.5 * dt
+    scale = 1.0 / (grid.dx * grid.dx)
     for k in range(1, n_steps + 1):
-        phi += half * pi
-        pi -= dt * _stencil(phi, grid.dx, msq)
-        phi += half * pi
+        a, b = lo - k, hi + k + 1
+        inside = a >= 1 and b < grid.n
+        w = slice(a, b) if inside else slice(None)
+        phi[w] += half * pi[w]
+        ext = phi[a - 1 : b + 1] if inside else _periodic_pad(phi)
+        pi[w] -= dt * _apply_stencil(ext, scale, msq)
+        phi[w] += half * pi[w]
         yield k, phi, pi
+
+
+def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], cfg: EvolutionConfig) -> list[CauchyData]:
+    """Leapfrog states at each of ``times``, in the given order, from one pass.
+
+    Steps once to the largest step count and captures every requested
+    time on the way; times may repeat and need not be sorted.  Each
+    t - t0 must be a positive multiple of dt within the L/4 margin.
+    """
+    if cfg.method != "local-fd":
+        raise ValueError("config method must be 'local-fd'")
+    dt = float(cfg.dt)
+    wanted: dict[int, list[int]] = {}
+    for i, t in enumerate(times):
+        span = t - data.t0
+        n_steps = int(round(span / dt))
+        if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), dt):
+            raise ValueError(f"t - t0 = {span} is not a positive integer multiple of dt = {dt}")
+        _check_margin(data.grid, span)
+        wanted.setdefault(n_steps, []).append(i)
+    states: list[CauchyData] = [None] * len(times)
+    for k, phi, pi in local_fd_steps(data, dt, max(wanted, default=0)):
+        for i in wanted.get(k, ()):
+            states[i] = CauchyData(Field(data.grid, phi), Field(data.grid, pi), data.m, t0=times[i])
+    return states
 
 
 def evolve_local_fd(data: CauchyData, t: float, cfg: EvolutionConfig) -> CauchyData:
     """Leapfrog evolution to time t; t - t0 must be a positive multiple of dt."""
-    if cfg.method != "local-fd":
-        raise ValueError("config method must be 'local-fd'")
-    dt = float(cfg.dt)
-    span = t - data.t0
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), dt):
-        raise ValueError(f"t - t0 = {span} is not a positive integer multiple of dt = {dt}")
-    phi = pi = None
-    for _, phi, pi in local_fd_steps(data, dt, n_steps):
-        pass
-    return CauchyData(Field(data.grid, phi), Field(data.grid, pi), data.m, t0=t)
+    return evolve_local_fd_ladder(data, [t], cfg)[0]
 
 
 def energy(data: CauchyData) -> float:

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here avoids the package's FFT path: plain quadrature
-(Gauss-Legendre panels, scipy adaptive rules) and closed forms only, so
-agreement with production is a genuine dual-route check.
+(Gauss-Legendre panels, scipy adaptive rules), closed forms and a plain
+full-grid leapfrog only, so agreement with production is a genuine
+dual-route check.
 """
 
 from __future__ import annotations
@@ -91,6 +92,27 @@ def omega_bump_tail(xs, m: float):
 def evolved_bump_tail(xs, m: float, t: float):
     """|exp(-i omega t) b|(x) outside the cone, by the cut integral."""
     return np.abs(_cut_values(np.asarray(xs, dtype=float), m, lambda k: np.sinh(k * t)))
+
+
+def leapfrog_steps(phi, pi, dx: float, m: float, dt: float, n_steps: int):
+    """Reference drift-kick-drift leapfrog: every cell, every step, np.roll.
+
+    Runs in the dtype of the inputs and yields (step, phi, pi) as live
+    buffers.  The Laplacian is scaled by 1/dx^2 rather than divided by
+    dx^2 because that is how complex128 division by a real scalar rounds,
+    so real inputs reproduce the complex128 scheme bit for bit.
+    """
+    phi = np.array(phi)
+    pi = np.array(pi)
+    msq = m**2
+    half = 0.5 * dt
+    scale = 1.0 / (dx * dx)
+    for k in range(1, n_steps + 1):
+        phi += half * pi
+        lap = (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) * scale
+        pi -= dt * (msq * phi - lap)
+        phi += half * pi
+        yield k, phi, pi
 
 
 def log_linear_rate(radii, values):

@@ -64,23 +64,34 @@ def test_criterion_1_causal_cone():
 
 
 def test_criterion_2_exact_discrete_causality():
+    # at n = 2^15 the bound [lo - k, hi + k] stays inside the grid for all
+    # 1e4 steps (lo - k >= 6321, hi + k <= 26447), so every step is checked
     start = time.perf_counter()
-    grid = UniformGrid(16384, 1 / 64)
+    grid = UniformGrid(32768, 1 / 64)
     data = CauchyData(
         make_bump(grid, 0.0, 1.0, 1.0), make_bump(grid, 0.0, 1.0, 0.5), Mass(1.0)
     )
+    n_steps, dt = 10_000, grid.dx / 2
     nz0 = np.flatnonzero(np.abs(data.phi.values) + np.abs(data.pi.values))
     lo, hi = nz0[0], nz0[-1]
-    violations = 0
-    for k, phi, pi in local_fd_steps(data, grid.dx / 2, 10_000):
-        nz = np.flatnonzero(np.abs(phi) + np.abs(pi))
-        if nz.size and (nz[0] < lo - k or nz[-1] > hi + k):
+    reference = oracles.leapfrog_steps(data.phi.values.real, data.pi.values.real, grid.dx, 1.0, dt, n_steps)
+    violations = mismatches = checked = 0
+    for (k, phi, pi), (_, ref_phi, ref_pi) in zip(local_fd_steps(data, dt, n_steps), reference):
+        nz = np.flatnonzero((ref_phi != 0) | (ref_pi != 0))
+        if nz.size == 0 or nz[0] < lo - k or nz[-1] > hi + k:
             violations += 1
+        if phi.tobytes() != ref_phi.tobytes() or pi.tobytes() != ref_pi.tobytes():
+            mismatches += 1
+        checked = k
     elapsed = time.perf_counter() - start
     report(
         "2 exact discrete causality",
         {
-            "support growth <= 1 cell/step/side over 1e4 steps": violations == 0,
+            f"bound inside the grid for all steps [{lo - n_steps}, {hi + n_steps}]": lo - n_steps >= 0
+            and hi + n_steps < grid.n,
+            f"support growth <= 1 cell/step/side over 1e4 steps [{checked} checked]": violations == 0
+            and checked == n_steps,
+            f"windowed stepper bit-equal to full-grid reference [{mismatches} mismatches]": mismatches == 0,
             f"runtime<30s [{elapsed:.1f}s]": elapsed < 30.0,
         },
     )

@@ -152,6 +152,24 @@ def test_report_renders_verdict_table(tmp_path):
     assert "multiplier_identity_t1" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"command": "evolve", "verdicts": {"energy_drift": 0.5}},
+        {"command": "evolve", "verdicts": [{"value": 1, "passed": True}]},
+    ],
+)
+def test_report_rejects_malformed_input(tmp_path, capsys, payload):
+    from kglab.cli import main
+
+    path = write_config(tmp_path, "report.json", payload)
+    assert main(["report", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "report"
+    assert err["error"]["rule"] == "report.verdicts"
+
+
 def test_local_fd_evolve_command(tmp_path):
     tree = {
         "command": "evolve",

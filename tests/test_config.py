@@ -52,6 +52,58 @@ def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
     assert err.value.rule == rule
 
 
+@pytest.mark.parametrize(
+    "overrides,rule",
+    [
+        ({"times": [True]}, "times"),
+        ({"snapshot_times": 5}, "snapshot_times"),
+        ({"snapshot_times": ["1.0"]}, "snapshot_times"),
+        ({"thresholds": {"support": [1]}}, "thresholds.support"),
+        ({"thresholds": {"cone_leakage": "1e-8"}}, "thresholds.cone_leakage"),
+        ({"thresholds": [1e-12]}, "thresholds"),
+        ({"cone_margin_cells": 2.7}, "cone_margin_cells"),
+        ({"cone_margin_cells": -3}, "cone_margin_cells"),
+        ({"initial_state": {"factory": "bump", "radius": 1.0, "center": [0]}}, "initial_state.center"),
+    ],
+)
+def test_evolve_rejects_malformed_values(tmp_path, overrides, rule):
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, evolve_tree(**overrides)), "evolve")
+    assert err.value.rule == rule
+
+
+def hegerfeldt_tree(**overrides):
+    tree = {
+        "grid": {"n": 8192, "dx": 1 / 128},
+        "mass": 1.0,
+        "initial_state": {"factory": "bump", "radius": 1.0},
+        "times": [0.01, 0.1],
+        "tail_fit": {"window": [9.0, 16.0]},
+    }
+    tree.update(overrides)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "overrides,rule",
+    [
+        ({"tail_fit": {"window": [9.0, 16.0], "rate_band": -0.1}}, "tail_fit.rate_band"),
+        ({"tail_fit": {"window": [9.0, 16.0], "min_r2": "high"}}, "tail_fit.min_r2"),
+        ({"tail_fit": {"window": [9.0, "16"]}}, "tail_fit.window"),
+        ({"cone_margin_cells": -3}, "cone_margin_cells"),
+        ({"cone_margin_cells": 2.7}, "cone_margin_cells"),
+        ({"thresholds": {"support": [1]}}, "thresholds.support"),
+        ({"doubling_tolerance": -0.05}, "doubling_tolerance"),
+        ({"grid_doubling_check": "no"}, "grid_doubling_check"),
+    ],
+)
+def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
+    assert load_config(write(tmp_path, hegerfeldt_tree()), "hegerfeldt").rate_band == 0.15
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, hegerfeldt_tree(**overrides)), "hegerfeldt")
+    assert err.value.rule == rule
+
+
 def test_local_fd_needs_commensurate_times(tmp_path):
     tree = evolve_tree(method="local-fd", dt=1 / 64)
     tree["times"] = [1.0, 1.37]
@@ -68,13 +120,7 @@ def test_local_fd_courant_rule(tmp_path):
 
 
 def test_hegerfeldt_window_rules(tmp_path):
-    tree = {
-        "grid": {"n": 8192, "dx": 1 / 128},
-        "mass": 1.0,
-        "initial_state": {"factory": "bump", "radius": 1.0},
-        "times": [0.01, 0.1],
-        "tail_fit": {"window": [2.0, 16.0]},
-    }
+    tree = hegerfeldt_tree(tail_fit={"window": [2.0, 16.0]})
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, tree), "hegerfeldt")
     assert err.value.rule == "tail_fit.window.near-field"

@@ -9,6 +9,7 @@ from kglab import (
     UniformGrid,
     energy,
     evolve_local_fd,
+    evolve_local_fd_ladder,
     evolve_spectral,
     joint_support_radius,
     leapfrog_energy,
@@ -175,6 +176,59 @@ class TestLocalFd:
             pass
         q1 = leapfrog_energy(CauchyData(Field(grid, phi), Field(grid, pi), data.m), dt)
         assert abs(q1 / q0 - 1.0) < 1e-12
+
+    @staticmethod
+    def assert_matches_reference(data, dt, n_steps, ref_phi, ref_pi):
+        reference = oracles.leapfrog_steps(ref_phi, ref_pi, data.grid.dx, data.m.m, dt, n_steps)
+        for (k, phi, pi), (_, want_phi, want_pi) in zip(local_fd_steps(data, dt, n_steps), reference):
+            assert phi.dtype == want_phi.dtype and pi.dtype == want_pi.dtype
+            assert phi.tobytes() == want_phi.tobytes() and pi.tobytes() == want_pi.tobytes(), k
+        assert k == n_steps
+
+    @pytest.mark.parametrize("dx", [1 / 64, 0.1])
+    def test_window_crossing_the_periodic_edge(self, dx):
+        # the window [lo - k, hi + k] reaches the edge after ~190 steps at
+        # dx = 1/64 and ~250 at dx = 0.1; the rest run on the full grid
+        g = UniformGrid(512, dx)
+        data = CauchyData(make_bump(g, 0.0, 1.0, 1.0), make_bump(g, 0.3, 1.0, 0.5), Mass(1.3))
+        phi0, pi0 = data.phi.values.real, data.pi.values.real
+        self.assert_matches_reference(data, dx / 2, 600, phi0, pi0)
+
+    def test_real_data_rounds_as_complex(self):
+        # the complex128 scheme on real data: real parts bit-equal, imaginary
+        # parts exact zeros, also where dx^2 is not a power of two
+        g = UniformGrid(512, 0.1)
+        data = CauchyData(make_bump(g, 0.0, 1.0, 1.0), make_bump(g, 0.3, 1.0, 0.5), Mass(1.3))
+        reference = oracles.leapfrog_steps(data.phi.values, data.pi.values, g.dx, 1.3, g.dx / 2, 600)
+        for (_, phi, pi), (_, want_phi, want_pi) in zip(local_fd_steps(data, g.dx / 2, 600), reference):
+            assert phi.tobytes() == want_phi.real.copy().tobytes()
+            assert pi.tobytes() == want_pi.real.copy().tobytes()
+            assert not want_phi.imag.any() and not want_pi.imag.any()
+
+    def test_complex_data(self):
+        g = UniformGrid(512, 1 / 64)
+        pi = make_bump(g, 0.3, 1.0, 0.5).values + 1j * make_bump(g, -0.2, 1.0, 0.7).values
+        data = CauchyData(make_bump(g, 0.0, 1.0, 1.0), Field(g, pi), Mass(1.0))
+        self.assert_matches_reference(data, g.dx / 2, 600, data.phi.values, data.pi.values)
+
+    def test_ladder_matches_separate_evolutions(self, grid):
+        data = bump_data(grid, pi="right-mover")
+        cfg = EvolutionConfig(method="local-fd", dt=grid.dx / 2)
+        times = [2.0, 0.5, 2.0, 1.0]
+        ladder = evolve_local_fd_ladder(data, times, cfg)
+        assert [s.t0 for s in ladder] == times
+        for t, state in zip(times, ladder):
+            single = evolve_local_fd(data, t, cfg)
+            assert np.array_equal(state.phi.values, single.phi.values)
+            assert np.array_equal(state.pi.values, single.pi.values)
+
+    def test_margin_rejected(self, grid):
+        data = bump_data(grid)
+        cfg = EvolutionConfig(method="local-fd", dt=grid.dx / 2)
+        with pytest.raises(ValueError, match="margin"):
+            evolve_local_fd(data, grid.L / 4 + 1.0, cfg)
+        with pytest.raises(ValueError, match="margin"):
+            evolve_local_fd_ladder(data, [1.0, grid.L / 4 + 1.0], cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
