@@ -238,9 +238,7 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
         bridge = propagator.bridge_identity_error(sample)
         scan = None
         if t != 0.0:
-            scan = propagator.spacelike_suppression_scan(
-                t, grid, mass, cfg.margin, quad, cfg.ratio_ceiling
-            )
+            scan = propagator.spacelike_suppression_scan(sample, cfg.margin, cfg.ratio_ceiling)
         return sample, bridge, scan
 
     results = parallel_map(one_time, cfg.times)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .propagator import CUTOFF_FACTOR
 from .spectral import Field, UniformGrid, make_bump
 
 __all__ = [
@@ -54,7 +55,17 @@ def _get(tree: dict, key: str, rule: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _optional_number(tree: dict, key: str, rule: str) -> float | None:
+    """A finite number, or None where the key is absent or null."""
+    return None if tree.get(key) is None else _number(tree, key, 0.0, rule)
 
 
 def _number(tree: dict, key: str, default: float, rule: str) -> float:
@@ -180,13 +191,13 @@ def _parse_grid(tree: dict) -> GridSection:
     n = _get(g, "n", "grid.n")
     dx = _get(g, "dx", "grid.dx")
     _require(isinstance(n, int) and n >= 16 and not (n & (n - 1)), "grid.n", f"n must be a power of two >= 16, got {n}")
-    _require(isinstance(dx, (int, float)) and math.isfinite(dx) and dx > 0, "grid.dx", f"dx must be finite and positive, got {dx}")
+    _require(_is_number(dx) and dx > 0, "grid.dx", f"dx must be finite and positive, got {dx}")
     return GridSection(n=n, dx=float(dx))
 
 
 def _parse_mass(tree: dict, positive: bool) -> float:
     m = _get(tree, "mass", "mass")
-    _require(isinstance(m, (int, float)) and math.isfinite(m), "mass", f"mass must be a finite number, got {m}")
+    _require(_is_number(m), "mass", f"mass must be a finite number, got {m}")
     if positive:
         _require(m > 0, "mass.positive", f"this command needs m > 0 (1/omega is singular at m = 0), got {m}")
     else:
@@ -340,31 +351,38 @@ def _parse_propagator(tree: dict) -> PropagatorConfig:
     grid = _parse_grid(tree)
     mass = _parse_mass(tree, positive=True)
     times = _parse_times(tree, grid)
-    margin = float(tree.get("margin", 0.2))
+    margin = _number(tree, "margin", 0.2, "margin")
     _require(margin >= 3.0 * grid.dx, "margin", f"margin {margin} below 3*dx = {3.0 * grid.dx}")
     L = grid.n * grid.dx
     for t in times:
         _require(abs(t) + margin < L / 2, "times.scan-region", f"|t| + margin = {abs(t) + margin} reaches the boundary L/2 = {L / 2}")
-    q = tree.get("quadrature", {})
-    _require(isinstance(q, dict), "quadrature", "quadrature section must be an object")
-    cutoff = q.get("cutoff")
+    q = _section(tree, "quadrature")
+    _check_keys(q, {"cutoff", "eps_base", "rungs", "residual_tol", "band_fraction"})
+    cutoff = _optional_number(q, "cutoff", "quadrature.cutoff")
     if cutoff is not None:
-        floor = 40.0 * max(mass, 1.0 / grid.dx)
+        floor = CUTOFF_FACTOR * max(mass, 1.0 / grid.dx)
         _require(cutoff >= floor, "quadrature.cutoff", f"cutoff {cutoff} below the required floor {floor}")
-    rungs = int(q.get("rungs", 4))
-    _require(rungs >= 2, "quadrature.rungs", "need at least 2 extrapolation rungs")
+    eps_base = _optional_number(q, "eps_base", "quadrature.eps_base")
+    _require(eps_base is None or eps_base > 0, "quadrature.eps_base", f"damping must be positive, got {eps_base}")
+    rungs = q.get("rungs", 4)
+    _require(
+        isinstance(rungs, int) and not isinstance(rungs, bool) and rungs >= 2,
+        "quadrature.rungs",
+        f"need an integer number of extrapolation rungs >= 2, got {rungs!r}",
+    )
+    residual_tol = _number(q, "residual_tol", 1e-6, "quadrature.residual_tol")
+    _require(residual_tol > 0, "quadrature.residual_tol", f"residual tolerance must be positive, got {residual_tol}")
+    band_fraction = _number(q, "band_fraction", 0.5, "quadrature.band_fraction")
+    _require(0.0 < band_fraction <= 1.0, "quadrature.band_fraction", f"band_fraction must lie in (0, 1], got {band_fraction}")
     quad = QuadratureSection(
-        cutoff=None if cutoff is None else float(cutoff),
-        eps_base=None if q.get("eps_base") is None else float(q["eps_base"]),
-        rungs=rungs,
-        residual_tol=float(q.get("residual_tol", 1e-6)),
-        band_fraction=float(q.get("band_fraction", 0.5)),
+        cutoff=cutoff, eps_base=eps_base, rungs=rungs,
+        residual_tol=residual_tol, band_fraction=band_fraction,
     )
     return PropagatorConfig(
         grid=grid, mass=mass, times=times, margin=margin, quadrature=quad,
-        ratio_ceiling=float(tree.get("ratio_ceiling", 1e-4)),
-        multiplier_error_ceiling=float(tree.get("multiplier_error_ceiling", 1e-3)),
-        zero_slice_ceiling=float(tree.get("zero_slice_ceiling", 1e-10)),
+        ratio_ceiling=_number(tree, "ratio_ceiling", 1e-4, "ratio_ceiling"),
+        multiplier_error_ceiling=_number(tree, "multiplier_error_ceiling", 1e-3, "multiplier_error_ceiling"),
+        zero_slice_ceiling=_number(tree, "zero_slice_ceiling", 1e-10, "zero_slice_ceiling"),
         out_format=_parse_format(tree),
     )
 

@@ -126,7 +126,7 @@ def test_criterion_4_propagator_support():
     zero_max = float(np.max(np.abs(pauli_jordan(0.0, grid, m1).delta.values)))
     checks = {f"max|D(0,.)|<1e-10 [{zero_max:.2e}]": zero_max < 1e-10}
     for t, m in [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]:
-        scan = spacelike_suppression_scan(t, grid, Mass(m), 0.2)
+        scan = spacelike_suppression_scan(pauli_jordan(t, grid, Mass(m)), 0.2)
         checks[f"ratio(t={t},m={m})<1e-4 [{scan.ratio:.2e}]"] = scan.passed and scan.converged
     sample = pauli_jordan(1.0, grid, m1)
     plus_t = delta_plus(1.0, grid, m1)

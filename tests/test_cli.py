@@ -142,6 +142,30 @@ def test_unconverged_quadrature_fails_with_exit_one(tmp_path):
     assert report["verdicts"]["quadrature_converged"]["passed"] is False
 
 
+def test_propagator_run_takes_one_quadrature_per_slice(tmp_path, monkeypatch):
+    # three slices, three kernels: the suppression scans reuse the CLI's
+    # samples and D = 2 Re Dp needs no second evaluation
+    from kglab import propagator
+    from kglab.cli import main
+
+    calls = []
+    original = propagator._damped_kernel
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(propagator, "_damped_kernel", counted)
+    out = tmp_path / "out"
+    config = REPO / "configs" / "propagator_default.json"
+    assert main(["propagator", "--config", str(config), "--out", str(out)]) == 0
+    assert sorted(calls) == [0.0, 1.0, 2.0]
+    for path in sorted(out.glob("slice_*.csv")):
+        lines = path.read_text().splitlines()
+        assert lines[0].split(",")[2] == "im_delta"
+        assert {line.split(",")[2] for line in lines[1:]} == {"0.0"}, path.name
+
+
 def test_report_renders_verdict_table(tmp_path):
     cfg = write_config(tmp_path, "prop.json", small_propagator_config())
     out = tmp_path / "out"

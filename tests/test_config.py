@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kglab.config import ConfigError, load_config
 
@@ -140,6 +144,101 @@ def test_propagator_cutoff_floor(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, tree), "propagator")
     assert err.value.rule == "quadrature.cutoff"
+
+
+def propagator_tree(**overrides):
+    tree = {
+        "grid": {"n": 1024, "dx": 1 / 256},
+        "mass": 1.0,
+        "times": [0.0, 1.0],
+        "quadrature": {"rungs": 4},
+    }
+    tree.update(overrides)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "overrides,rule",
+    [
+        ({"margin": [0.2]}, "margin"),
+        ({"margin": "0.2"}, "margin"),
+        ({"ratio_ceiling": None}, "ratio_ceiling"),
+        ({"ratio_ceiling": "1e-4"}, "ratio_ceiling"),
+        ({"multiplier_error_ceiling": {}}, "multiplier_error_ceiling"),
+        ({"zero_slice_ceiling": True}, "zero_slice_ceiling"),
+        ({"quadrature": [4]}, "quadrature"),
+        ({"quadrature": {"cutoff": "x"}}, "quadrature.cutoff"),
+        ({"quadrature": {"eps_base": [1e-6]}}, "quadrature.eps_base"),
+        ({"quadrature": {"eps_base": -1e-6}}, "quadrature.eps_base"),
+        ({"quadrature": {"rungs": "4"}}, "quadrature.rungs"),
+        ({"quadrature": {"rungs": 4.5}}, "quadrature.rungs"),
+        ({"quadrature": {"rungs": True}}, "quadrature.rungs"),
+        ({"quadrature": {"rungs": 1}}, "quadrature.rungs"),
+        ({"quadrature": {"residual_tol": None}}, "quadrature.residual_tol"),
+        ({"quadrature": {"residual_tol": 0.0}}, "quadrature.residual_tol"),
+        ({"quadrature": {"band_fraction": "half"}}, "quadrature.band_fraction"),
+        ({"quadrature": {"band_fraction": 1.5}}, "quadrature.band_fraction"),
+        ({"quadrature": {"rung": 4}}, "unknown-key"),
+        ({"mass": True}, "mass"),
+        ({"grid": {"n": 1024, "dx": 10**400}}, "grid.dx"),
+    ],
+)
+def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
+    cfg = load_config(write(tmp_path, propagator_tree()), "propagator")
+    assert (cfg.margin, cfg.quadrature.rungs, cfg.quadrature.cutoff) == (0.2, 4, None)
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, propagator_tree(**overrides)), "propagator")
+    assert err.value.rule == rule
+
+
+def test_propagator_null_cutoff_uses_the_default_rule(tmp_path):
+    tree = propagator_tree(quadrature={"cutoff": None, "eps_base": None, "rungs": 3})
+    cfg = load_config(write(tmp_path, tree), "propagator")
+    assert (cfg.quadrature.cutoff, cfg.quadrature.eps_base, cfg.quadrature.rungs) == (None, None, 3)
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([0, 1, 2, 4, 16, 1024, 0.0, 0.2, 1 / 256, 1e-6, 40960.0, -1.0, 10**400])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: where a drawn value may land: top-level fields and the fields of the
+#: grid, quadrature and output sections
+_PROPAGATOR_FIELDS = (
+    "grid", "grid.n", "grid.dx", "mass", "times", "margin", "ratio_ceiling",
+    "multiplier_error_ceiling", "zero_slice_ceiling", "command", "output", "output.format",
+    "quadrature", "quadrature.cutoff", "quadrature.eps_base", "quadrature.rungs",
+    "quadrature.residual_tol", "quadrature.band_fraction",
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(_PROPAGATOR_FIELDS), _JSON_VALUES, max_size=4))
+def test_propagator_config_fuzz(drawn):
+    # every tree either parses or names a rule; nothing else escapes
+    tree = propagator_tree(margin=0.2, output={"format": "csv"})
+    for path, value in sorted(drawn.items()):
+        *parents, key = path.split(".")
+        node = tree
+        for parent in parents:
+            if not isinstance(node.get(parent), dict):
+                node[parent] = {}
+            node = node[parent]
+        node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp), tree)
+        try:
+            load_config(path, "propagator")
+        except ConfigError as exc:
+            assert exc.rule
 
 
 def test_command_mismatch_rejected(tmp_path):

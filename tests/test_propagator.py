@@ -97,7 +97,26 @@ class TestPauliJordan:
     def test_kernel_is_real(self, scan_grid):
         s = pauli_jordan(1.0, scan_grid, Mass(1.0))
         assert np.max(np.abs(s.delta.values.imag)) < 1e-12
-        assert "identity-violation" not in s.flags
+        assert np.all(s.delta.values.imag == 0.0)
+
+    def test_one_quadrature_per_slice(self, scan_grid, monkeypatch):
+        from kglab import propagator
+
+        calls = []
+        original = propagator._damped_kernel
+
+        def counted(*args):
+            calls.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(propagator, "_damped_kernel", counted)
+        s = pauli_jordan(1.0, scan_grid, Mass(1.0))
+        assert calls == [1.0]
+        monkeypatch.undo()
+        direct = delta_plus(1.0, scan_grid, Mass(1.0))
+        assert np.array_equal(s.delta_plus.values, direct.field.values)
+        assert np.array_equal(s.delta.values.real, 2.0 * direct.field.values.real)
+        assert s.residual == 2.0 * direct.residual
 
     def test_bridge_identity(self, scan_grid):
         s = pauli_jordan(1.0, scan_grid, Mass(1.0))
@@ -122,35 +141,45 @@ class TestPauliJordan:
 
 
 class TestSuppressionScan:
+    @pytest.fixture(scope="class")
+    def sample(self, scan_grid):
+        return pauli_jordan(1.0, scan_grid, Mass(1.0))
+
     @pytest.mark.parametrize("t,m", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
     def test_spacelike_suppressed(self, scan_grid, t, m):
-        scan = spacelike_suppression_scan(t, scan_grid, Mass(m), 0.2)
+        scan = spacelike_suppression_scan(pauli_jordan(t, scan_grid, Mass(m)), 0.2)
         assert scan.converged
         assert scan.ratio < 1e-4
         assert scan.passed
 
     def test_zero_time_slice(self, scan_grid):
-        scan = spacelike_suppression_scan(0.0, scan_grid, Mass(1.0), 0.2)
+        scan = spacelike_suppression_scan(pauli_jordan(0.0, scan_grid, Mass(1.0)), 0.2)
         assert scan.spacelike_max < 1e-10
 
-    def test_margin_shrinks_spacelike_max(self, scan_grid):
-        maxes = [
-            spacelike_suppression_scan(1.0, scan_grid, Mass(1.0), mg).spacelike_max
-            for mg in (0.2, 0.4, 0.8)
-        ]
+    def test_margin_shrinks_spacelike_max(self, sample):
+        maxes = [spacelike_suppression_scan(sample, mg).spacelike_max for mg in (0.2, 0.4, 0.8)]
         assert maxes[0] > maxes[1] > maxes[2]
 
-    def test_doubled_cutoff_confirms_suppression(self, scan_grid):
-        base = spacelike_suppression_scan(1.0, scan_grid, Mass(1.0), 0.2)
+    def test_scan_reports_the_sample(self, sample):
+        scan = spacelike_suppression_scan(sample, 0.2, ratio_ceiling=1e-12)
+        assert (scan.t, scan.residual, scan.converged) == (1.0, sample.residual, sample.converged)
+        assert not scan.passed
+
+    def test_doubled_cutoff_confirms_suppression(self, scan_grid, sample):
+        base = spacelike_suppression_scan(sample, 0.2)
         doubled = spacelike_suppression_scan(
-            1.0, scan_grid, Mass(1.0), 0.2, QuadratureSpec(cutoff=2 * 40 * 256.0)
+            pauli_jordan(1.0, scan_grid, Mass(1.0), QuadratureSpec(cutoff=2 * 40 * 256.0)), 0.2
         )
         assert doubled.passed
         assert doubled.spacelike_max < 10 * base.spacelike_max
 
-    def test_margin_floor_enforced(self, scan_grid):
+    def test_margin_floor_enforced(self, scan_grid, sample):
         with pytest.raises(ValueError, match="margin"):
-            spacelike_suppression_scan(1.0, scan_grid, Mass(1.0), scan_grid.dx)
+            spacelike_suppression_scan(sample, scan_grid.dx)
+
+    def test_boundary_enforced(self, sample):
+        with pytest.raises(ValueError, match="boundary"):
+            spacelike_suppression_scan(sample, 7.0)
 
 
 class TestCauchyViaPropagator:
