@@ -3,14 +3,17 @@
 Subcommands: evolve, hegerfeldt, propagator, report.  Every command is a
 pure function of its config file: identical configs produce byte-identical
 outputs regardless of KGLAB_THREADS.  Exit status 0 means every verdict
-passed, 1 means at least one verdict failed, 2 means a config or IO error
-(reported as JSON on stderr).  The CLI computes nothing itself; every
-emitted number comes from a module operation.
+passed, 1 means at least one verdict failed, 2 means the run was refused,
+with a JSON error on stderr that always names a rule: kind "config" (a
+precondition, at load time or from a domain check), "io", "memory" (an
+array too large for this machine) or "report".  The CLI computes nothing
+itself; every emitted number comes from a module operation.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,18 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, posfreq, propagator
-from .config import (
-    ConfigError,
-    EvolveConfig,
-    HegerfeldtConfig,
-    PropagatorConfig,
-    GridSection,
-    load_config,
-)
-from .dispersion import Mass
+from .config import ConfigError, EvolveConfig, HegerfeldtConfig, PropagatorConfig, load_config
 from .evolution import (
     CauchyData,
-    EvolutionConfig,
     energy,
     evolve_local_fd_ladder,
     evolve_spectral,
@@ -37,8 +31,8 @@ from .evolution import (
     leapfrog_energy,
 )
 from .io import field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
-from .propagator import QuadratureSpec
 from .runtime import parallel_map
+from .spectral import UniformGrid
 
 __all__ = ["main"]
 
@@ -59,17 +53,17 @@ def _write_field(field, stem: Path, out_format: str) -> None:
 
 
 def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
-    grid = cfg.grid.build()
-    mass = Mass(cfg.mass)
-    data = CauchyData(cfg.state.build_phi(grid), cfg.state.build_pi(grid), mass)
+    grid = cfg.grid
+    method, dt = cfg.evolution.method, cfg.evolution.dt
+    data = CauchyData(cfg.state.build_phi(grid), cfg.state.build_pi(grid), cfg.mass)
     r0 = joint_support_radius(data, cfg.support_threshold)
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
     # the leapfrog reaches every ladder time in one pass; spectral states
     # are evolved per time inside the map
     ladder = None
-    if cfg.method == "local-fd":
-        ladder = evolve_local_fd_ladder(data, cfg.times, EvolutionConfig(method=cfg.method, dt=cfg.dt))
+    if method == "local-fd":
+        ladder = evolve_local_fd_ladder(data, cfg.times, cfg.evolution)
 
     def one_time(i: int):
         t = cfg.times[i]
@@ -85,7 +79,7 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     results = parallel_map(one_time, range(len(cfg.times)))
     # the leapfrog scheme conserves its own quadratic form, not the
     # continuum energy
-    q0 = leapfrog_energy(data, cfg.dt) if cfg.method == "local-fd" else None
+    q0 = leapfrog_energy(data, dt) if method == "local-fd" else None
     rows = []
     leakages = []
     floors = []
@@ -94,10 +88,10 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
         rows.append((t, e_t, radius, leakage))
         leakages.append(leakage)
         floors.append(floor)
-        if cfg.method == "spectral-exact":
+        if method == "spectral-exact":
             drifts.append(abs(e_t - e0) / e0 if e0 > 0 else 0.0)
         else:
-            drifts.append(abs(leapfrog_energy(state, cfg.dt) - q0) / q0 if q0 > 0 else 0.0)
+            drifts.append(abs(leapfrog_energy(state, dt) - q0) / q0 if q0 > 0 else 0.0)
         if t in cfg.snapshot_times:
             idx = cfg.times.index(t)
             _write_field(state.phi, out / f"snapshot_{idx:03d}", cfg.out_format)
@@ -107,14 +101,14 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     drift = max(drifts)
     verdicts = {
         "cone_leakage": _verdict(max(leakages), max(leakages) < cfg.leakage_ceiling),
-        "energy_drift": _verdict(drift, drift < (1e-12 if cfg.method == "spectral-exact" else 1e-6)),
+        "energy_drift": _verdict(drift, drift < (1e-12 if method == "spectral-exact" else 1e-6)),
         "boundary_floor": _verdict(max(floors), max(floors) < 1e-10 * peak),
     }
     report = {
         "command": "evolve",
         "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
-        "mass": cfg.mass,
-        "method": cfg.method,
+        "mass": cfg.mass.m,
+        "method": method,
         "times": list(cfg.times),
         "initial_energy": e0,
         "initial_support_radius": r0,
@@ -125,14 +119,12 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     return EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_FAIL
 
 
-def _hegerfeldt_rows(cfg: HegerfeldtConfig, grid_section: GridSection, r0: float, margin: float):
-    grid = grid_section.build()
-    mass = Mass(cfg.mass)
+def _hegerfeldt_rows(cfg: HegerfeldtConfig, grid: UniformGrid, r0: float, margin: float):
     psi0 = cfg.state.build_phi(grid)
-    zero = CauchyData(psi0, cfg.state.build_pi(grid), mass)
+    zero = CauchyData(psi0, cfg.state.build_pi(grid), cfg.mass)
 
     def one_time(t: float):
-        psi_t = posfreq.evolve_positive(psi0, mass, t)
+        psi_t = posfreq.evolve_positive(psi0, cfg.mass, t)
         leak = diagnostics.cone_leakage(psi_t, r0, t, margin)
         tail = diagnostics.fit_exponential_tail(psi_t, cfg.window)
         spectral_t = evolve_spectral(zero, t)
@@ -143,8 +135,8 @@ def _hegerfeldt_rows(cfg: HegerfeldtConfig, grid_section: GridSection, r0: float
 
 
 def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
-    grid = cfg.grid.build()
-    mass = Mass(cfg.mass)
+    grid = cfg.grid
+    mass = cfg.mass
     psi0 = cfg.state.build_phi(grid)
     r0 = diagnostics.support_radius(psi0, cfg.support_threshold)
     margin = cfg.cone_margin_cells * grid.dx
@@ -181,7 +173,7 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
     if cfg.grid_doubling_check:
         # same cone edge (base-grid support radius and margin) isolates
         # the resolution dependence, which is what rules out aliasing
-        doubled = GridSection(n=2 * cfg.grid.n, dx=cfg.grid.dx / 2.0)
+        doubled = UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0)
         rows2 = _hegerfeldt_rows(cfg, doubled, r0, margin)
         rel = max(abs(b[0] / a[0] - 1.0) for a, b in zip(rows, rows2))
         doubling = _verdict(rel, rel < cfg.doubling_tolerance)
@@ -197,12 +189,12 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
         "spectral_contrast": _verdict(max(contrasts), max(contrasts) < cfg.contrast_ceiling),
         "witness_rate": _verdict(
             witness_report.tail_rate,
-            abs(witness_report.tail_rate / cfg.mass - 1.0) < cfg.rate_band
+            abs(witness_report.tail_rate / mass.m - 1.0) < cfg.rate_band
             and witness_report.fit_r2 > cfg.min_r2,
         ),
         "snapshot_rate": _verdict(
             snap_tail.rate,
-            abs(snap_tail.rate / cfg.mass - 1.0) < cfg.rate_band and snap_tail.r2 > cfg.min_r2,
+            abs(snap_tail.rate / mass.m - 1.0) < cfg.rate_band and snap_tail.r2 > cfg.min_r2,
         ),
     }
     if doubling is not None:
@@ -211,7 +203,7 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
     report = {
         "command": "hegerfeldt",
         "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
-        "mass": cfg.mass,
+        "mass": mass.m,
         "times": list(cfg.times),
         "support_radius": r0,
         "window": list(cfg.window),
@@ -223,18 +215,10 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
 
 
 def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
-    grid = cfg.grid.build()
-    mass = Mass(cfg.mass)
-    quad = QuadratureSpec(
-        cutoff=cfg.quadrature.cutoff,
-        eps_base=cfg.quadrature.eps_base,
-        rungs=cfg.quadrature.rungs,
-        residual_tol=cfg.quadrature.residual_tol,
-        band_fraction=cfg.quadrature.band_fraction,
-    )
+    grid = cfg.grid
 
     def one_time(t: float):
-        sample = propagator.pauli_jordan(t, grid, mass, quad)
+        sample = propagator.pauli_jordan(t, grid, cfg.mass, cfg.quadrature)
         bridge = propagator.bridge_identity_error(sample)
         scan = None
         if t != 0.0:
@@ -251,7 +235,7 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
             out / f"slice_{idx:03d}.meta.json",
             {
                 "t": t,
-                "mass": cfg.mass,
+                "mass": cfg.mass.m,
                 "residual": sample.residual,
                 "converged": sample.converged,
                 "flags": list(sample.flags),
@@ -283,7 +267,7 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
     report = {
         "command": "propagator",
         "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
-        "mass": cfg.mass,
+        "mass": cfg.mass.m,
         "margin": cfg.margin,
         "slices": slices,
         "verdicts": verdicts,
@@ -322,11 +306,8 @@ _RUNNERS = {
 }
 
 
-def _error_json(kind: str, message: str, rule: str | None = None) -> str:
-    payload = {"error": {"kind": kind, "message": message}}
-    if rule is not None:
-        payload["error"]["rule"] = rule
-    return json.dumps(payload, sort_keys=True)
+def _error_json(kind: str, message: str, rule: str) -> str:
+    return json.dumps({"error": {"kind": kind, "message": message, "rule": rule}}, sort_keys=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -346,17 +327,19 @@ def main(argv: list[str] | None = None) -> int:
             return _run_report(args.path)
         cfg = load_config(args.config, args.subcommand)
         if args.format is not None:
-            cfg = type(cfg)(**{**cfg.__dict__, "out_format": args.format})
+            cfg = dataclasses.replace(cfg, out_format=args.format)
         args.out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[args.subcommand](cfg, args.out)
     except ConfigError as exc:
         print(_error_json("config", exc.message, exc.rule), file=sys.stderr)
         return EXIT_ERROR
     except (OSError, json.JSONDecodeError) as exc:
-        print(_error_json("io", str(exc)), file=sys.stderr)
+        rule = "report.path" if args.subcommand == "report" else "out"
+        print(_error_json("io", str(exc), rule), file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
-        print(_error_json("precondition", str(exc)), file=sys.stderr)
+    except MemoryError as exc:
+        message = f"{exc}: reduce grid.n, or quadrature.cutoff for the propagator"
+        print(_error_json("memory", message, "memory"), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -1,9 +1,11 @@
 """Experiment configuration: one human-editable JSON file per run.
 
-Every module precondition that a run would hit is validated here before
-any computation starts; the first failing rule is named in the raised
-:class:`ConfigError` so a bad config is rejected with a machine-readable
-reason.
+This layer parses JSON types, unknown keys and command policy, then
+delegates: every range or geometry rule lives in the domain value it
+protects, so the config builds those values (grid, mass, evolution and
+quadrature settings) or calls their checks, and a bad config fails at
+load time.  Either way :class:`ConfigError`, the package's one
+rule-carrying :class:`~kglab.spectral.PreconditionError`, names the rule.
 """
 
 from __future__ import annotations
@@ -15,15 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .propagator import CUTOFF_FACTOR
-from .spectral import Field, UniformGrid, make_bump
+from .diagnostics import check_threshold, check_window
+from .dispersion import Mass
+from .evolution import EvolutionConfig, check_margin, ladder_steps
+from .propagator import QuadratureSpec, check_scan
+from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, check_bump, make_bump
 
 __all__ = [
     "CONE_MARGIN_CELLS",
     "ConfigError",
-    "GridSection",
     "StateSection",
-    "QuadratureSection",
     "EvolveConfig",
     "HegerfeldtConfig",
     "PropagatorConfig",
@@ -34,14 +37,8 @@ __all__ = [
 #: absorb threshold and discretization fuzz
 CONE_MARGIN_CELLS = 5
 
-
-class ConfigError(Exception):
-    """Invalid configuration; ``rule`` names the first failing check."""
-
-    def __init__(self, rule: str, message: str):
-        super().__init__(f"{rule}: {message}")
-        self.rule = rule
-        self.message = message
+#: invalid configuration; ``rule`` names the first failing check
+ConfigError = PreconditionError
 
 
 def _require(condition: bool, rule: str, message: str) -> None:
@@ -68,7 +65,8 @@ def _optional_number(tree: dict, key: str, rule: str) -> float | None:
     return None if tree.get(key) is None else _number(tree, key, 0.0, rule)
 
 
-def _number(tree: dict, key: str, default: float, rule: str) -> float:
+def _number(tree: dict, key: str, default: float | None, rule: str) -> float:
+    """A finite number; a default of None makes the key required."""
     value = tree.get(key, default)
     _require(_is_number(value), rule, f"{key} must be a finite number, got {value!r}")
     return float(value)
@@ -91,60 +89,29 @@ def _cone_margin_cells(tree: dict) -> int:
 
 
 @dataclass(frozen=True)
-class GridSection:
-    n: int
-    dx: float
-
-    def build(self) -> UniformGrid:
-        try:
-            return UniformGrid(n=self.n, dx=self.dx)
-        except ValueError as exc:
-            raise ConfigError("grid", str(exc)) from exc
-
-
-@dataclass(frozen=True)
 class StateSection:
-    factory: str
+    """A bump Phi and its time derivative Pi: zero or the right mover."""
+
     center: float
     radius: float
     amplitude: float
     pi: str = "zero"
 
     def build_phi(self, grid: UniformGrid) -> Field:
-        try:
-            return make_bump(grid, self.center, self.radius, self.amplitude)
-        except ValueError as exc:
-            raise ConfigError("initial_state", str(exc)) from exc
+        return make_bump(grid, self.center, self.radius, self.amplitude)
 
     def build_pi(self, grid: UniformGrid) -> Field:
         if self.pi == "zero":
             return Field(grid, np.zeros(grid.n, dtype=np.complex128))
-        # right mover: Pi = -Phi' with the closed-form bump derivative
-        u = (grid.x - self.center) / self.radius
-        vals = np.zeros(grid.n, dtype=np.complex128)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        prof = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - ui**2))
-        vals[inside] = -prof * (-2.0 * ui / (1.0 - ui**2) ** 2) / self.radius
-        return Field(grid, vals)
-
-
-@dataclass(frozen=True)
-class QuadratureSection:
-    cutoff: float | None = None
-    eps_base: float | None = None
-    rungs: int = 4
-    residual_tol: float = 1e-6
-    band_fraction: float = 0.5
+        return bump_right_mover(grid, self.center, self.radius, self.amplitude)
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    grid: GridSection
-    mass: float
+    grid: UniformGrid
+    mass: Mass
     state: StateSection
-    method: str
-    dt: float | None
+    evolution: EvolutionConfig
     times: tuple[float, ...]
     snapshot_times: tuple[float, ...]
     support_threshold: float
@@ -155,8 +122,8 @@ class EvolveConfig:
 
 @dataclass(frozen=True)
 class HegerfeldtConfig:
-    grid: GridSection
-    mass: float
+    grid: UniformGrid
+    mass: Mass
     state: StateSection
     times: tuple[float, ...]
     leakage_floor: float
@@ -174,72 +141,54 @@ class HegerfeldtConfig:
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    grid: GridSection
-    mass: float
+    grid: UniformGrid
+    mass: Mass
     times: tuple[float, ...]
     margin: float
-    quadrature: QuadratureSection
+    quadrature: QuadratureSpec
     ratio_ceiling: float
     multiplier_error_ceiling: float
     zero_slice_ceiling: float
     out_format: str
 
 
-def _parse_grid(tree: dict) -> GridSection:
+def _parse_grid(tree: dict) -> UniformGrid:
     g = _get(tree, "grid", "grid")
     _require(isinstance(g, dict), "grid", "grid section must be an object")
     n = _get(g, "n", "grid.n")
-    dx = _get(g, "dx", "grid.dx")
-    _require(isinstance(n, int) and n >= 16 and not (n & (n - 1)), "grid.n", f"n must be a power of two >= 16, got {n}")
-    _require(_is_number(dx) and dx > 0, "grid.dx", f"dx must be finite and positive, got {dx}")
-    return GridSection(n=n, dx=float(dx))
+    _require(isinstance(n, int), "grid.n", f"n must be an integer, got {n!r}")
+    return UniformGrid(n=n, dx=_number(g, "dx", None, "grid.dx"))
 
 
-def _parse_mass(tree: dict, positive: bool) -> float:
-    m = _get(tree, "mass", "mass")
-    _require(_is_number(m), "mass", f"mass must be a finite number, got {m}")
+def _parse_mass(tree: dict, positive: bool) -> Mass:
+    mass = Mass(_number(tree, "mass", None, "mass"))
     if positive:
-        _require(m > 0, "mass.positive", f"this command needs m > 0 (1/omega is singular at m = 0), got {m}")
-    else:
-        _require(m >= 0, "mass", f"mass must be non-negative, got {m}")
-    return float(m)
+        mass.require_positive("this command (1/omega is singular at m = 0)")
+    return mass
 
 
-def _parse_state(tree: dict, grid: GridSection, allow_pi: bool) -> StateSection:
+def _parse_state(tree: dict, grid: UniformGrid, allow_pi: bool) -> StateSection:
     s = _get(tree, "initial_state", "initial_state")
     _require(isinstance(s, dict), "initial_state", "initial_state must be an object")
     factory = _get(s, "factory", "initial_state.factory")
     _require(factory == "bump", "initial_state.factory", f"unknown factory {factory!r}; available: bump")
     center = _number(s, "center", 0.0, "initial_state.center")
-    radius = _get(s, "radius", "initial_state.radius")
+    radius = _number(s, "radius", None, "initial_state.radius")
     amplitude = _number(s, "amplitude", 1.0, "initial_state.amplitude")
-    _require(
-        _is_number(radius) and radius > 4.0 * grid.dx,
-        "initial_state.radius",
-        f"radius {radius} must exceed 4*dx = {4.0 * grid.dx}",
-    )
-    L = grid.n * grid.dx
-    _require(
-        center - radius >= -L / 2 + L / 8 and center + radius <= L / 2 - L / 8,
-        "initial_state.margin",
-        f"support [{center - radius}, {center + radius}] leaves less than L/8 of edge clearance",
-    )
+    check_bump(grid, center, radius)
     pi = s.get("pi", "zero")
     allowed = ("zero", "right-mover") if allow_pi else ("zero",)
     _require(pi in allowed, "initial_state.pi", f"pi must be one of {allowed}, got {pi!r}")
-    return StateSection(factory=factory, center=center, radius=float(radius), amplitude=amplitude, pi=pi)
+    return StateSection(center=center, radius=radius, amplitude=amplitude, pi=pi)
 
 
-def _parse_times(tree: dict, grid: GridSection, key: str = "times") -> tuple[float, ...]:
-    times = _get(tree, key, key)
-    _require(isinstance(times, list) and times, key, "need a non-empty list of times")
-    L = grid.n * grid.dx
-    out = []
+def _parse_times(tree: dict, grid: UniformGrid) -> tuple[float, ...]:
+    times = _get(tree, "times", "times")
+    _require(isinstance(times, list) and times, "times", "need a non-empty list of times")
     for t in times:
-        _require(_is_number(t), key, f"times must be finite numbers, got {t!r}")
-        _require(abs(t) <= L / 4, f"{key}.margin", f"|t| = {abs(t)} exceeds the periodic safety margin L/4 = {L / 4}")
-        out.append(float(t))
-    return tuple(out)
+        _require(_is_number(t), "times", f"times must be finite numbers, got {t!r}")
+        check_margin(grid, t)
+    return tuple(float(t) for t in times)
 
 
 def _parse_format(tree: dict) -> str:
@@ -261,33 +210,23 @@ def _parse_evolve(tree: dict) -> EvolveConfig:
     mass = _parse_mass(tree, positive=False)
     state = _parse_state(tree, grid, allow_pi=True)
     times = _parse_times(tree, grid)
-    method = tree.get("method", "spectral-exact")
-    _require(method in ("spectral-exact", "local-fd"), "method", f"method must be spectral-exact or local-fd, got {method!r}")
-    dt = tree.get("dt")
-    if method == "local-fd":
-        _require(isinstance(dt, (int, float)) and dt > 0, "dt", "local-fd needs a positive dt")
-        _require(dt / grid.dx <= 1.0, "dt.courant", f"courant dt/dx = {dt / grid.dx} exceeds 1")
-        for t in times:
-            steps = round(t / dt)
-            _require(steps >= 1 and abs(steps * dt - t) <= 1e-9 * max(t, dt), "times.dt-multiple", f"t = {t} is not a positive integer multiple of dt = {dt}")
-    else:
-        dt = None
+    evolution = EvolutionConfig(method=tree.get("method", "spectral-exact"), dt=_optional_number(tree, "dt", "dt"))
+    if evolution.method == "local-fd":
+        ladder_steps(grid, times, evolution.dt)
     snapshot_times = tree.get("snapshot_times", [])
     _require(isinstance(snapshot_times, list), "snapshot_times", "snapshot_times must be a list of times")
     for t in snapshot_times:
         _require(_is_number(t) and t in times, "snapshot_times", f"snapshot time {t!r} is not in the time ladder")
     thresholds = _section(tree, "thresholds")
     support = _number(thresholds, "support", 1e-12, "thresholds.support")
+    check_threshold(support)
     leakage = _number(thresholds, "cone_leakage", 1e-8, "thresholds.cone_leakage")
-    _require(support > 0, "thresholds.support", "support threshold must be positive")
     _require(leakage > 0, "thresholds.cone_leakage", "leakage ceiling must be positive")
-    cells = _cone_margin_cells(tree)
     return EvolveConfig(
-        grid=grid, mass=mass, state=state, method=method,
-        dt=None if dt is None else float(dt),
+        grid=grid, mass=mass, state=state, evolution=evolution,
         times=times, snapshot_times=tuple(float(t) for t in snapshot_times),
         support_threshold=support, leakage_ceiling=leakage,
-        cone_margin_cells=cells, out_format=_parse_format(tree),
+        cone_margin_cells=_cone_margin_cells(tree), out_format=_parse_format(tree),
     )
 
 
@@ -301,26 +240,27 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
         _require(t > 0, "times.positive", f"leakage times must be positive, got {t}")
     thresholds = _section(tree, "thresholds")
     support = _number(thresholds, "support", 1e-12, "thresholds.support")
-    _require(support > 0, "thresholds.support", "support threshold must be positive")
+    check_threshold(support)
     floor = _number(tree, "leakage_floor", 1e-10, "leakage_floor")
+    _require(floor > 0, "leakage_floor", f"leakage floor must be positive, got {floor}")
     ceiling = _number(tree, "contrast_ceiling", 1e-8, "contrast_ceiling")
-    _require(floor > 0 and ceiling > 0, "leakage_floor", "leakage bounds must be positive")
+    _require(ceiling > 0, "contrast_ceiling", f"contrast ceiling must be positive, got {ceiling}")
     tail = _section(tree, "tail_fit")
     window = tail.get("window")
     _require(
-        isinstance(window, list) and len(window) == 2 and all(map(_is_number, window)) and 0 < window[0] < window[1],
+        isinstance(window, list) and len(window) == 2 and all(map(_is_number, window)),
         "tail_fit.window",
-        f"window must be [lo, hi] with 0 < lo < hi, got {window}",
+        f"window must be a list [lo, hi] of two finite numbers, got {window!r}",
     )
-    L = grid.n * grid.dx
-    compton = 1.0 / mass
+    check_window(window)
+    compton = mass.compton_wavelength
     _require(
         window[0] >= state.center + state.radius + 3.0 * compton,
         "tail_fit.window.near-field",
         f"window must start >= 3 Compton lengths beyond the support edge {state.center + state.radius}",
     )
     _require(
-        window[1] <= L / 2 - L / 16 - 2.0 * compton,
+        window[1] <= grid.L / 2 - grid.L / 16 - 2.0 * compton,
         "tail_fit.window.wrap",
         "window must end >= 2 Compton lengths before the boundary-floor strip",
     )
@@ -333,11 +273,10 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
     _require(doubling_tolerance > 0, "doubling_tolerance", "doubling tolerance must be positive")
     doubling_check = tree.get("grid_doubling_check", True)
     _require(isinstance(doubling_check, bool), "grid_doubling_check", f"grid_doubling_check must be true or false, got {doubling_check!r}")
-    cells = _cone_margin_cells(tree)
     return HegerfeldtConfig(
         grid=grid, mass=mass, state=state, times=times,
         leakage_floor=floor, contrast_ceiling=ceiling,
-        support_threshold=support, cone_margin_cells=cells,
+        support_threshold=support, cone_margin_cells=_cone_margin_cells(tree),
         window=(float(window[0]), float(window[1])),
         snapshot_time=snapshot_time, rate_band=rate_band, min_r2=min_r2,
         grid_doubling_check=doubling_check,
@@ -352,32 +291,22 @@ def _parse_propagator(tree: dict) -> PropagatorConfig:
     mass = _parse_mass(tree, positive=True)
     times = _parse_times(tree, grid)
     margin = _number(tree, "margin", 0.2, "margin")
-    _require(margin >= 3.0 * grid.dx, "margin", f"margin {margin} below 3*dx = {3.0 * grid.dx}")
-    L = grid.n * grid.dx
     for t in times:
-        _require(abs(t) + margin < L / 2, "times.scan-region", f"|t| + margin = {abs(t) + margin} reaches the boundary L/2 = {L / 2}")
+        check_scan(grid, t, margin)
     q = _section(tree, "quadrature")
     _check_keys(q, {"cutoff", "eps_base", "rungs", "residual_tol", "band_fraction"})
     cutoff = _optional_number(q, "cutoff", "quadrature.cutoff")
-    if cutoff is not None:
-        floor = CUTOFF_FACTOR * max(mass, 1.0 / grid.dx)
-        _require(cutoff >= floor, "quadrature.cutoff", f"cutoff {cutoff} below the required floor {floor}")
     eps_base = _optional_number(q, "eps_base", "quadrature.eps_base")
-    _require(eps_base is None or eps_base > 0, "quadrature.eps_base", f"damping must be positive, got {eps_base}")
     rungs = q.get("rungs", 4)
     _require(
-        isinstance(rungs, int) and not isinstance(rungs, bool) and rungs >= 2,
-        "quadrature.rungs",
-        f"need an integer number of extrapolation rungs >= 2, got {rungs!r}",
+        isinstance(rungs, int) and not isinstance(rungs, bool), "quadrature.rungs", f"rungs must be an integer, got {rungs!r}"
     )
-    residual_tol = _number(q, "residual_tol", 1e-6, "quadrature.residual_tol")
-    _require(residual_tol > 0, "quadrature.residual_tol", f"residual tolerance must be positive, got {residual_tol}")
-    band_fraction = _number(q, "band_fraction", 0.5, "quadrature.band_fraction")
-    _require(0.0 < band_fraction <= 1.0, "quadrature.band_fraction", f"band_fraction must lie in (0, 1], got {band_fraction}")
-    quad = QuadratureSection(
+    quad = QuadratureSpec(
         cutoff=cutoff, eps_base=eps_base, rungs=rungs,
-        residual_tol=residual_tol, band_fraction=band_fraction,
+        residual_tol=_number(q, "residual_tol", 1e-6, "quadrature.residual_tol"),
+        band_fraction=_number(q, "band_fraction", 0.5, "quadrature.band_fraction"),
     )
+    quad.resolve(grid, mass)
     return PropagatorConfig(
         grid=grid, mass=mass, times=times, margin=margin, quadrature=quad,
         ratio_ceiling=_number(tree, "ratio_ceiling", 1e-4, "ratio_ceiling"),
@@ -395,7 +324,7 @@ _PARSERS = {
 
 
 def load_config(path: Path, command: str):
-    """Parse and fully validate a config file for the given command."""
+    """Parse a config file for the given command and build its domain values."""
     try:
         with open(path) as fh:
             tree = json.load(fh)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field
+from .spectral import Field, PreconditionError
 
 __all__ = [
     "SupportReport",
@@ -31,6 +31,9 @@ __all__ = [
     "support_radius",
     "boundary_floor",
     "support_report",
+    "check_threshold",
+    "check_window",
+    "radius_above",
 ]
 
 REPORT_SCHEMA = "kglab.support-report/1"
@@ -66,10 +69,8 @@ class SupportReport:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.leakage_fraction <= 1.0:
-            raise ValueError(f"leakage fraction {self.leakage_fraction} outside [0, 1]")
-        lo, hi = self.window
-        if not lo < hi:
-            raise ValueError(f"window {self.window} must satisfy lo < hi")
+            raise PreconditionError("report.leakage", f"leakage fraction {self.leakage_fraction} outside [0, 1]")
+        check_window(self.window)
 
     def to_json(self) -> str:
         payload = {
@@ -85,16 +86,29 @@ class SupportReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def check_threshold(threshold: float) -> None:
+    """Support thresholds must be positive."""
+    if not threshold > 0:
+        raise PreconditionError("thresholds.support", f"threshold must be positive, got {threshold}")
+
+
+def check_window(window: tuple[float, float]) -> None:
+    """A tail-fit window [lo, hi] must satisfy 0 < lo < hi."""
+    lo, hi = window
+    if not 0.0 < lo < hi:
+        raise PreconditionError("tail_fit.window", f"window {window} must satisfy 0 < lo < hi")
+
+
 def cone_leakage(f: Field, R0: float, t: float, margin: float) -> float:
     """L2 mass fraction outside the light cone |x| <= R0 + t + margin."""
     grid = f.grid
     edge = R0 + t + margin
     if not edge < grid.L / 2.0:
-        raise ValueError(f"cone edge {edge} reaches the domain boundary L/2 = {grid.L / 2.0}")
+        raise PreconditionError("times.cone-edge", f"cone edge {edge} reaches the boundary L/2 = {grid.L / 2.0}")
     dens = np.abs(f.values) ** 2
     total = float(np.sum(dens))
     if total == 0.0:
-        raise ValueError("cone leakage undefined for a field with zero total norm")
+        raise PreconditionError("field.zero-norm", "cone leakage undefined for a field with zero total norm")
     outside = np.abs(grid.x) > edge
     return float(np.sum(dens[outside]) / total)
 
@@ -110,19 +124,20 @@ def _side_fit(radii: np.ndarray, logmags: np.ndarray) -> tuple[float, float, flo
 
 def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
     """Fit log|f| against |x| over the window, symmetrized over both sides."""
+    check_window(window)
     lo, hi = window
-    if not 0.0 < lo < hi:
-        raise ValueError(f"window {window} must satisfy 0 < lo < hi")
     grid = f.grid
     x = grid.x
     right = np.flatnonzero((x >= lo) & (x <= hi))
     if right.size < 16:
-        raise ValueError(f"window {window} holds {right.size} grid points per side, need >= 16")
+        raise PreconditionError(
+            "tail_fit.window.points", f"window {window} holds {right.size} grid points per side, need >= 16"
+        )
     left = (grid.n - right) % grid.n
     mag_r = np.abs(f.values[right])
     mag_l = np.abs(f.values[left])
     if np.any(mag_r <= _TAIL_FLOOR) or np.any(mag_l <= _TAIL_FLOOR):
-        raise ValueError("zero magnitude inside the fit window; tail fit rejected")
+        raise PreconditionError("tail_fit.window.zero", "zero magnitude inside the fit window; tail fit rejected")
     radii = x[right]
     log_r = np.log(mag_r)
     log_l = np.log(mag_l)
@@ -143,14 +158,18 @@ def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
     )
 
 
-def support_radius(f: Field, threshold: float) -> float:
-    """Smallest R with max |f| < threshold beyond |x| > R (thresholded support)."""
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
-    above = np.abs(f.values) >= threshold
+def radius_above(grid, mags: np.ndarray, threshold: float) -> float:
+    """Smallest R with mags < threshold beyond |x| > R (0 if nowhere above)."""
+    check_threshold(threshold)
+    above = mags >= threshold
     if not np.any(above):
         return 0.0
-    return float(np.max(np.abs(f.grid.x[above])))
+    return float(np.max(np.abs(grid.x[above])))
+
+
+def support_radius(f: Field, threshold: float) -> float:
+    """Smallest R with max |f| < threshold beyond |x| > R (thresholded support)."""
+    return radius_above(f.grid, np.abs(f.values), threshold)
 
 
 def boundary_floor(f: Field) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, SpectralField, forward_transform, inverse_transform
+from .spectral import Field, PreconditionError, SpectralField, forward_transform, inverse_transform
 
 __all__ = ["Mass", "omega", "apply_omega_power", "OMEGA_EXPONENTS"]
 
@@ -37,12 +37,16 @@ class Mass:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.m) and self.m >= 0.0):
-            raise ValueError(f"mass must be finite and non-negative, got {self.m}")
+            raise PreconditionError("mass", f"mass must be finite and non-negative, got {self.m}")
+
+    def require_positive(self, what: str) -> None:
+        """The m > 0 rule of everything that divides by omega(0) = m."""
+        if not self.m > 0:
+            raise PreconditionError("mass.positive", f"{what} needs m > 0, got {self.m}")
 
     @property
     def compton_wavelength(self) -> float:
-        if self.m == 0.0:
-            raise ValueError("massless field has no Compton wavelength")
+        self.require_positive("the Compton wavelength")
         return 1.0 / self.m
 
 
@@ -60,15 +64,16 @@ def apply_omega_power(f: Field, m: Mass, s: float) -> Field:
     is dropped.
     """
     if s not in OMEGA_EXPONENTS:
-        raise ValueError(f"unsupported exponent {s}; allowed: {OMEGA_EXPONENTS}")
+        raise PreconditionError("omega.exponent", f"unsupported exponent {s}; allowed: {OMEGA_EXPONENTS}")
     F = forward_transform(f)
     w = omega(f.grid.p, m)
     coeffs = F.coefficients.copy()
     if s < 0 and m.m == 0.0:
         if abs(coeffs[0]) >= ZERO_MODE_TOL:
-            raise ValueError(
+            raise PreconditionError(
+                "omega.infrared",
                 "infrared singularity: massless negative power with zero-mode "
-                f"coefficient {abs(coeffs[0])} >= {ZERO_MODE_TOL}"
+                f"coefficient {abs(coeffs[0])} >= {ZERO_MODE_TOL}",
             )
         coeffs[0] = 0.0
         mult = np.ones_like(w)

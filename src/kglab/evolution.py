@@ -43,8 +43,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .diagnostics import radius_above
 from .dispersion import Mass, omega
-from .spectral import Field, SpectralField, forward_transform, inverse_transform
+from .spectral import Field, PreconditionError, SpectralField, forward_transform, inverse_transform
 
 __all__ = [
     "CauchyData",
@@ -53,6 +54,9 @@ __all__ = [
     "evolve_local_fd",
     "evolve_local_fd_ladder",
     "local_fd_steps",
+    "check_margin",
+    "check_step",
+    "ladder_steps",
     "energy",
     "leapfrog_energy",
     "joint_support_radius",
@@ -72,7 +76,7 @@ class CauchyData:
 
     def __post_init__(self) -> None:
         if self.phi.grid != self.pi.grid:
-            raise ValueError("phi and pi must share one grid")
+            raise PreconditionError("cauchy.grid", "phi and pi must share one grid")
 
     @property
     def grid(self):
@@ -81,22 +85,24 @@ class CauchyData:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Method selector; dt only applies to the local-fd scheme."""
+    """Method selector; dt only applies to the local-fd scheme, whose step
+    rules are :func:`check_step`."""
 
     method: str = "spectral-exact"
     dt: float | None = None
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; allowed: {_METHODS}")
-        if self.method == "local-fd":
-            if self.dt is None or not self.dt > 0:
-                raise ValueError("local-fd needs a positive time step dt")
+            raise PreconditionError("method", f"unknown method {self.method!r}; allowed: {_METHODS}")
+        if self.method == "local-fd" and self.dt is None:
+            raise PreconditionError("dt", "local-fd needs a time step dt")
 
 
-def _check_margin(grid, dt: float) -> None:
+def check_margin(grid, dt: float) -> None:
+    """The periodic safety margin |dt| <= L/4 of every evolution."""
     if abs(dt) > grid.L / 4.0:
-        raise ValueError(
+        raise PreconditionError(
+            "times.margin",
             f"evolution time {dt} exceeds the periodic safety margin L/4 = {grid.L / 4.0}; "
             "wrap-around would contaminate causality measurements"
         )
@@ -106,7 +112,7 @@ def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
     """Exact mode-wise evolution to time t (|t - t0| <= L/4)."""
     dt = t - data.t0
     grid = data.grid
-    _check_margin(grid, dt)
+    check_margin(grid, dt)
     if dt == 0.0:
         return CauchyData(data.phi, data.pi, data.m, t0=t)
     w = omega(grid.p, data.m)
@@ -158,11 +164,7 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
     The yielded arrays are live working buffers; copy them to retain.
     """
     grid = data.grid
-    if not dt > 0:
-        raise ValueError("time step must be positive")
-    courant = dt / grid.dx
-    if courant > 1.0:
-        raise ValueError(f"unstable step: courant dt/dx = {courant} exceeds 1")
+    check_step(grid, dt)
     phi, pi = data.phi.values, data.pi.values
     if not (phi.imag.any() or pi.imag.any()):
         phi, pi = phi.real, pi.real
@@ -184,6 +186,31 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
         yield k, phi, pi
 
 
+def check_step(grid, dt: float) -> None:
+    """The leapfrog step rules: dt > 0 and the Courant bound dt/dx <= 1."""
+    if not dt > 0:
+        raise PreconditionError("dt", "time step must be positive")
+    courant = dt / grid.dx
+    if courant > 1.0:
+        raise PreconditionError("dt.courant", f"unstable step: courant dt/dx = {courant} exceeds 1")
+
+
+def ladder_steps(grid, times: Sequence[float], dt: float, t0: float = 0.0) -> list[int]:
+    """Leapfrog step count to each of ``times``, after :func:`check_step`; each
+    t - t0 must be a positive integer multiple of dt within the L/4 margin."""
+    check_step(grid, dt)
+    counts = []
+    for t in times:
+        span = t - t0
+        ratio = span / dt
+        n_steps = round(ratio) if np.isfinite(ratio) else 0
+        if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), dt):
+            raise PreconditionError("times.dt-multiple", f"t - t0 = {span} is not a positive multiple of dt = {dt}")
+        check_margin(grid, span)
+        counts.append(n_steps)
+    return counts
+
+
 def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], cfg: EvolutionConfig) -> list[CauchyData]:
     """Leapfrog states at each of ``times``, in the given order, from one pass.
 
@@ -192,15 +219,10 @@ def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], cfg: Evolut
     t - t0 must be a positive multiple of dt within the L/4 margin.
     """
     if cfg.method != "local-fd":
-        raise ValueError("config method must be 'local-fd'")
+        raise PreconditionError("method", "config method must be 'local-fd'")
     dt = float(cfg.dt)
     wanted: dict[int, list[int]] = {}
-    for i, t in enumerate(times):
-        span = t - data.t0
-        n_steps = int(round(span / dt))
-        if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), dt):
-            raise ValueError(f"t - t0 = {span} is not a positive integer multiple of dt = {dt}")
-        _check_margin(data.grid, span)
+    for i, n_steps in enumerate(ladder_steps(data.grid, times, dt, data.t0)):
         wanted.setdefault(n_steps, []).append(i)
     states: list[CauchyData] = [None] * len(times)
     for k, phi, pi in local_fd_steps(data, dt, max(wanted, default=0)):
@@ -258,10 +280,4 @@ def joint_support_radius(data: CauchyData, threshold: float) -> float:
     Returns 0 for data below threshold everywhere and L/2 when even the
     outermost grid point is above it.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
-    mags = np.maximum(np.abs(data.phi.values), np.abs(data.pi.values))
-    above = mags >= threshold
-    if not np.any(above):
-        return 0.0
-    return float(np.max(np.abs(data.grid.x[above])))
+    return radius_above(data.grid, np.maximum(np.abs(data.phi.values), np.abs(data.pi.values)), threshold)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spectral import Field, UniformGrid
+from .spectral import Field, PreconditionError, UniformGrid
 
 __all__ = [
     "FIELD_SCHEMA",
@@ -68,7 +68,7 @@ def field_from_json(path: Path) -> Field:
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("schema") != FIELD_SCHEMA:
-        raise ValueError(f"not a field envelope: {path}")
+        raise PreconditionError("field.schema", f"not a field envelope: {path}")
     grid = UniformGrid(n=int(payload["grid"]["n"]), dx=float(payload["grid"]["dx"]))
     values = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
     return Field(grid, values)

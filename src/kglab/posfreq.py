@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Mass, apply_omega_power, omega
-from .evolution import CauchyData
-from .spectral import Field, SpectralField, forward_transform, inverse_transform
+from .evolution import CauchyData, check_margin
+from .spectral import Field, PreconditionError, SpectralField, forward_transform, inverse_transform
 
 __all__ = [
     "FrequencySplit",
@@ -47,7 +47,7 @@ class FrequencySplit:
 
     def __post_init__(self) -> None:
         if self.psi_plus.grid != self.psi_minus.grid:
-            raise ValueError("frequency branches must share one grid")
+            raise PreconditionError("split.grid", "frequency branches must share one grid")
 
     @property
     def grid(self):
@@ -56,8 +56,7 @@ class FrequencySplit:
 
 def project_positive(data: CauchyData) -> FrequencySplit:
     """Split Cauchy data into frequency branches (m > 0; 1/w is singular at m = 0)."""
-    if data.m.m <= 0:
-        raise ValueError("frequency projection needs m > 0: 1/omega is singular on the zero mode")
+    data.m.require_positive("frequency projection (1/omega is singular on the zero mode)")
     grid = data.grid
     w = omega(grid.p, data.m)
     F = forward_transform(data.phi).coefficients
@@ -74,10 +73,7 @@ def project_positive(data: CauchyData) -> FrequencySplit:
 def evolve_positive(psi: Field, m: Mass, t: float) -> Field:
     """First-order flow psi_k(t) = exp(-i w t) psi_k(0); unitary per mode."""
     grid = psi.grid
-    if abs(t) > grid.L / 4.0:
-        raise ValueError(
-            f"evolution time {t} exceeds the periodic safety margin L/4 = {grid.L / 4.0}"
-        )
+    check_margin(grid, t)
     w = omega(grid.p, m)
     coeffs = forward_transform(psi).coefficients * np.exp(-1j * w * t)
     return inverse_transform(SpectralField(grid, coeffs))
@@ -102,7 +98,6 @@ def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
     rate m (with an algebraic |x|^(-3/2) correction, see the diagnostics
     module notes on fit windows).
     """
-    if m.m <= 0:
-        raise ValueError("tail witness needs m > 0")
+    m.require_positive("the tail witness")
     scaled = apply_omega_power(phi_compact, m, 1.0)
     return Field(phi_compact.grid, -1j * scaled.values)

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Mass, omega
-from .spectral import Field, SpectralField, UniformGrid, _alternating, forward_transform, inverse_transform
+from .spectral import MAX_SAMPLES, Field, PreconditionError, SpectralField, UniformGrid, _alternating
+from .spectral import forward_transform, inverse_transform
 
 __all__ = [
     "QuadratureSpec",
@@ -67,6 +68,7 @@ __all__ = [
     "delta_plus",
     "pauli_jordan",
     "spacelike_suppression_scan",
+    "check_scan",
     "cauchy_via_propagator",
     "bridge_identity_error",
     "time_derivative_identity_error",
@@ -81,6 +83,9 @@ EPS_BASE_FACTOR = 80.0
 #: spacelike-to-timelike magnitude ratio below which a scan passes
 SUPPRESSION_RATIO = 1e-4
 
+#: most Richardson rungs: the weights 2^k overflow a float beyond k = 1023
+MAX_RUNGS = 1024
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -94,23 +99,26 @@ class QuadratureSpec:
     residual_collar_cells: int = 4
 
     def __post_init__(self) -> None:
-        if self.rungs < 2:
-            raise ValueError("Richardson extrapolation needs at least 2 rungs")
+        if not 2 <= self.rungs <= MAX_RUNGS:
+            raise PreconditionError("quadrature.rungs", f"Richardson needs 2 to {MAX_RUNGS} rungs, got {self.rungs}")
+        if not self.residual_tol > 0:
+            raise PreconditionError("quadrature.residual_tol", f"residual_tol must be positive, got {self.residual_tol}")
         if not 0.0 < self.band_fraction <= 1.0:
-            raise ValueError("band_fraction must lie in (0, 1]")
-        if self.residual_tol <= 0:
-            raise ValueError("residual tolerance must be positive")
+            raise PreconditionError("quadrature.band_fraction", f"band_fraction must be in (0, 1], got {self.band_fraction}")
         if self.residual_collar_cells < 0:
-            raise ValueError("residual collar must be non-negative")
+            raise PreconditionError("quadrature.collar", "residual collar must be non-negative")
 
     def resolve(self, grid: UniformGrid, m: Mass) -> "ResolvedQuadrature":
         floor = CUTOFF_FACTOR * max(m.m, 1.0 / grid.dx)
         cutoff = floor if self.cutoff is None else float(self.cutoff)
         if cutoff < floor:
-            raise ValueError(f"cutoff {cutoff} below the required floor {floor}")
+            raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} below the required floor {floor}")
+        # 2 ceil(cutoff / dp) + 1 nodes with dp = 2 pi / L; eps divides by cutoff^2
+        if not (math.isfinite(cutoff * cutoff) and cutoff * grid.L / math.pi < MAX_SAMPLES):
+            raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} needs more nodes than an array can hold")
         eps = EPS_BASE_FACTOR / cutoff**2 if self.eps_base is None else float(self.eps_base)
         if not eps > 0:
-            raise ValueError("damping must be positive")
+            raise PreconditionError("quadrature.eps_base", f"damping must be positive, got {eps}")
         ladder = tuple(eps / 2.0**r for r in range(self.rungs))
         return ResolvedQuadrature(
             cutoff=cutoff,
@@ -215,10 +223,7 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
 
 def delta_plus(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = QuadratureSpec()) -> KernelSlice:
     """Positive-frequency kernel Dp(t, .) on the grid (m > 0 only)."""
-    if m.m <= 0:
-        raise ValueError(
-            "the positive-frequency kernel is infrared divergent at m = 0 in one dimension"
-        )
+    m.require_positive("the positive-frequency kernel (infrared divergent at m = 0 in one dimension)")
     res = quad.resolve(grid, m)
     values, residual = _damped_kernel(
         grid, m, res, t, lambda p, w: 0.5j * np.exp(-1j * w * t) / w
@@ -284,6 +289,14 @@ class SuppressionScan:
     converged: bool
 
 
+def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
+    """The scan rules: margin >= 3 dx and |t| + margin inside L/2."""
+    if margin < 3.0 * grid.dx:
+        raise PreconditionError("margin", f"margin {margin} below 3*dx = {3.0 * grid.dx}")
+    if abs(t) + margin >= grid.L / 2.0:
+        raise PreconditionError("times.scan-region", f"scan region reaches the domain boundary L/2 = {grid.L / 2.0}")
+
+
 def spacelike_suppression_scan(
     sample: PropagatorSample,
     margin: float,
@@ -295,10 +308,7 @@ def spacelike_suppression_scan(
     Failures are reported in the returned record, not raised.
     """
     t, grid = sample.t, sample.grid
-    if margin < 3.0 * grid.dx:
-        raise ValueError(f"margin {margin} below 3*dx = {3.0 * grid.dx}")
-    if abs(t) + margin >= grid.L / 2.0:
-        raise ValueError("scan region reaches the domain boundary")
+    check_scan(grid, t, margin)
     mags = np.abs(sample.delta.values)
     ax = np.abs(grid.x)
     spacelike = float(np.max(mags[ax > abs(t) + margin]))
@@ -388,7 +398,8 @@ def cauchy_via_propagator(data, t: float, quad: QuadratureSpec = QuadratureSpec(
     dt = t - data.t0
     sample = pauli_jordan(dt, grid, data.m, quad)
     if not sample.converged:
-        raise ValueError(
+        raise PreconditionError(
+            "quadrature.converged",
             f"propagator quadrature did not converge: residual {sample.residual} "
             f"exceeds {sample.quad.residual_tol}"
         )

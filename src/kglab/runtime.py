@@ -12,6 +12,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .spectral import PreconditionError
+
 __all__ = ["worker_count", "parallel_map"]
 
 T = TypeVar("T")
@@ -24,7 +26,7 @@ def worker_count() -> int:
         try:
             return max(1, int(raw))
         except ValueError as exc:
-            raise ValueError(f"KGLAB_THREADS must be an integer, got {raw!r}") from exc
+            raise PreconditionError("KGLAB_THREADS", f"KGLAB_THREADS must be an integer, got {raw!r}") from exc
     return os.cpu_count() or 1
 
 

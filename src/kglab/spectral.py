@@ -18,23 +18,42 @@ alternating sign is applied exactly instead of through exp(i pi k).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
+    "PreconditionError",
+    "MAX_SAMPLES",
     "UniformGrid",
     "Field",
     "SpectralField",
     "forward_transform",
     "inverse_transform",
+    "check_bump",
     "make_bump",
+    "bump_right_mover",
     "complex_momentum_transform",
 ]
 
 # log-domain guard for the exponentially weighted transform
 _MAX_LOG_WEIGHT = 700.0
+
+#: most complex128 samples one array can address; numpy refuses larger
+#: arrays with a ValueError before trying to allocate them
+MAX_SAMPLES = sys.maxsize // 16
+
+
+class PreconditionError(ValueError):
+    """A violated precondition; ``rule`` names the failed check, by the
+    config name (``grid.n``, ``times.margin``, ...) where a config can reach it."""
+
+    def __init__(self, rule: str, message: str):
+        super().__init__(f"{rule}: {message}")
+        self.rule = rule
+        self.message = message
 
 
 def _alternating(n: int) -> np.ndarray:
@@ -51,10 +70,10 @@ class UniformGrid:
     dx: float
 
     def __post_init__(self) -> None:
-        if self.n < 16 or self.n & (self.n - 1):
-            raise ValueError(f"grid size must be a power of two >= 16, got {self.n}")
-        if not (math.isfinite(self.dx) and self.dx > 0):
-            raise ValueError(f"grid spacing must be finite and positive, got {self.dx}")
+        if self.n < 16 or self.n & (self.n - 1) or self.n > MAX_SAMPLES:
+            raise PreconditionError("grid.n", f"grid size must be a power of two >= 16 that an array can hold, got {self.n}")
+        if not (math.isfinite(self.dx) and self.dx > 0 and math.isfinite(self.n * self.dx)):
+            raise PreconditionError("grid.dx", f"grid spacing must be positive with n*dx finite, got {self.dx}")
 
     @property
     def L(self) -> float:
@@ -76,10 +95,10 @@ class UniformGrid:
 def _validated_samples(grid: UniformGrid, values, what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
     if arr.shape != (grid.n,):
-        raise ValueError(f"{what} needs {grid.n} samples, got {arr.shape[0]}")
+        raise PreconditionError("field.size", f"{what} needs {grid.n} samples, got {arr.shape[0]}")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"non-finite {what} sample at index {bad[0]}")
+        raise PreconditionError("field.finite", f"non-finite {what} sample at index {bad[0]}")
     arr.flags.writeable = False
     return arr
 
@@ -122,32 +141,50 @@ def inverse_transform(F: SpectralField) -> Field:
     return Field(g, values)
 
 
+def check_bump(grid: UniformGrid, center: float, radius: float) -> None:
+    """The bump rules: radius > 4 dx (resolution) and at least L/8 of
+    clearance between the support and the domain edge, so that periodic
+    wrap-around stays below the numerical floor over the simulated times."""
+    if not (radius > 4.0 * grid.dx):
+        raise PreconditionError(
+            "initial_state.radius", f"under-resolved bump: radius {radius} must exceed 4*dx = {4.0 * grid.dx}"
+        )
+    margin = grid.L / 8.0
+    half = grid.L / 2.0
+    if center - radius < -half + margin or center + radius > half - margin:
+        raise PreconditionError(
+            "initial_state.margin",
+            f"bump support [{center - radius}, {center + radius}] leaves less than "
+            f"L/8 = {margin} of edge clearance",
+        )
+
+
+def _bump(grid: UniformGrid, center: float, radius: float, amplitude: float, shape) -> Field:
+    """shape(u, profile) on the support |u| < 1 of the bump, zero elsewhere."""
+    check_bump(grid, center, radius)
+    u = (grid.x - center) / radius
+    values = np.zeros(grid.n, dtype=np.complex128)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    values[inside] = shape(ui, amplitude * np.exp(1.0 - 1.0 / (1.0 - ui**2)))
+    return Field(grid, values)
+
+
 def make_bump(grid: UniformGrid, center: float, radius: float, amplitude: float) -> Field:
     """Smooth bump amplitude * exp(1 - 1/(1 - u^2)), u = (x - center)/radius.
 
     The profile is exactly zero for |u| >= 1 and infinitely smooth at the
     cutoff in the continuum limit; the normalization makes the peak value
-    equal the requested amplitude.  Requires radius > 4 dx (resolution)
-    and at least L/8 of clearance between the support and the domain edge
-    so that periodic wrap-around stays below the numerical floor over the
-    simulated times.
+    equal the requested amplitude.  Requires :func:`check_bump`.
     """
-    if not (radius > 4.0 * grid.dx):
-        raise ValueError(
-            f"under-resolved bump: radius {radius} must exceed 4*dx = {4.0 * grid.dx}"
-        )
-    margin = grid.L / 8.0
-    half = grid.L / 2.0
-    if center - radius < -half + margin or center + radius > half - margin:
-        raise ValueError(
-            f"bump support [{center - radius}, {center + radius}] leaves less than "
-            f"L/8 = {margin} of edge clearance"
-        )
-    u = (grid.x - center) / radius
-    values = np.zeros(grid.n, dtype=np.complex128)
-    inside = np.abs(u) < 1.0
-    values[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return Field(grid, values)
+    return _bump(grid, center, radius, amplitude, lambda u, prof: prof)
+
+
+def bump_right_mover(grid: UniformGrid, center: float, radius: float, amplitude: float) -> Field:
+    """Pi = -Phi' for the bump Phi of :func:`make_bump`, from the closed-form
+    derivative; with this time derivative a massless bump travels rigidly
+    to the right at unit speed."""
+    return _bump(grid, center, radius, amplitude, lambda u, prof: -prof * (-2.0 * u / (1.0 - u**2) ** 2) / radius)
 
 
 def complex_momentum_transform(f: Field, q: float) -> np.ndarray:
@@ -166,8 +203,8 @@ def complex_momentum_transform(f: Field, q: float) -> np.ndarray:
     """
     g = f.grid
     if abs(q) * g.L / 2.0 > _MAX_LOG_WEIGHT:
-        raise ValueError(
-            f"weight overflow: |q| L/2 = {abs(q) * g.L / 2.0} exceeds {_MAX_LOG_WEIGHT} for q = {q}"
+        raise PreconditionError(
+            "weight-overflow", f"|q| L/2 = {abs(q) * g.L / 2.0} exceeds {_MAX_LOG_WEIGHT} for q = {q}"
         )
     mags = np.abs(f.values)
     nz = mags > 0.0

@@ -1,13 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from kglab.cli import main
+from test_config import plant
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -164,6 +172,115 @@ def test_propagator_run_takes_one_quadrature_per_slice(tmp_path, monkeypatch):
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[2] == "im_delta"
         assert {line.split(",")[2] for line in lines[1:]} == {"0.0"}, path.name
+
+
+def run_main(*argv) -> tuple[int, str]:
+    """Exit code and stderr of an in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"quadrature": {"cutoff": 1e15}}, {"grid": {"n": 2**50, "dx": 1 / 256}}],
+)
+def test_allocation_beyond_memory_names_a_rule(tmp_path, overrides):
+    # both sizes lie beyond the address space, so the allocation fails at once
+    tree = json.loads((REPO / "configs" / "propagator_default.json").read_text())
+    tree.update(overrides)
+    cfg = write_config(tmp_path, "prop.json", tree)
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"]) == ("memory", "memory")
+
+
+@pytest.mark.parametrize(
+    "command,base,overrides,rule",
+    [
+        # cone edge 40.125 beyond L/2 = 32
+        ("evolve", None, {"initial_state": {"factory": "bump", "center": 23, "radius": 1}, "times": [16.0]}, "times.cone-edge"),
+        ("evolve", None, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 0}}, "field.zero-norm"),
+        # 2 grid points per side in the window
+        ("hegerfeldt", "hegerfeldt_default", {"tail_fit": {"window": [9.0, 9.01]}}, "tail_fit.window.points"),
+    ],
+)
+def test_precondition_found_during_the_run_names_a_rule(tmp_path, command, base, overrides, rule):
+    tree = {"grid": {"n": 2048, "dx": 1 / 32}, "mass": 1.0, "times": [1.0]}
+    if base is not None:
+        tree = json.loads((REPO / "configs" / f"{base}.json").read_text())
+    tree.update(overrides)
+    cfg = write_config(tmp_path, "cfg.json", tree)
+    rc, err = run_main(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"]) == ("config", rule)
+
+
+#: small valid configs (n = 256) for the whole-run fuzz
+_FUZZ_BASES = {
+    "evolve": {
+        "grid": {"n": 256, "dx": 1 / 8},
+        "mass": 1.0,
+        "initial_state": {"factory": "bump", "radius": 1.0},
+        "times": [1.0, 2.0],
+        "snapshot_times": [2.0],
+    },
+    "hegerfeldt": {
+        "grid": {"n": 256, "dx": 1 / 8},
+        "mass": 1.0,
+        "initial_state": {"factory": "bump", "radius": 1.0},
+        "times": [0.01, 0.1],
+        "tail_fit": {"window": [4.5, 11.0]},
+    },
+    "propagator": {
+        "grid": {"n": 256, "dx": 1 / 16},
+        "mass": 1.0,
+        "times": [0.0, 1.0],
+        "margin": 0.2,
+    },
+}
+_FUZZ_FIELDS = {
+    "evolve": (
+        "grid.n", "grid.dx", "mass", "times", "method", "dt", "initial_state.center",
+        "initial_state.amplitude", "initial_state.pi", "thresholds.support", "cone_margin_cells",
+        "output.format",
+    ),
+    "hegerfeldt": (
+        "grid.dx", "mass", "times", "initial_state.center", "initial_state.amplitude",
+        "tail_fit.window", "tail_fit.snapshot_time", "thresholds.support", "cone_margin_cells",
+        "grid_doubling_check",
+    ),
+    "propagator": (
+        "grid.n", "grid.dx", "mass", "times", "margin", "quadrature.cutoff", "quadrature.eps_base",
+        "quadrature.rungs", "quadrature.residual_tol", "quadrature.band_fraction",
+    ),
+}
+#: no value makes a slow run: sizes are tiny or beyond the address space
+_FUZZ_VALUES = st.sampled_from(
+    [None, True, 0, 1, -1, 2, 3, 64, 0.25, 0.5, 1 / 8, 1 / 16, 1e-3, 1e300, 2**50, "x", "local-fd",
+     "right-mover", "json", [], {}, [0.5, 1.0], [4.5, 11.0]]
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(_FUZZ_BASES)).flatmap(
+        lambda c: st.tuples(st.just(c), st.dictionaries(st.sampled_from(_FUZZ_FIELDS[c]), _FUZZ_VALUES, max_size=3))
+    )
+)
+def test_cli_fuzz_exits_with_a_verdict_or_a_rule(case):
+    command, drawn = case
+    tree = plant(copy.deepcopy(_FUZZ_BASES[command]), drawn)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "cfg.json", tree)
+        rc, err = run_main(command, "--config", str(cfg), "--out", str(Path(tmp) / "out"))
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert json.loads(err)["error"]["rule"]
 
 
 def test_report_renders_verdict_table(tmp_path):

@@ -68,6 +68,13 @@ def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
         ({"cone_margin_cells": 2.7}, "cone_margin_cells"),
         ({"cone_margin_cells": -3}, "cone_margin_cells"),
         ({"initial_state": {"factory": "bump", "radius": 1.0, "center": [0]}}, "initial_state.center"),
+        ({"method": "local-fd", "dt": True}, "dt"),
+        ({"method": "local-fd", "dt": "0.01"}, "dt"),
+        ({"method": "local-fd", "dt": -1 / 64}, "dt"),
+        ({"method": "local-fd"}, "dt"),
+        ({"thresholds": {"support": 0.0}}, "thresholds.support"),
+        ({"thresholds": {"cone_leakage": -1e-8}}, "thresholds.cone_leakage"),
+        ({"method": "local-fd", "dt": 5e-324}, "times.dt-multiple"),
     ],
 )
 def test_evolve_rejects_malformed_values(tmp_path, overrides, rule):
@@ -99,6 +106,12 @@ def hegerfeldt_tree(**overrides):
         ({"thresholds": {"support": [1]}}, "thresholds.support"),
         ({"doubling_tolerance": -0.05}, "doubling_tolerance"),
         ({"grid_doubling_check": "no"}, "grid_doubling_check"),
+        ({"leakage_floor": -1}, "leakage_floor"),
+        ({"contrast_ceiling": -1}, "contrast_ceiling"),
+        ({"contrast_ceiling": 0}, "contrast_ceiling"),
+        ({"tail_fit": {"window": [16.0, 9.0]}}, "tail_fit.window"),
+        ({"thresholds": {"support": -1e-12}}, "thresholds.support"),
+        ({"mass": 0.0}, "mass.positive"),
     ],
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
@@ -181,6 +194,13 @@ def propagator_tree(**overrides):
         ({"quadrature": {"rung": 4}}, "unknown-key"),
         ({"mass": True}, "mass"),
         ({"grid": {"n": 1024, "dx": 10**400}}, "grid.dx"),
+        ({"quadrature": {"rungs": 10**20}}, "quadrature.rungs"),
+        ({"quadrature": {"cutoff": 1e300}}, "quadrature.cutoff"),
+        ({"grid": {"n": 2**60, "dx": 1 / 256}}, "grid.n"),
+        ({"margin": 0.001}, "margin"),
+        ({"margin": 1.0}, "times.scan-region"),
+        ({"grid": {"n": 1024, "dx": 1e306}}, "grid.dx"),
+        ({"grid": {"n": 1024, "dx": 1e-160}, "times": [0.0], "margin": 1e-158}, "quadrature.cutoff"),
     ],
 )
 def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
@@ -220,11 +240,29 @@ _PROPAGATOR_FIELDS = (
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.dictionaries(st.sampled_from(_PROPAGATOR_FIELDS), _JSON_VALUES, max_size=4))
-def test_propagator_config_fuzz(drawn):
-    # every tree either parses or names a rule; nothing else escapes
-    tree = propagator_tree(margin=0.2, output={"format": "csv"})
+_STATE_FIELDS = (
+    "initial_state", "initial_state.factory", "initial_state.center", "initial_state.radius",
+    "initial_state.amplitude", "initial_state.pi",
+)
+_EVOLVE_FIELDS = _STATE_FIELDS + (
+    "grid", "grid.n", "grid.dx", "mass", "times", "method", "dt", "snapshot_times",
+    "thresholds", "thresholds.support", "thresholds.cone_leakage", "cone_margin_cells",
+    "command", "output", "output.format",
+)
+_HEGERFELDT_FIELDS = _STATE_FIELDS + (
+    "grid", "grid.n", "grid.dx", "mass", "times", "leakage_floor", "contrast_ceiling",
+    "thresholds", "thresholds.support", "cone_margin_cells", "tail_fit", "tail_fit.window",
+    "tail_fit.snapshot_time", "tail_fit.rate_band", "tail_fit.min_r2", "grid_doubling_check",
+    "doubling_tolerance", "command", "output", "output.format",
+)
+#: extra leaves that get past the type checks into the domain rules
+_DOMAIN_VALUES = _JSON_VALUES | st.sampled_from(
+    ["local-fd", "spectral-exact", "right-mover", "bump", 1 / 64, 1 / 32, 0.01, 0.1, [9.0, 16.0], [1.0, 2.0]]
+)
+
+
+def plant(tree: dict, drawn: dict) -> dict:
+    """Set each dotted path of ``drawn`` in ``tree``, making sections as needed."""
     for path, value in sorted(drawn.items()):
         *parents, key = path.split(".")
         node = tree
@@ -233,12 +271,35 @@ def test_propagator_config_fuzz(drawn):
                 node[parent] = {}
             node = node[parent]
         node[key] = value
+    return tree
+
+
+def parses_or_names_a_rule(tree: dict, command: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = write(Path(tmp), tree)
         try:
-            load_config(path, "propagator")
+            load_config(path, command)
         except ConfigError as exc:
             assert exc.rule
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(_PROPAGATOR_FIELDS), _JSON_VALUES, max_size=4))
+def test_propagator_config_fuzz(drawn):
+    # every tree either parses or names a rule; nothing else escapes
+    parses_or_names_a_rule(plant(propagator_tree(margin=0.2, output={"format": "csv"}), drawn), "propagator")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(_EVOLVE_FIELDS), _DOMAIN_VALUES, max_size=4))
+def test_evolve_config_fuzz(drawn):
+    parses_or_names_a_rule(plant(evolve_tree(), drawn), "evolve")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(_HEGERFELDT_FIELDS), _DOMAIN_VALUES, max_size=4))
+def test_hegerfeldt_config_fuzz(drawn):
+    parses_or_names_a_rule(plant(hegerfeldt_tree(), drawn), "hegerfeldt")
 
 
 def test_command_mismatch_rejected(tmp_path):
