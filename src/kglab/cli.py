@@ -76,26 +76,22 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
             diagnostics.boundary_floor(state.phi),
         )
 
-    results = parallel_map(one_time, range(len(cfg.times)))
-    # the leapfrog scheme conserves its own quadratic form, not the
-    # continuum energy
-    q0 = leapfrog_energy(data, dt) if method == "local-fd" else None
-    rows = []
-    leakages = []
-    floors = []
-    drifts = []
-    for t, (state, e_t, radius, leakage, floor) in zip(cfg.times, results):
-        rows.append((t, e_t, radius, leakage))
-        leakages.append(leakage)
-        floors.append(floor)
-        if method == "spectral-exact":
-            drifts.append(abs(e_t - e0) / e0 if e0 > 0 else 0.0)
-        else:
-            drifts.append(abs(leapfrog_energy(state, dt) - q0) / q0 if q0 > 0 else 0.0)
+    states, energies, radii, leakages, floors = zip(*parallel_map(one_time, range(len(cfg.times))))
+    if method == "spectral-exact":
+        drifts = [abs(e_t - e0) / e0 if e0 > 0 else 0.0 for e_t in energies]
+    else:
+        # the leapfrog scheme conserves its own quadratic form, not the
+        # continuum energy
+        q0 = leapfrog_energy(data, dt)
+        drifts = [abs(leapfrog_energy(state, dt) - q0) / q0 if q0 > 0 else 0.0 for state in states]
+    for t, state in zip(cfg.times, states):
         if t in cfg.snapshot_times:
-            idx = cfg.times.index(t)
-            _write_field(state.phi, out / f"snapshot_{idx:03d}", cfg.out_format)
-    write_csv(out / "series.csv", ["t", "energy", "joint_support_radius", "cone_leakage"], rows)
+            _write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}", cfg.out_format)
+    write_csv(
+        out / "series.csv",
+        ["t", "energy", "joint_support_radius", "cone_leakage"],
+        [cfg.times, energies, radii, leakages],
+    )
 
     peak = float(np.max(np.abs(data.phi.values)))
     drift = max(drifts)
@@ -142,20 +138,23 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
     margin = cfg.cone_margin_cells * grid.dx
     rows = _hegerfeldt_rows(cfg, cfg.grid, r0, margin)
 
-    leak_rows = []
-    contrast_rows = []
-    for t, (leak, tail, contrast) in zip(cfg.times, rows):
-        leak_rows.append((t, leak, tail.rate, tail.r2, tail.window[0], tail.window[1]))
-        contrast_rows.append((t, leak, contrast))
+    leaks, tails, contrasts = zip(*rows)
     write_csv(
         out / "leakage.csv",
         ["t", "leakage_fraction", "fitted_rate", "fit_r2", "window_lo", "window_hi"],
-        leak_rows,
+        [
+            cfg.times,
+            leaks,
+            [tail.rate for tail in tails],
+            [tail.r2 for tail in tails],
+            [tail.window[0] for tail in tails],
+            [tail.window[1] for tail in tails],
+        ],
     )
     write_csv(
         out / "contrast.csv",
         ["t", "positive_frequency_leakage", "spectral_leakage"],
-        contrast_rows,
+        [cfg.times, leaks, contrasts],
     )
 
     witness = posfreq.positivity_tail_witness(psi0, mass)
@@ -164,10 +163,7 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
     )
     (out / "witness_report.json").write_text(witness_report.to_json())
 
-    leaks = [row[0] for row in rows]
-    contrasts = [row[2] for row in rows]
-    snap_idx = cfg.times.index(cfg.snapshot_time)
-    snap_tail = rows[snap_idx][1]
+    snap_tail = tails[cfg.times.index(cfg.snapshot_time)]
 
     doubling = None
     if cfg.grid_doubling_check:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, PreconditionError
+from .spectral import Field, PreconditionError, finite_total
 
 __all__ = [
     "SupportReport",
@@ -105,8 +105,9 @@ def cone_leakage(f: Field, R0: float, t: float, margin: float) -> float:
     edge = R0 + t + margin
     if not edge < grid.L / 2.0:
         raise PreconditionError("times.cone-edge", f"cone edge {edge} reaches the boundary L/2 = {grid.L / 2.0}")
-    dens = np.abs(f.values) ** 2
-    total = float(np.sum(dens))
+    with np.errstate(over="ignore"):
+        dens = np.abs(f.values) ** 2
+        total = finite_total(np.sum(dens), "squared norm")
     if total == 0.0:
         raise PreconditionError("field.zero-norm", "cone leakage undefined for a field with zero total norm")
     outside = np.abs(grid.x) > edge

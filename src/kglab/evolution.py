@@ -45,7 +45,7 @@ import numpy as np
 
 from .diagnostics import radius_above
 from .dispersion import Mass, omega
-from .spectral import Field, PreconditionError, SpectralField, forward_transform, inverse_transform
+from .spectral import Field, PreconditionError, SpectralField, finite_total, forward_transform, inverse_transform
 
 __all__ = [
     "CauchyData",
@@ -245,12 +245,13 @@ def energy(data: CauchyData) -> float:
     grid = data.grid
     F = forward_transform(data.phi)
     dphi = inverse_transform(SpectralField(grid, 1j * grid.p * F.coefficients))
-    dens = (
-        np.abs(data.pi.values) ** 2
-        + np.abs(dphi.values) ** 2
-        + data.m.m**2 * np.abs(data.phi.values) ** 2
-    )
-    return float(0.5 * grid.dx * np.sum(dens))
+    with np.errstate(over="ignore"):
+        dens = (
+            np.abs(data.pi.values) ** 2
+            + np.abs(dphi.values) ** 2
+            + data.m.m**2 * np.abs(data.phi.values) ** 2
+        )
+        return finite_total(0.5 * grid.dx * np.sum(dens), "energy")
 
 
 def leapfrog_energy(data: CauchyData, dt: float) -> float:
@@ -264,14 +265,15 @@ def leapfrog_energy(data: CauchyData, dt: float) -> float:
     msq = data.m.m**2
     phi = data.phi.values
     pi = data.pi.values
-    a_phi = _stencil(phi, grid.dx, msq)
-    a_pi = _stencil(pi, grid.dx, msq)
-    q = (
-        np.vdot(pi, pi).real
-        - 0.25 * dt * dt * np.vdot(pi, a_pi).real
-        + np.vdot(phi, a_phi).real
-    )
-    return float(0.5 * grid.dx * q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_phi = _stencil(phi, grid.dx, msq)
+        a_pi = _stencil(pi, grid.dx, msq)
+        q = (
+            np.vdot(pi, pi).real
+            - 0.25 * dt * dt * np.vdot(pi, a_pi).real
+            + np.vdot(phi, a_phi).real
+        )
+        return finite_total(0.5 * grid.dx * q, "leapfrog energy")
 
 
 def joint_support_radius(data: CauchyData, threshold: float) -> float:

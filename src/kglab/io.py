@@ -4,14 +4,21 @@ exact reconstruction and reports.
 Floats are written with repr (shortest round-trip form), so identical
 inputs produce byte-identical files and JSON envelopes reconstruct fields
 bit-exactly.
+
+Bulk writers format whole columns at once: each column is converted to
+Python floats by one ``ndarray.tolist()`` and formatted by one pass of
+``repr``; rows are joined in C and written in one call.  The field
+envelope encodes its ``re``/``im`` arrays with the C JSON encoder.  The
+bytes are exactly those of a row-at-a-time ``csv.writer`` over
+``repr(float(cell))`` and of ``json.dump(..., indent=2, sort_keys=True)``;
+``tests/test_io.py`` checks this against such reference writers.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +26,6 @@ from .spectral import Field, PreconditionError, UniformGrid
 
 __all__ = [
     "FIELD_SCHEMA",
-    "fmt",
     "write_csv",
     "write_json",
     "field_to_csv",
@@ -30,38 +36,40 @@ __all__ = [
 
 FIELD_SCHEMA = "kglab.field/1"
 
+# one array element per line at the envelope's nesting depth, as json.dump
+# with indent=2 lays out a list under a top-level key
+_ELEMENTS = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
 
-def fmt(value) -> str:
-    return repr(float(value))
 
-
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length numeric columns under a header, one cell per float repr."""
+    text = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*text, strict=True))]))
+        fh.write("\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def field_to_csv(f: Field, path: Path) -> None:
-    rows = zip(f.grid.x, f.values.real, f.values.imag)
-    write_csv(path, ["x", "re", "im"], rows)
+    write_csv(path, ["x", "re", "im"], [f.grid.x, f.values.real, f.values.imag])
 
 
 def field_to_json(f: Field, path: Path) -> None:
-    payload = {
-        "schema": FIELD_SCHEMA,
-        "grid": {"n": f.grid.n, "dx": f.grid.dx, "L": f.grid.L},
-        "re": [float(v) for v in f.values.real],
-        "im": [float(v) for v in f.values.imag],
-    }
-    write_json(path, payload)
+    """The envelope ``{"grid", "im", "re", "schema"}`` as ``write_json`` lays it out."""
+    grid = {"n": f.grid.n, "dx": f.grid.dx, "L": f.grid.L}
+    with open(path, "w") as fh:
+        fh.write('{\n  "grid": ')
+        fh.write(json.dumps(grid, indent=2, sort_keys=True).replace("\n", "\n  "))
+        for key, column in (("im", f.values.imag), ("re", f.values.real)):
+            fh.write(f',\n  "{key}": [\n    ')
+            fh.write(_ELEMENTS.encode(column.tolist())[1:-1])
+            fh.write("\n  ]")
+        fh.write(f',\n  "schema": {json.dumps(FIELD_SCHEMA)}\n}}\n')
 
 
 def field_from_json(path: Path) -> Field:
@@ -82,5 +90,8 @@ def propagator_slice_to_csv(sample, path: Path) -> None:
         plus = sample.delta_plus.values
     else:
         plus = np.zeros(grid.n, dtype=np.complex128)
-    rows = zip(grid.x, delta.real, delta.imag, plus.real, plus.imag)
-    write_csv(path, ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"], rows)
+    write_csv(
+        path,
+        ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
+        [grid.x, delta.real, delta.imag, plus.real, plus.imag],
+    )

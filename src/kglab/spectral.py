@@ -29,6 +29,7 @@ __all__ = [
     "MAX_SAMPLES",
     "UniformGrid",
     "Field",
+    "finite_total",
     "SpectralField",
     "forward_transform",
     "inverse_transform",
@@ -101,6 +102,21 @@ def _validated_samples(grid: UniformGrid, values, what: str) -> np.ndarray:
         raise PreconditionError("field.finite", f"non-finite {what} sample at index {bad[0]}")
     arr.flags.writeable = False
     return arr
+
+
+def finite_total(total, what: str) -> float:
+    """``total``, an energy or squared norm of field samples, as a float.
+
+    Callers sum the squares under ``np.errstate(over="ignore")``, so a sum
+    that overflows float64 reaches this one check, which names rule
+    ``field.overflow`` instead of passing inf or nan on to a verdict.
+    """
+    total = float(total)
+    if not math.isfinite(total):
+        raise PreconditionError(
+            "field.overflow", f"{what} is {total}: field samples (or the mass) too large for float64 squares"
+        )
+    return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,10 +3,15 @@
 Everything here avoids the package's FFT path: plain quadrature
 (Gauss-Legendre panels, scipy adaptive rules), closed forms and a plain
 full-grid leapfrog only, so agreement with production is a genuine
-dual-route check.
+dual-route check.  The reference writers at the end format one cell at a
+time through ``csv.writer`` and ``json.dump``, the forms whose bytes the
+column-at-once writers of ``kglab.io`` must reproduce.
 """
 
 from __future__ import annotations
+
+import csv
+import json
 
 import numpy as np
 from scipy.integrate import quad
@@ -149,3 +154,40 @@ def delta_plus_quad(t: float, x: float, m: float, cutoff: float, eps0: float, pa
         first = [2.0 * vals[i + 1] - vals[i] for i in range(2)]
         parts[kind] = (4.0 * first[1] - first[0]) / 3.0
     return complex(parts["re"], parts["im"])
+
+
+# --- reference writers: one cell at a time, bytes fixed by the stdlib ---
+
+
+def reference_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(cell)) for cell in row])
+
+
+def reference_field_csv(f, path) -> None:
+    reference_csv(path, ["x", "re", "im"], zip(f.grid.x, f.values.real, f.values.imag))
+
+
+def reference_field_json(f, path) -> None:
+    payload = {
+        "schema": "kglab.field/1",
+        "grid": {"n": f.grid.n, "dx": f.grid.dx, "L": f.grid.L},
+        "re": [float(v) for v in f.values.real],
+        "im": [float(v) for v in f.values.imag],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def reference_slice_csv(sample, path) -> None:
+    delta = sample.delta.values
+    plus = np.zeros(sample.grid.n, dtype=complex) if sample.delta_plus is None else sample.delta_plus.values
+    reference_csv(
+        path,
+        ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
+        zip(sample.grid.x, delta.real, delta.imag, plus.real, plus.imag),
+    )

@@ -205,6 +205,21 @@ def test_allocation_beyond_memory_names_a_rule(tmp_path, overrides):
         ("evolve", None, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 0}}, "field.zero-norm"),
         # 2 grid points per side in the window
         ("hegerfeldt", "hegerfeldt_default", {"tail_fit": {"window": [9.0, 9.01]}}, "tail_fit.window.points"),
+        # squares of 1e300 overflow float64: the initial energy, then the first leakage norm
+        ("evolve", None, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e300}}, "field.overflow"),
+        (
+            "hegerfeldt",
+            "hegerfeldt_default",
+            {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e300}},
+            "field.overflow",
+        ),
+        # the energy of 1e153 fits; the leapfrog form's stencil product overflows inside BLAS, unwarned
+        (
+            "evolve",
+            None,
+            {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e153}, "method": "local-fd", "dt": 1 / 64},
+            "field.overflow",
+        ),
     ],
 )
 def test_precondition_found_during_the_run_names_a_rule(tmp_path, command, base, overrides, rule):
