@@ -50,13 +50,7 @@ from .propagator import (
     bridge_identity_error,
     time_derivative_identity_error,
 )
-from .posfreq import (
-    FrequencySplit,
-    project_positive,
-    evolve_positive,
-    positivity_tail_witness,
-    recombine,
-)
+from .posfreq import evolve_positive, positivity_tail_witness
 from .diagnostics import (
     SupportReport,
     TailFit,
@@ -100,11 +94,8 @@ __all__ = [
     "cauchy_via_propagator",
     "bridge_identity_error",
     "time_derivative_identity_error",
-    "FrequencySplit",
-    "project_positive",
     "evolve_positive",
     "positivity_tail_witness",
-    "recombine",
     "SupportReport",
     "TailFit",
     "cone_leakage",

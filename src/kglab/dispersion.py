@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, PreconditionError, SpectralField, forward_transform, inverse_transform
+from .spectral import Field, PreconditionError, SpectralField, inverse_transform
 
 __all__ = ["Mass", "omega", "apply_omega_power", "OMEGA_EXPONENTS"]
 
@@ -56,7 +56,8 @@ def omega(p, m: Mass):
 
 
 def apply_omega_power(f: Field, m: Mass, s: float) -> Field:
-    """Multiply the momentum coefficients by omega(p, m)**s.
+    """Multiply the momentum coefficients (the cached ``f.spectrum``) by
+    omega(p, m)**s.
 
     s must be one of ``OMEGA_EXPONENTS``.  For s < 0 at m = 0 the zero
     mode is an infrared singularity; it is only accepted when its
@@ -65,9 +66,8 @@ def apply_omega_power(f: Field, m: Mass, s: float) -> Field:
     """
     if s not in OMEGA_EXPONENTS:
         raise PreconditionError("omega.exponent", f"unsupported exponent {s}; allowed: {OMEGA_EXPONENTS}")
-    F = forward_transform(f)
     w = omega(f.grid.p, m)
-    coeffs = F.coefficients.copy()
+    coeffs = f.spectrum.coefficients.copy()
     if s < 0 and m.m == 0.0:
         if abs(coeffs[0]) >= ZERO_MODE_TOL:
             raise PreconditionError(

@@ -9,7 +9,9 @@ Spectral (ground truth): every mode rotates exactly,
 with w = sqrt(p_k^2 + m^2) and sin(w dt)/w -> dt on the massless zero
 mode.  This solves the discrete equation exactly per mode, conserves the
 quadratic energy to rounding, and is causal only up to the (spectrally
-small) tails of the trigonometric interpolant.
+small) tails of the trigonometric interpolant.  The coefficients Phi_k(0)
+and Pi_k(0) are the cached ``Field.spectrum`` of the datum, so a time
+ladder costs one forward transform per datum and two inverses per time.
 
 Local (finite propagation speed by construction): the first-order system
 Phi' = Pi, Pi' = (D2 - m^2) Phi with the 3-point Laplacian D2, stepped by
@@ -109,7 +111,12 @@ def check_margin(grid, dt: float) -> None:
 
 
 def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
-    """Exact mode-wise evolution to time t (|t - t0| <= L/4)."""
+    """Exact mode-wise evolution to time t (|t - t0| <= L/4).
+
+    Reads the cached ``spectrum`` of Phi and Pi, so one datum evolved to a
+    whole time ladder is transformed once; take both spectra before the
+    ladder fans out over threads (see :class:`~kglab.spectral.Field`).
+    """
     dt = t - data.t0
     grid = data.grid
     check_margin(grid, dt)
@@ -119,8 +126,8 @@ def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
     c = np.cos(w * dt)
     s_over_w = dt * np.sinc(w * dt / np.pi)  # sin(w dt)/w, exact at w = 0
     w_s = w * np.sin(w * dt)
-    F = forward_transform(data.phi).coefficients
-    P = forward_transform(data.pi).coefficients
+    F = data.phi.spectrum.coefficients
+    P = data.pi.spectrum.coefficients
     phi_t = inverse_transform(SpectralField(grid, c * F + s_over_w * P))
     pi_t = inverse_transform(SpectralField(grid, -w_s * F + c * P))
     return CauchyData(phi_t, pi_t, data.m, t0=t)

@@ -1,73 +1,29 @@
-"""Positive/negative frequency decomposition and the first-order nonlocal
-flow i d/dt psi = omega psi.
+"""The first-order nonlocal flow i d/dt psi = omega psi of the
+positive-frequency sector.
 
-Mode convention (m > 0):
+A positive-frequency amplitude evolves mode by mode as
+psi_k(t) = exp(-i w t) psi_k(0).  Spectral positivity is what breaks
+causality here.  A state may be compactly supported at one instant, but
+its forced time derivative -i omega psi cannot be: omega Phi-hat is not
+analytic, so the derivative grows Compton tails exp(-m |x|), and the
+first-order flow leaks L2 mass outside the light cone immediately, at
+any t > 0.
 
-    psi_plus_k  = (Phi_k + i Pi_k / w) / 2,
-    psi_minus_k = (Phi_k - i Pi_k / w) / 2,
-
-so that psi_plus + psi_minus = Phi and -i w (psi_plus - psi_minus) = Pi
-exactly, and evolving the branches with exp(-i w t) / exp(+i w t) and
-recombining reproduces the exact second-order evolution, pure mode
-algebra.
-
-Spectral positivity is what breaks causality here.  A state may be
-compactly supported at one instant, but its forced time derivative
--i omega psi cannot be: omega Phi-hat is not analytic, so the derivative
-grows Compton tails exp(-m |x|), and the first-order flow leaks L2 mass
-outside the light cone immediately, at any t > 0.
+Both operations read the cached ``Field.spectrum`` of their input, so a
+state evolved to a time ladder and fed to the tail witness is transformed
+once; take that spectrum before the ladder fans out over threads (see
+:class:`~kglab.spectral.Field`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dispersion import Mass, apply_omega_power, omega
-from .evolution import CauchyData, check_margin
-from .spectral import Field, PreconditionError, SpectralField, forward_transform, inverse_transform
+from .evolution import check_margin
+from .spectral import Field, SpectralField, inverse_transform
 
-__all__ = [
-    "FrequencySplit",
-    "project_positive",
-    "evolve_positive",
-    "positivity_tail_witness",
-    "recombine",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class FrequencySplit:
-    """Positive and negative frequency amplitudes of one Cauchy datum."""
-
-    psi_plus: Field
-    psi_minus: Field
-    m: Mass
-
-    def __post_init__(self) -> None:
-        if self.psi_plus.grid != self.psi_minus.grid:
-            raise PreconditionError("split.grid", "frequency branches must share one grid")
-
-    @property
-    def grid(self):
-        return self.psi_plus.grid
-
-
-def project_positive(data: CauchyData) -> FrequencySplit:
-    """Split Cauchy data into frequency branches (m > 0; 1/w is singular at m = 0)."""
-    data.m.require_positive("frequency projection (1/omega is singular on the zero mode)")
-    grid = data.grid
-    w = omega(grid.p, data.m)
-    F = forward_transform(data.phi).coefficients
-    P = forward_transform(data.pi).coefficients
-    plus = 0.5 * (F + 1j * P / w)
-    minus = 0.5 * (F - 1j * P / w)
-    return FrequencySplit(
-        psi_plus=inverse_transform(SpectralField(grid, plus)),
-        psi_minus=inverse_transform(SpectralField(grid, minus)),
-        m=data.m,
-    )
+__all__ = ["evolve_positive", "positivity_tail_witness"]
 
 
 def evolve_positive(psi: Field, m: Mass, t: float) -> Field:
@@ -75,19 +31,8 @@ def evolve_positive(psi: Field, m: Mass, t: float) -> Field:
     grid = psi.grid
     check_margin(grid, t)
     w = omega(grid.p, m)
-    coeffs = forward_transform(psi).coefficients * np.exp(-1j * w * t)
+    coeffs = psi.spectrum.coefficients * np.exp(-1j * w * t)
     return inverse_transform(SpectralField(grid, coeffs))
-
-
-def recombine(split: FrequencySplit, t: float) -> CauchyData:
-    """Evolve both branches and reassemble (Phi, Pi) at time t."""
-    grid = split.grid
-    w = omega(grid.p, split.m)
-    plus = forward_transform(split.psi_plus).coefficients * np.exp(-1j * w * t)
-    minus = forward_transform(split.psi_minus).coefficients * np.exp(1j * w * t)
-    phi = inverse_transform(SpectralField(grid, plus + minus))
-    pi = inverse_transform(SpectralField(grid, -1j * w * (plus - minus)))
-    return CauchyData(phi, pi, split.m, t0=t)
 
 
 def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:

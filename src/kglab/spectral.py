@@ -121,13 +121,25 @@ def finite_total(total, what: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex samples on the grid, immutable after construction."""
+    """Complex samples on the grid, immutable after construction.
+
+    ``spectrum`` is :func:`forward_transform` of the field, computed on
+    first access and kept, so a datum evolved to many times is transformed
+    once.  Take it before sharing the field across worker threads: since
+    Python 3.12 ``cached_property`` holds no lock, so threads that race on
+    the first access each transform it, and in 3.11 its lock is one per
+    class, so a first access inside a pool serializes every other one.
+    """
 
     grid: UniformGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _validated_samples(self.grid, self.values, "field"))
+
+    @cached_property
+    def spectrum(self) -> SpectralField:
+        return forward_transform(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,13 @@
 Everything here avoids the package's FFT path: plain quadrature
 (Gauss-Legendre panels, scipy adaptive rules), closed forms and a plain
 full-grid leapfrog only, so agreement with production is a genuine
-dual-route check.  The reference writers at the end format one cell at a
-time through ``csv.writer`` and ``json.dump``, the forms whose bytes the
+dual-route check.  Two sections are exceptions on purpose: the
+transform-every-call references apply the package's own transform pair
+afresh on every call, the form whose bits the cached ``Field.spectrum``
+must reproduce, and the frequency split of (Phi, Pi) into positive and
+negative branches, which checks the mode algebra against
+``evolve_spectral``.  The reference writers at the end format one cell at
+a time through ``csv.writer`` and ``json.dump``, the forms whose bytes the
 column-at-once writers of ``kglab.io`` must reproduce.
 """
 
@@ -15,6 +20,8 @@ import json
 
 import numpy as np
 from scipy.integrate import quad
+
+from kglab import CauchyData, SpectralField, forward_transform, inverse_transform, omega
 
 GL200 = np.polynomial.legendre.leggauss(200)
 
@@ -154,6 +161,66 @@ def delta_plus_quad(t: float, x: float, m: float, cutoff: float, eps0: float, pa
         first = [2.0 * vals[i + 1] - vals[i] for i in range(2)]
         parts[kind] = (4.0 * first[1] - first[0]) / 3.0
     return complex(parts["re"], parts["im"])
+
+
+# --- transform-every-call references: no cached spectrum anywhere ---
+
+
+def _with_multiplier(f, mult):
+    return inverse_transform(SpectralField(f.grid, forward_transform(f).coefficients * mult))
+
+
+def evolve_spectral_uncached(data, t: float):
+    """evolve_spectral with both data transformed afresh."""
+    dt = t - data.t0
+    if dt == 0.0:
+        return CauchyData(data.phi, data.pi, data.m, t0=t)
+    grid = data.grid
+    w = omega(grid.p, data.m)
+    c = np.cos(w * dt)
+    s_over_w = dt * np.sinc(w * dt / np.pi)
+    w_s = w * np.sin(w * dt)
+    F = forward_transform(data.phi).coefficients
+    P = forward_transform(data.pi).coefficients
+    phi_t = inverse_transform(SpectralField(grid, c * F + s_over_w * P))
+    pi_t = inverse_transform(SpectralField(grid, -w_s * F + c * P))
+    return CauchyData(phi_t, pi_t, data.m, t0=t)
+
+
+def evolve_positive_uncached(psi, m, t: float):
+    """exp(-i omega t) psi with psi transformed afresh."""
+    return _with_multiplier(psi, np.exp(-1j * omega(psi.grid.p, m) * t))
+
+
+def apply_omega_power_uncached(f, m, s: float):
+    """omega**s f (m > 0) with f transformed afresh."""
+    return _with_multiplier(f, omega(f.grid.p, m) ** s)
+
+
+# --- frequency split: psi_pm = (Phi_k +- i Pi_k / w) / 2, m > 0 ---
+
+
+def project_positive(data):
+    """(psi_plus, psi_minus) of one Cauchy datum; psi_plus + psi_minus = Phi
+    and -i w (psi_plus - psi_minus) = Pi mode by mode."""
+    grid = data.grid
+    w = omega(grid.p, data.m)
+    F = forward_transform(data.phi).coefficients
+    P = forward_transform(data.pi).coefficients
+    plus = inverse_transform(SpectralField(grid, 0.5 * (F + 1j * P / w)))
+    minus = inverse_transform(SpectralField(grid, 0.5 * (F - 1j * P / w)))
+    return plus, minus
+
+
+def recombine(psi_plus, psi_minus, m, t: float):
+    """Evolve the branches by exp(-+i w t) and reassemble (Phi, Pi) at t."""
+    grid = psi_plus.grid
+    w = omega(grid.p, m)
+    plus = forward_transform(psi_plus).coefficients * np.exp(-1j * w * t)
+    minus = forward_transform(psi_minus).coefficients * np.exp(1j * w * t)
+    phi = inverse_transform(SpectralField(grid, plus + minus))
+    pi = inverse_transform(SpectralField(grid, -1j * w * (plus - minus)))
+    return CauchyData(phi, pi, m, t0=t)
 
 
 # --- reference writers: one cell at a time, bytes fixed by the stdlib ---

@@ -174,6 +174,48 @@ def test_propagator_run_takes_one_quadrature_per_slice(tmp_path, monkeypatch):
         assert {line.split(",")[2] for line in lines[1:]} == {"0.0"}, path.name
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        # psi0 and the zero Pi transformed once each; per time one inverse
+        # for the positive flow and two for the contrast, one more for the
+        # witness; the doubled grid measures only the positive-flow leakage
+        (
+            "hegerfeldt_default",
+            {("forward", 8192): 2, ("inverse", 8192): 10, ("forward", 16384): 1, ("inverse", 16384): 3},
+        ),
+        # Phi and Pi once each, energy() a pair per state, two inverses per time
+        ("causal_default", {("forward", 4096): 6, ("inverse", 4096): 10}),
+        ("rightmover", {("forward", 4096): 4, ("inverse", 4096): 4}),
+    ],
+)
+def test_each_datum_is_transformed_once(tmp_path, monkeypatch, config, expected, threads):
+    import threading
+
+    from kglab import spectral
+
+    calls = {}
+    lock = threading.Lock()
+    for name in ("forward_transform", "inverse_transform"):
+        original = getattr(spectral, name)
+
+        def counted(arg, _kind=name.split("_")[0], _original=original):
+            with lock:
+                key = (_kind, arg.grid.n)
+                calls[key] = calls.get(key, 0) + 1
+            return _original(arg)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "kglab" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setenv("KGLAB_THREADS", threads)
+    path = REPO / "configs" / f"{config}.json"
+    command = json.loads(path.read_text())["command"]
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == expected
+
+
 def run_main(*argv) -> tuple[int, str]:
     """Exit code and stderr of an in-process CLI run."""
     err = io.StringIO()

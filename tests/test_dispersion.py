@@ -66,6 +66,15 @@ def test_half_power_pair_identity(grid):
     assert np.max(np.abs(back.values - b.values)) < 1e-12
 
 
+@pytest.mark.parametrize("s", [1.0, -1.0, 0.5, -0.5])
+def test_cached_spectrum_is_bit_equal_to_transform_every_call(grid, s):
+    b = make_bump(grid, 0.0, 1.0, 1.0)
+    m = Mass(1.0)
+    assert np.array_equal(apply_omega_power(b, m, s).values, oracles.apply_omega_power_uncached(b, m, s).values)
+    # a second call reads the same cached spectrum
+    assert np.array_equal(apply_omega_power(b, m, s).values, oracles.apply_omega_power_uncached(b, m, s).values)
+
+
 def test_single_mode_is_eigenfunction(grid):
     p1 = 2 * np.pi / grid.L
     mode = Field(grid, np.exp(1j * p1 * grid.x))

@@ -96,6 +96,21 @@ def test_group_property(grid):
     assert np.max(np.abs(via.pi.values - direct.pi.values)) < 1e-12
 
 
+def test_cached_spectra_are_bit_equal_to_transform_every_call(grid):
+    rng = np.random.default_rng(2)
+    noise = Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    for data in (bump_data(grid), bump_data(grid, m=0.0, pi="right-mover"), CauchyData(noise, noise, Mass(1.5))):
+        ref = oracles.evolve_spectral_uncached
+        pairs = [
+            (evolve_spectral(data, 1.0), ref(data, 1.0)),
+            (evolve_spectral(evolve_spectral(data, 1.0), 2.5), ref(ref(data, 1.0), 2.5)),
+            (evolve_spectral(data, -0.75), ref(data, -0.75)),
+        ]
+        for out, expected in pairs:
+            assert np.array_equal(out.phi.values, expected.phi.values)
+            assert np.array_equal(out.pi.values, expected.pi.values)
+
+
 def test_time_reversal(grid):
     data = bump_data(grid)
     back = evolve_spectral(evolve_spectral(data, 4.0), 0.0)

@@ -99,6 +99,37 @@ def test_forward_of_inverse_identity(grid):
     assert np.max(np.abs(F2.coefficients - coeffs)) < 1e-12 * np.max(np.abs(coeffs))
 
 
+def test_spectrum_is_the_forward_transform_taken_once(grid):
+    rng = np.random.default_rng(3)
+    f = Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    first = f.spectrum
+    assert np.array_equal(first.coefficients, forward_transform(f).coefficients)
+    assert f.spectrum is first
+    assert not first.coefficients.flags.writeable
+
+
+def test_spectrum_taken_before_a_pool_is_shared_by_every_worker(grid, monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from kglab import spectral
+
+    f = make_bump(grid, 0.0, 1.0, 1.0)
+    first = f.spectrum
+    calls = []
+    monkeypatch.setattr(spectral, "forward_transform", lambda g: calls.append(g) or forward_transform(g))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: f.spectrum) for _ in range(64)]
+            got = [future.result(timeout=10) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == []
+    assert all(spectrum is first for spectrum in got)
+
+
 def test_parseval(grid):
     rng = np.random.default_rng(11)
     f = Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
