@@ -26,7 +26,7 @@ from .spectral import (
     make_bump,
     complex_momentum_transform,
 )
-from .dispersion import Mass, omega, apply_omega_power, OMEGA_EXPONENTS
+from .dispersion import Mass, omega
 from .evolution import (
     CauchyData,
     EvolutionConfig,
@@ -41,7 +41,6 @@ from .evolution import (
 from .propagator import (
     QuadratureSpec,
     PropagatorSample,
-    KernelSlice,
     SuppressionScan,
     delta_plus,
     pauli_jordan,
@@ -73,8 +72,6 @@ __all__ = [
     "complex_momentum_transform",
     "Mass",
     "omega",
-    "apply_omega_power",
-    "OMEGA_EXPONENTS",
     "CauchyData",
     "EvolutionConfig",
     "evolve_spectral",
@@ -86,7 +83,6 @@ __all__ = [
     "joint_support_radius",
     "QuadratureSpec",
     "PropagatorSample",
-    "KernelSlice",
     "SuppressionScan",
     "delta_plus",
     "pauli_jordan",

@@ -81,7 +81,7 @@ def _section(tree: dict, key: str) -> dict:
 def _cone_margin_cells(tree: dict) -> int:
     cells = tree.get("cone_margin_cells", CONE_MARGIN_CELLS)
     _require(
-        isinstance(cells, int) and not isinstance(cells, bool) and cells >= 0,
+        _is_number(cells) and isinstance(cells, int) and cells >= 0,
         "cone_margin_cells",
         f"margin cells must be a non-negative integer, got {cells!r}",
     )

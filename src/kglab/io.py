@@ -83,13 +83,10 @@ def field_from_json(path: Path) -> Field:
 
 
 def propagator_slice_to_csv(sample, path: Path) -> None:
-    """Slice columns (x, re D, im D, re Dp, im Dp); Dp columns are zero when absent."""
+    """Slice columns (x, re D, im D, re Dp, im Dp)."""
     grid = sample.grid
     delta = sample.delta.values
-    if sample.delta_plus is not None:
-        plus = sample.delta_plus.values
-    else:
-        plus = np.zeros(grid.n, dtype=np.complex128)
+    plus = sample.delta_plus.values
     write_csv(
         path,
         ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],

@@ -9,17 +9,17 @@ analytic, so the derivative grows Compton tails exp(-m |x|), and the
 first-order flow leaks L2 mass outside the light cone immediately, at
 any t > 0.
 
-Both operations read the cached ``Field.spectrum`` of their input, so a
-state evolved to a time ladder and fed to the tail witness is transformed
-once; take that spectrum before the ladder fans out over threads (see
-:class:`~kglab.spectral.Field`).
+Both operations multiply the cached ``Field.spectrum`` of their input
+(by exp(-i w t), and by -i w in the tail witness), so a state evolved to a
+time ladder and fed to the witness is transformed once; take that spectrum
+before the ladder fans out over threads (see :class:`~kglab.spectral.Field`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dispersion import Mass, apply_omega_power, omega
+from .dispersion import Mass, omega
 from .evolution import check_margin
 from .spectral import Field, SpectralField, inverse_transform
 
@@ -44,5 +44,5 @@ def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
     module notes on fit windows).
     """
     m.require_positive("the tail witness")
-    scaled = apply_omega_power(phi_compact, m, 1.0)
-    return Field(phi_compact.grid, -1j * scaled.values)
+    scaled = phi_compact.spectrum.coefficients * omega(phi_compact.grid.p, m)
+    return Field(phi_compact.grid, -1j * inverse_transform(SpectralField(phi_compact.grid, scaled)).values)

@@ -38,14 +38,13 @@ comparison is not a meaningful target for any sampled kernel.
 The kernels carry genuine distributional edges on the cone (D jumps by
 1/2 there, Dp adds a logarithmic spike), so pointwise values at the one
 or two grid cells straddling |x| = |t| do not converge as eps -> 0.  The
-residual is therefore measured outside a declared collar of
-``residual_collar_cells`` cells around the cone; the collar width is part
+residual is therefore measured outside a collar of
+``RESIDUAL_COLLAR_CELLS`` cells around the cone; the collar width is part
 of the sample metadata, and the cells inside it are exactly the ones
 every cone-support assertion already grants as geometric margin.
 
-The massless commutator kernel is finite (multiplier sin(|p| t)/|p| -> t)
-and is built directly from the odd part; Dp itself has an infrared
-divergent imaginary part at m = 0 on the line and is rejected there.
+Both kernels need m > 0: Dp has an infrared divergent imaginary part at
+m = 0 on the line, and D is built from it.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from .spectral import forward_transform, inverse_transform
 __all__ = [
     "QuadratureSpec",
     "ResolvedQuadrature",
-    "KernelSlice",
     "PropagatorSample",
     "SuppressionScan",
     "delta_plus",
@@ -86,6 +84,9 @@ SUPPRESSION_RATIO = 1e-4
 #: most Richardson rungs: the weights 2^k overflow a float beyond k = 1023
 MAX_RUNGS = 1024
 
+#: cells on each side of the cone left out of the residual
+RESIDUAL_COLLAR_CELLS = 4
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -96,7 +97,6 @@ class QuadratureSpec:
     rungs: int = 4
     residual_tol: float = 1e-6
     band_fraction: float = 0.5
-    residual_collar_cells: int = 4
 
     def __post_init__(self) -> None:
         if not 2 <= self.rungs <= MAX_RUNGS:
@@ -105,8 +105,6 @@ class QuadratureSpec:
             raise PreconditionError("quadrature.residual_tol", f"residual_tol must be positive, got {self.residual_tol}")
         if not 0.0 < self.band_fraction <= 1.0:
             raise PreconditionError("quadrature.band_fraction", f"band_fraction must be in (0, 1], got {self.band_fraction}")
-        if self.residual_collar_cells < 0:
-            raise PreconditionError("quadrature.collar", "residual collar must be non-negative")
 
     def resolve(self, grid: UniformGrid, m: Mass) -> "ResolvedQuadrature":
         floor = CUTOFF_FACTOR * max(m.m, 1.0 / grid.dx)
@@ -125,7 +123,6 @@ class QuadratureSpec:
             eps_ladder=ladder,
             residual_tol=self.residual_tol,
             band_fraction=self.band_fraction,
-            residual_collar_cells=self.residual_collar_cells,
         )
 
 
@@ -135,7 +132,6 @@ class ResolvedQuadrature:
     eps_ladder: tuple[float, ...]
     residual_tol: float
     band_fraction: float
-    residual_collar_cells: int
 
     def metadata(self) -> dict:
         return {
@@ -143,18 +139,8 @@ class ResolvedQuadrature:
             "eps_ladder": list(self.eps_ladder),
             "residual_tol": self.residual_tol,
             "band_fraction": self.band_fraction,
-            "residual_collar_cells": self.residual_collar_cells,
+            "residual_collar_cells": RESIDUAL_COLLAR_CELLS,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class KernelSlice:
-    """One extrapolated kernel on the grid plus its convergence record."""
-
-    field: Field
-    residual: float
-    converged: bool
-    quad: ResolvedQuadrature
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +150,7 @@ class PropagatorSample:
     t: float
     m: Mass
     delta: Field
-    delta_plus: Field | None
+    delta_plus: Field
     residual: float
     converged: bool
     quad: ResolvedQuadrature
@@ -218,60 +204,41 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
         (dp / (2.0 * np.pi)) * _synthesize(grid, q, np.exp(-eps * p * p) * base)
         for eps in res.eps_ladder
     ]
-    return _extrapolate(levels, _off_cone(grid, t, res.residual_collar_cells))
+    return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 
-def delta_plus(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = QuadratureSpec()) -> KernelSlice:
-    """Positive-frequency kernel Dp(t, .) on the grid (m > 0 only)."""
+def delta_plus(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = QuadratureSpec()) -> tuple[Field, float]:
+    """Positive-frequency kernel Dp(t, .) on the grid (m > 0 only) and its last-rung residual."""
     m.require_positive("the positive-frequency kernel (infrared divergent at m = 0 in one dimension)")
     res = quad.resolve(grid, m)
     values, residual = _damped_kernel(
         grid, m, res, t, lambda p, w: 0.5j * np.exp(-1j * w * t) / w
     )
-    return KernelSlice(
-        field=Field(grid, values),
-        residual=residual,
-        converged=residual <= res.residual_tol,
-        quad=res,
-    )
+    return Field(grid, values), residual
 
 
 def pauli_jordan(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = QuadratureSpec()) -> PropagatorSample:
-    """Commutator kernel D(t, .) = Dp(t, x) - Dp(-t, -x) on the grid.
+    """Commutator kernel D(t, .) = Dp(t, x) - Dp(-t, -x) on the grid (m > 0).
 
-    For m > 0 one quadrature gives Dp(t, .), and D = 2 Re Dp(t, .) by the
+    One quadrature gives Dp(t, .), and D = 2 Re Dp(t, .) by the
     conjugation identity Dp(-t, -x) = -conj Dp(t, x); D is real by
     construction and the sample carries Dp(t, .) as well.  The residual is
     twice that of Dp, the bound on the change across the last rung of
-    Dp(t, x) - Dp(-t, -x).  For m = 0 the odd part is built directly from
-    the finite multiplier sin(w t)/w.
+    Dp(t, x) - Dp(-t, -x).
     """
-    flags: list[str] = []
-    if m.m > 0:
-        plus = delta_plus(t, grid, m, quad)
-        delta_vals = 2.0 * plus.field.values.real
-        residual = 2.0 * plus.residual
-        res = plus.quad
-        plus_field = plus.field
-    else:
-        res = quad.resolve(grid, m)
-        delta_vals, residual = _damped_kernel(
-            grid, m, res, t, lambda p, w: t * np.sinc(w * t / np.pi)
-        )
-        plus_field = None
-        flags.append("massless-odd-part-only")
+    plus, plus_residual = delta_plus(t, grid, m, quad)
+    res = quad.resolve(grid, m)
+    residual = 2.0 * plus_residual
     converged = residual <= res.residual_tol
-    if not converged:
-        flags.append("unconverged")
     return PropagatorSample(
         t=t,
         m=m,
-        delta=Field(grid, delta_vals),
-        delta_plus=plus_field,
+        delta=Field(grid, 2.0 * plus.values.real),
+        delta_plus=plus,
         residual=residual,
         converged=converged,
         quad=res,
-        flags=tuple(flags),
+        flags=() if converged else ("unconverged",),
     )
 
 
@@ -354,7 +321,6 @@ def time_derivative_identity_error(
     grid: UniformGrid,
     m: Mass,
     quad: QuadratureSpec = QuadratureSpec(),
-    h: float | None = None,
 ) -> float:
     """Centered finite difference of D in t against the quadrature kernel of
     the cos(w t) multiplier, compared pointwise away from the cone.
@@ -364,20 +330,18 @@ def time_derivative_identity_error(
     comparison can see), so the uniform-norm relative deviation over the
     off-cone region validates that differentiating the commutator kernel
     in time reproduces the multiplier used by the initial-value formula.
-    h defaults to dx.
+    The difference step is one cell, h = dx.
     """
-    if h is None:
-        h = grid.dx
+    h = grid.dx
     fwd = pauli_jordan(t + h, grid, m, quad)
     bwd = pauli_jordan(t - h, grid, m, quad)
     fd = (fwd.delta.values - bwd.delta.values) / (2.0 * h)
     res = fwd.quad
     dt_vals, _ = _damped_kernel(grid, m, res, t, lambda p, w: np.cos(w * t))
-    collar = res.residual_collar_cells + int(math.ceil(h / grid.dx))
     mask = (
-        _off_cone(grid, t, collar)
-        & _off_cone(grid, t + h, res.residual_collar_cells)
-        & _off_cone(grid, t - h, res.residual_collar_cells)
+        _off_cone(grid, t, RESIDUAL_COLLAR_CELLS + 1)
+        & _off_cone(grid, t + h, RESIDUAL_COLLAR_CELLS)
+        & _off_cone(grid, t - h, RESIDUAL_COLLAR_CELLS)
     )
     sup = float(np.max(np.abs(dt_vals[mask])))
     return float(np.max(np.abs(fd[mask] - dt_vals[mask])) / sup)

@@ -252,7 +252,7 @@ def reference_field_json(f, path) -> None:
 
 def reference_slice_csv(sample, path) -> None:
     delta = sample.delta.values
-    plus = np.zeros(sample.grid.n, dtype=complex) if sample.delta_plus is None else sample.delta_plus.values
+    plus = sample.delta_plus.values
     reference_csv(
         path,
         ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],

@@ -129,9 +129,9 @@ def test_criterion_4_propagator_support():
         scan = spacelike_suppression_scan(pauli_jordan(t, grid, Mass(m)), 0.2)
         checks[f"ratio(t={t},m={m})<1e-4 [{scan.ratio:.2e}]"] = scan.passed and scan.converged
     sample = pauli_jordan(1.0, grid, m1)
-    plus_t = delta_plus(1.0, grid, m1)
-    plus_back = delta_plus(-1.0, grid, m1)
-    manual = plus_t.field.values - np.roll(plus_back.field.values[::-1], 1)
+    plus_t, _ = delta_plus(1.0, grid, m1)
+    plus_back, _ = delta_plus(-1.0, grid, m1)
+    manual = plus_t.values - np.roll(plus_back.values[::-1], 1)
     identity = float(np.max(np.abs(sample.delta.values - manual)))
     mirrored = np.roll(pauli_jordan(-1.0, grid, m1).delta.values[::-1], 1)
     antisym = float(np.max(np.abs(mirrored + sample.delta.values)))

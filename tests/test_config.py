@@ -75,6 +75,7 @@ def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
         ({"thresholds": {"support": 0.0}}, "thresholds.support"),
         ({"thresholds": {"cone_leakage": -1e-8}}, "thresholds.cone_leakage"),
         ({"method": "local-fd", "dt": 5e-324}, "times.dt-multiple"),
+        ({"cone_margin_cells": 10**400}, "cone_margin_cells"),
     ],
 )
 def test_evolve_rejects_malformed_values(tmp_path, overrides, rule):
@@ -112,6 +113,7 @@ def hegerfeldt_tree(**overrides):
         ({"tail_fit": {"window": [16.0, 9.0]}}, "tail_fit.window"),
         ({"thresholds": {"support": -1e-12}}, "thresholds.support"),
         ({"mass": 0.0}, "mass.positive"),
+        ({"cone_margin_cells": 10**400}, "cone_margin_cells"),
     ],
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):

@@ -5,10 +5,10 @@ from kglab import (
     Field,
     Mass,
     UniformGrid,
-    apply_omega_power,
     fit_exponential_tail,
     make_bump,
     omega,
+    positivity_tail_witness,
     support_radius,
 )
 
@@ -46,41 +46,28 @@ def grid():
     return UniformGrid(2048, 1 / 32)
 
 
-def test_exponent_whitelist(grid):
-    b = make_bump(grid, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="exponent"):
-        apply_omega_power(b, Mass(1.0), 0.3)
+# the omega multiplier is applied by the tail witness Pi = -i omega Phi;
+# 1j * Pi undoes the factor -i exactly, and magnitudes are unchanged by it
 
 
-def test_inverse_pair_identity(grid):
-    b = make_bump(grid, 0.0, 1.0, 1.0)
-    m = Mass(1.0)
-    back = apply_omega_power(apply_omega_power(b, m, 1.0), m, -1.0)
-    assert np.max(np.abs(back.values - b.values)) < 1e-12
+def apply_omega(f, m):
+    return 1j * positivity_tail_witness(f, m).values
 
 
-def test_half_power_pair_identity(grid):
-    b = make_bump(grid, 0.0, 1.0, 1.0)
-    m = Mass(2.0)
-    back = apply_omega_power(apply_omega_power(b, m, 0.5), m, -0.5)
-    assert np.max(np.abs(back.values - b.values)) < 1e-12
-
-
-@pytest.mark.parametrize("s", [1.0, -1.0, 0.5, -0.5])
-def test_cached_spectrum_is_bit_equal_to_transform_every_call(grid, s):
+def test_cached_spectrum_is_bit_equal_to_transform_every_call(grid):
     b = make_bump(grid, 0.0, 1.0, 1.0)
     m = Mass(1.0)
-    assert np.array_equal(apply_omega_power(b, m, s).values, oracles.apply_omega_power_uncached(b, m, s).values)
+    assert np.array_equal(apply_omega(b, m), oracles.apply_omega_power_uncached(b, m, 1.0).values)
     # a second call reads the same cached spectrum
-    assert np.array_equal(apply_omega_power(b, m, s).values, oracles.apply_omega_power_uncached(b, m, s).values)
+    assert np.array_equal(apply_omega(b, m), oracles.apply_omega_power_uncached(b, m, 1.0).values)
 
 
 def test_single_mode_is_eigenfunction(grid):
     p1 = 2 * np.pi / grid.L
     mode = Field(grid, np.exp(1j * p1 * grid.x))
     m = Mass(1.5)
-    out = apply_omega_power(mode, m, 1.0)
-    assert np.max(np.abs(out.values - omega(p1, m) * mode.values)) < 1e-11
+    out = apply_omega(mode, m)
+    assert np.max(np.abs(out - omega(p1, m) * mode.values)) < 1e-11
 
 
 def test_linearity(grid):
@@ -89,28 +76,15 @@ def test_linearity(grid):
     g = Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     m = Mass(1.0)
     a, b = 1.7, -0.4 + 0.2j
-    combined = apply_omega_power(Field(grid, a * f.values + b * g.values), m, 1.0)
-    separate = a * apply_omega_power(f, m, 1.0).values + b * apply_omega_power(g, m, 1.0).values
+    combined = apply_omega(Field(grid, a * f.values + b * g.values), m)
+    separate = a * apply_omega(f, m) + b * apply_omega(g, m)
     scale = np.max(np.abs(separate))
-    assert np.max(np.abs(combined.values - separate)) < 1e-12 * scale
-
-
-def test_massless_negative_power_rejected_on_dc(grid):
-    f = Field(grid, np.ones(grid.n))
-    with pytest.raises(ValueError, match="infrared"):
-        apply_omega_power(f, Mass(0.0), -1.0)
-
-
-def test_massless_negative_power_allowed_without_dc(grid):
-    p1 = 2 * np.pi / grid.L
-    mode = Field(grid, np.exp(1j * p1 * grid.x))
-    out = apply_omega_power(mode, Mass(0.0), -1.0)
-    assert np.max(np.abs(out.values - mode.values / p1)) < 1e-11
+    assert np.max(np.abs(combined - separate)) < 1e-12 * scale
 
 
 def test_nonlocality_witness_support_grows(grid):
     b = make_bump(grid, 0.0, 1.0, 1.0)
-    out = apply_omega_power(b, Mass(1.0), 1.0)
+    out = positivity_tail_witness(b, Mass(1.0))
     assert support_radius(out, 1e-12) > support_radius(b, 1e-12)
 
 
@@ -120,7 +94,7 @@ def test_compton_tail_rate_matches_cut_oracle():
     # 1.5 <1/x>, about +0.256 on this window; both routes must agree
     g = UniformGrid(4096, 1 / 64)
     b = make_bump(g, 0.0, 1.0, 1.0)
-    out = apply_omega_power(b, Mass(1.0), 1.0)
+    out = positivity_tail_witness(b, Mass(1.0))
     fit = fit_exponential_tail(out, (4.0, 9.0))
     radii = np.linspace(4.0, 9.0, 80)
     oracle_rate, oracle_r2 = oracles.log_linear_rate(radii, oracles.omega_bump_tail(radii, 1.0))
@@ -133,7 +107,7 @@ def test_compton_tail_pointwise_against_cut_oracle():
     g = UniformGrid(8192, 1 / 128)
     b = make_bump(g, 0.0, 1.0, 1.0)
     m = Mass(1.0)
-    out = apply_omega_power(b, m, 1.0)
+    out = positivity_tail_witness(b, m)
     xs = np.array([4.0, 6.0, 9.0, 12.0])
     oracle = oracles.omega_bump_tail(xs, 1.0)
     for x, ref in zip(xs, oracle):
@@ -144,6 +118,6 @@ def test_compton_tail_pointwise_against_cut_oracle():
 def test_rate_doubles_with_mass():
     g = UniformGrid(8192, 1 / 128)
     b = make_bump(g, 0.0, 1.0, 1.0)
-    fit1 = fit_exponential_tail(apply_omega_power(b, Mass(1.0), 1.0), (9.0, 16.0))
-    fit2 = fit_exponential_tail(apply_omega_power(b, Mass(2.0), 1.0), (4.0, 9.0))
+    fit1 = fit_exponential_tail(positivity_tail_witness(b, Mass(1.0)), (9.0, 16.0))
+    fit2 = fit_exponential_tail(positivity_tail_witness(b, Mass(2.0)), (4.0, 9.0))
     assert 1.8 <= fit2.rate / fit1.rate <= 2.2
