@@ -29,7 +29,6 @@ from .spectral import (
 from .dispersion import Mass, omega
 from .evolution import (
     CauchyData,
-    EvolutionConfig,
     evolve_spectral,
     evolve_local_fd,
     evolve_local_fd_ladder,
@@ -73,7 +72,6 @@ __all__ = [
     "Mass",
     "omega",
     "CauchyData",
-    "EvolutionConfig",
     "evolve_spectral",
     "evolve_local_fd",
     "evolve_local_fd_ladder",

@@ -45,6 +45,21 @@ def _verdict(value, passed: bool) -> dict:
     return {"value": value, "passed": bool(passed)}
 
 
+def _write_report(out: Path, command: str, cfg, verdicts: dict, **fields) -> int:
+    """Write ``report.json``: the command, its grid, mass and verdicts, and
+    the command's own ``fields``.  The exit code follows the verdicts."""
+    grid = cfg.grid
+    report = {
+        "command": command,
+        "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
+        "mass": cfg.mass.m,
+        "verdicts": verdicts,
+        **fields,
+    }
+    write_json(out / "report.json", report)
+    return EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_FAIL
+
+
 def _write_field(field, stem: Path, out_format: str) -> None:
     if out_format == "csv":
         field_to_csv(field, stem.with_suffix(".csv"))
@@ -54,7 +69,6 @@ def _write_field(field, stem: Path, out_format: str) -> None:
 
 def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     grid = cfg.grid
-    method, dt = cfg.evolution.method, cfg.evolution.dt
     data = CauchyData(cfg.state.build_phi(grid), cfg.state.build_pi(grid), cfg.mass)
     r0 = joint_support_radius(data, cfg.support_threshold)
     margin = cfg.cone_margin_cells * grid.dx
@@ -63,8 +77,8 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     # are evolved per time inside the map, from spectra taken before it
     # shares the datum between threads
     ladder = None
-    if method == "local-fd":
-        ladder = evolve_local_fd_ladder(data, cfg.times, cfg.evolution)
+    if cfg.method == "local-fd":
+        ladder = evolve_local_fd_ladder(data, cfg.times, cfg.dt)
     else:
         data.phi.spectrum, data.pi.spectrum
 
@@ -80,13 +94,13 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
         )
 
     states, energies, radii, leakages, floors = zip(*parallel_map(one_time, range(len(cfg.times))))
-    if method == "spectral-exact":
+    if cfg.method == "spectral-exact":
         drifts = [abs(e_t - e0) / e0 if e0 > 0 else 0.0 for e_t in energies]
     else:
         # the leapfrog scheme conserves its own quadratic form, not the
         # continuum energy
-        q0 = leapfrog_energy(data, dt)
-        drifts = [abs(leapfrog_energy(state, dt) - q0) / q0 if q0 > 0 else 0.0 for state in states]
+        q0 = leapfrog_energy(data, cfg.dt)
+        drifts = [abs(leapfrog_energy(state, cfg.dt) - q0) / q0 if q0 > 0 else 0.0 for state in states]
     for t, state in zip(cfg.times, states):
         if t in cfg.snapshot_times:
             _write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}", cfg.out_format)
@@ -100,22 +114,13 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     drift = max(drifts)
     verdicts = {
         "cone_leakage": _verdict(max(leakages), max(leakages) < cfg.leakage_ceiling),
-        "energy_drift": _verdict(drift, drift < (1e-12 if method == "spectral-exact" else 1e-6)),
+        "energy_drift": _verdict(drift, drift < (1e-12 if cfg.method == "spectral-exact" else 1e-6)),
         "boundary_floor": _verdict(max(floors), max(floors) < 1e-10 * peak),
     }
-    report = {
-        "command": "evolve",
-        "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
-        "mass": cfg.mass.m,
-        "method": method,
-        "times": list(cfg.times),
-        "initial_energy": e0,
-        "initial_support_radius": r0,
-        "cone_margin": margin,
-        "verdicts": verdicts,
-    }
-    write_json(out / "report.json", report)
-    return EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_FAIL
+    return _write_report(
+        out, "evolve", cfg, verdicts,
+        method=cfg.method, times=list(cfg.times), initial_energy=e0, initial_support_radius=r0, cone_margin=margin,
+    )
 
 
 def _hegerfeldt_rows(cfg: HegerfeldtConfig, psi0: Field, r0: float, margin: float):
@@ -140,9 +145,7 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
     psi0 = cfg.state.build_phi(grid)
     r0 = diagnostics.support_radius(psi0, cfg.support_threshold)
     margin = cfg.cone_margin_cells * grid.dx
-    rows = _hegerfeldt_rows(cfg, psi0, r0, margin)
-
-    leaks, tails, contrasts = zip(*rows)
+    leaks, tails, contrasts = zip(*_hegerfeldt_rows(cfg, psi0, r0, margin))
     write_csv(
         out / "leakage.csv",
         ["t", "leakage_fraction", "fitted_rate", "fit_r2", "window_lo", "window_hi"],
@@ -165,24 +168,9 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
     witness_report = diagnostics.support_report(
         witness, threshold=cfg.support_threshold, window=cfg.window
     )
-    (out / "witness_report.json").write_text(witness_report.to_json())
+    write_json(out / "witness_report.json", witness_report.payload())
 
     snap_tail = tails[cfg.times.index(cfg.snapshot_time)]
-
-    doubling = None
-    if cfg.grid_doubling_check:
-        # same cone edge (base-grid support radius and margin) isolates
-        # the resolution dependence, which is what rules out aliasing; the
-        # verdict reads only the leakage, so only the leakage is computed
-        psi2 = cfg.state.build_phi(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0))
-        psi2.spectrum  # transformed once, before the map shares it
-
-        def leak2(t: float):
-            return diagnostics.cone_leakage(posfreq.evolve_positive(psi2, mass, t), r0, t, margin)
-
-        rel = max(abs(b / a - 1.0) for a, b in zip(leaks, parallel_map(leak2, cfg.times)))
-        doubling = _verdict(rel, rel < cfg.doubling_tolerance)
-
     floor_at = min(cfg.times, key=lambda t: abs(t - 0.01))
     verdicts = {
         "leakage_floor": _verdict(
@@ -202,21 +190,22 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
             abs(snap_tail.rate / mass.m - 1.0) < cfg.rate_band and snap_tail.r2 > cfg.min_r2,
         ),
     }
-    if doubling is not None:
-        verdicts["grid_doubling_stability"] = doubling
+    if cfg.grid_doubling_check:
+        # same cone edge (base-grid support radius and margin) isolates
+        # the resolution dependence, which is what rules out aliasing; the
+        # verdict reads only the leakage, so only the leakage is computed
+        psi2 = cfg.state.build_phi(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0))
+        psi2.spectrum  # transformed once, before the map shares it
 
-    report = {
-        "command": "hegerfeldt",
-        "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
-        "mass": mass.m,
-        "times": list(cfg.times),
-        "support_radius": r0,
-        "window": list(cfg.window),
-        "snapshot_time": cfg.snapshot_time,
-        "verdicts": verdicts,
-    }
-    write_json(out / "report.json", report)
-    return EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_FAIL
+        def leak2(t: float):
+            return diagnostics.cone_leakage(posfreq.evolve_positive(psi2, mass, t), r0, t, margin)
+
+        rel = max(abs(b / a - 1.0) for a, b in zip(leaks, parallel_map(leak2, cfg.times)))
+        verdicts["grid_doubling_stability"] = _verdict(rel, rel < cfg.doubling_tolerance)
+    return _write_report(
+        out, "hegerfeldt", cfg, verdicts,
+        times=list(cfg.times), support_radius=r0, window=list(cfg.window), snapshot_time=cfg.snapshot_time,
+    )
 
 
 def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
@@ -233,7 +222,6 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
     results = parallel_map(one_time, cfg.times)
     verdicts = {}
     slices = []
-    all_converged = True
     for idx, (t, (sample, bridge, scan)) in enumerate(zip(cfg.times, results)):
         propagator_slice_to_csv(sample, out / f"slice_{idx:03d}.csv")
         write_json(
@@ -253,7 +241,6 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
             "converged": sample.converged,
             "multiplier_error": bridge,
         }
-        all_converged = all_converged and sample.converged
         verdicts[f"multiplier_identity_t{idx}"] = _verdict(
             bridge, bridge < cfg.multiplier_error_ceiling
         )
@@ -267,20 +254,9 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
             entry["zero_slice_max"] = zero_max
             verdicts[f"zero_slice_t{idx}"] = _verdict(zero_max, zero_max < cfg.zero_slice_ceiling)
         slices.append(entry)
-    verdicts["quadrature_converged"] = _verdict(all_converged, all_converged)
-
-    report = {
-        "command": "propagator",
-        "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
-        "mass": cfg.mass.m,
-        "margin": cfg.margin,
-        "slices": slices,
-        "verdicts": verdicts,
-    }
-    write_json(out / "report.json", report)
-    if not all_converged:
-        return EXIT_FAIL
-    return EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_FAIL
+    converged = all(sample.converged for sample, _, _ in results)
+    verdicts["quadrature_converged"] = _verdict(converged, converged)
+    return _write_report(out, "propagator", cfg, verdicts, margin=cfg.margin, slices=slices)
 
 
 def _run_report(path: Path) -> int:

@@ -2,8 +2,8 @@
 
 This layer parses JSON types, unknown keys and command policy, then
 delegates: every range or geometry rule lives in the domain value it
-protects, so the config builds those values (grid, mass, evolution and
-quadrature settings) or calls their checks, and a bad config fails at
+protects, so the config builds those values (grid, mass and quadrature
+settings) or calls their checks, and a bad config fails at
 load time.  Either way :class:`ConfigError`, the package's one
 rule-carrying :class:`~kglab.spectral.PreconditionError`, names the rule.
 """
@@ -19,8 +19,8 @@ import numpy as np
 
 from .diagnostics import check_threshold, check_window
 from .dispersion import Mass
-from .evolution import EvolutionConfig, check_margin, ladder_steps
-from .propagator import QuadratureSpec, check_scan
+from .evolution import check_margin, ladder_steps
+from .propagator import SUPPRESSION_RATIO, QuadratureSpec, check_scan
 from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, check_bump, make_bump
 
 __all__ = [
@@ -36,6 +36,9 @@ __all__ = [
 #: geometric slack, in grid cells, added to every light-cone check to
 #: absorb threshold and discretization fuzz
 CONE_MARGIN_CELLS = 5
+
+#: evolution methods of the evolve command; local-fd also needs a dt
+_METHODS = ("spectral-exact", "local-fd")
 
 #: invalid configuration; ``rule`` names the first failing check
 ConfigError = PreconditionError
@@ -70,6 +73,13 @@ def _number(tree: dict, key: str, default: float | None, rule: str) -> float:
     value = tree.get(key, default)
     _require(_is_number(value), rule, f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _bound(tree: dict, key: str, default: float, rule: str) -> float:
+    """A finite, positive number: a verdict bound or tolerance."""
+    value = _number(tree, key, default, rule)
+    _require(value > 0, rule, f"{key} must be positive, got {value}")
+    return value
 
 
 def _section(tree: dict, key: str) -> dict:
@@ -111,7 +121,8 @@ class EvolveConfig:
     grid: UniformGrid
     mass: Mass
     state: StateSection
-    evolution: EvolutionConfig
+    method: str
+    dt: float | None
     times: tuple[float, ...]
     snapshot_times: tuple[float, ...]
     support_threshold: float
@@ -210,9 +221,12 @@ def _parse_evolve(tree: dict) -> EvolveConfig:
     mass = _parse_mass(tree, positive=False)
     state = _parse_state(tree, grid, allow_pi=True)
     times = _parse_times(tree, grid)
-    evolution = EvolutionConfig(method=tree.get("method", "spectral-exact"), dt=_optional_number(tree, "dt", "dt"))
-    if evolution.method == "local-fd":
-        ladder_steps(grid, times, evolution.dt)
+    dt = _optional_number(tree, "dt", "dt")
+    method = tree.get("method", "spectral-exact")
+    _require(method in _METHODS, "method", f"unknown method {method!r}; allowed: {_METHODS}")
+    if method == "local-fd":
+        _require(dt is not None, "dt", "local-fd needs a time step dt")
+        ladder_steps(grid, times, dt)
     snapshot_times = tree.get("snapshot_times", [])
     _require(isinstance(snapshot_times, list), "snapshot_times", "snapshot_times must be a list of times")
     for t in snapshot_times:
@@ -220,10 +234,9 @@ def _parse_evolve(tree: dict) -> EvolveConfig:
     thresholds = _section(tree, "thresholds")
     support = _number(thresholds, "support", 1e-12, "thresholds.support")
     check_threshold(support)
-    leakage = _number(thresholds, "cone_leakage", 1e-8, "thresholds.cone_leakage")
-    _require(leakage > 0, "thresholds.cone_leakage", "leakage ceiling must be positive")
+    leakage = _bound(thresholds, "cone_leakage", 1e-8, "thresholds.cone_leakage")
     return EvolveConfig(
-        grid=grid, mass=mass, state=state, evolution=evolution,
+        grid=grid, mass=mass, state=state, method=method, dt=dt,
         times=times, snapshot_times=tuple(float(t) for t in snapshot_times),
         support_threshold=support, leakage_ceiling=leakage,
         cone_margin_cells=_cone_margin_cells(tree), out_format=_parse_format(tree),
@@ -241,10 +254,8 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
     thresholds = _section(tree, "thresholds")
     support = _number(thresholds, "support", 1e-12, "thresholds.support")
     check_threshold(support)
-    floor = _number(tree, "leakage_floor", 1e-10, "leakage_floor")
-    _require(floor > 0, "leakage_floor", f"leakage floor must be positive, got {floor}")
-    ceiling = _number(tree, "contrast_ceiling", 1e-8, "contrast_ceiling")
-    _require(ceiling > 0, "contrast_ceiling", f"contrast ceiling must be positive, got {ceiling}")
+    floor = _bound(tree, "leakage_floor", 1e-10, "leakage_floor")
+    ceiling = _bound(tree, "contrast_ceiling", 1e-8, "contrast_ceiling")
     tail = _section(tree, "tail_fit")
     window = tail.get("window")
     _require(
@@ -266,11 +277,9 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
     )
     snapshot_time = _number(tail, "snapshot_time", times[-1], "tail_fit.snapshot_time")
     _require(snapshot_time in times, "tail_fit.snapshot_time", f"snapshot time {snapshot_time} is not in the time ladder")
-    rate_band = _number(tail, "rate_band", 0.15, "tail_fit.rate_band")
-    _require(rate_band > 0, "tail_fit.rate_band", f"rate band must be positive, got {rate_band}")
+    rate_band = _bound(tail, "rate_band", 0.15, "tail_fit.rate_band")
     min_r2 = _number(tail, "min_r2", 0.99, "tail_fit.min_r2")
-    doubling_tolerance = _number(tree, "doubling_tolerance", 0.1, "doubling_tolerance")
-    _require(doubling_tolerance > 0, "doubling_tolerance", "doubling tolerance must be positive")
+    doubling_tolerance = _bound(tree, "doubling_tolerance", 0.1, "doubling_tolerance")
     doubling_check = tree.get("grid_doubling_check", True)
     _require(isinstance(doubling_check, bool), "grid_doubling_check", f"grid_doubling_check must be true or false, got {doubling_check!r}")
     return HegerfeldtConfig(
@@ -297,21 +306,21 @@ def _parse_propagator(tree: dict) -> PropagatorConfig:
     _check_keys(q, {"cutoff", "eps_base", "rungs", "residual_tol", "band_fraction"})
     cutoff = _optional_number(q, "cutoff", "quadrature.cutoff")
     eps_base = _optional_number(q, "eps_base", "quadrature.eps_base")
-    rungs = q.get("rungs", 4)
+    rungs = q.get("rungs", QuadratureSpec.rungs)
     _require(
         isinstance(rungs, int) and not isinstance(rungs, bool), "quadrature.rungs", f"rungs must be an integer, got {rungs!r}"
     )
     quad = QuadratureSpec(
         cutoff=cutoff, eps_base=eps_base, rungs=rungs,
-        residual_tol=_number(q, "residual_tol", 1e-6, "quadrature.residual_tol"),
-        band_fraction=_number(q, "band_fraction", 0.5, "quadrature.band_fraction"),
+        residual_tol=_number(q, "residual_tol", QuadratureSpec.residual_tol, "quadrature.residual_tol"),
+        band_fraction=_number(q, "band_fraction", QuadratureSpec.band_fraction, "quadrature.band_fraction"),
     )
     quad.resolve(grid, mass)
     return PropagatorConfig(
         grid=grid, mass=mass, times=times, margin=margin, quadrature=quad,
-        ratio_ceiling=_number(tree, "ratio_ceiling", 1e-4, "ratio_ceiling"),
-        multiplier_error_ceiling=_number(tree, "multiplier_error_ceiling", 1e-3, "multiplier_error_ceiling"),
-        zero_slice_ceiling=_number(tree, "zero_slice_ceiling", 1e-10, "zero_slice_ceiling"),
+        ratio_ceiling=_bound(tree, "ratio_ceiling", SUPPRESSION_RATIO, "ratio_ceiling"),
+        multiplier_error_ceiling=_bound(tree, "multiplier_error_ceiling", 1e-3, "multiplier_error_ceiling"),
+        zero_slice_ceiling=_bound(tree, "zero_slice_ceiling", 1e-10, "zero_slice_ceiling"),
         out_format=_parse_format(tree),
     )
 

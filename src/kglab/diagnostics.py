@@ -16,8 +16,7 @@ enough out that the algebraic correction is inside the stated band.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class TailFit:
     intercept: float
     r2: float
     window: tuple[float, float]
-    n_points: int
     flags: tuple[str, ...] = ()
 
 
@@ -72,18 +70,9 @@ class SupportReport:
             raise PreconditionError("report.leakage", f"leakage fraction {self.leakage_fraction} outside [0, 1]")
         check_window(self.window)
 
-    def to_json(self) -> str:
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "support_radius": self.support_radius,
-            "leakage_fraction": self.leakage_fraction,
-            "tail_rate": self.tail_rate,
-            "tail_intercept": self.tail_intercept,
-            "fit_r2": self.fit_r2,
-            "window": list(self.window),
-            "flags": list(self.flags),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    def payload(self) -> dict:
+        """The report's fields under its ``schema``, for ``kglab.io.write_json``."""
+        return {**asdict(self), "schema": REPORT_SCHEMA}
 
 
 def check_threshold(threshold: float) -> None:
@@ -154,7 +143,6 @@ def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
         intercept=intercept,
         r2=r2,
         window=(lo, hi),
-        n_points=int(right.size),
         flags=tuple(flags),
     )
 

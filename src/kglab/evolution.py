@@ -36,6 +36,10 @@ for real data, and switches to the full periodic grid once the window
 reaches its edge.  Every cell sees the arithmetic of the full-grid scheme,
 so the results are bit-identical to it.  :func:`evolve_local_fd_ladder`
 reaches a whole time ladder in one pass of max(t) / dt steps.
+
+Choosing between the two is the caller's business (the CLI reads it from
+the config's ``method``); the leapfrog takes its step ``dt`` as a plain
+argument, checked by :func:`check_step`.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .spectral import Field, PreconditionError, SpectralField, finite_total, for
 
 __all__ = [
     "CauchyData",
-    "EvolutionConfig",
     "evolve_spectral",
     "evolve_local_fd",
     "evolve_local_fd_ladder",
@@ -63,8 +66,6 @@ __all__ = [
     "leapfrog_energy",
     "joint_support_radius",
 ]
-
-_METHODS = ("spectral-exact", "local-fd")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,21 +84,6 @@ class CauchyData:
     @property
     def grid(self):
         return self.phi.grid
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Method selector; dt only applies to the local-fd scheme, whose step
-    rules are :func:`check_step`."""
-
-    method: str = "spectral-exact"
-    dt: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise PreconditionError("method", f"unknown method {self.method!r}; allowed: {_METHODS}")
-        if self.method == "local-fd" and self.dt is None:
-            raise PreconditionError("dt", "local-fd needs a time step dt")
 
 
 def check_margin(grid, dt: float) -> None:
@@ -218,16 +204,13 @@ def ladder_steps(grid, times: Sequence[float], dt: float, t0: float = 0.0) -> li
     return counts
 
 
-def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], cfg: EvolutionConfig) -> list[CauchyData]:
+def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], dt: float) -> list[CauchyData]:
     """Leapfrog states at each of ``times``, in the given order, from one pass.
 
     Steps once to the largest step count and captures every requested
     time on the way; times may repeat and need not be sorted.  Each
     t - t0 must be a positive multiple of dt within the L/4 margin.
     """
-    if cfg.method != "local-fd":
-        raise PreconditionError("method", "config method must be 'local-fd'")
-    dt = float(cfg.dt)
     wanted: dict[int, list[int]] = {}
     for i, n_steps in enumerate(ladder_steps(data.grid, times, dt, data.t0)):
         wanted.setdefault(n_steps, []).append(i)
@@ -238,9 +221,9 @@ def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], cfg: Evolut
     return states
 
 
-def evolve_local_fd(data: CauchyData, t: float, cfg: EvolutionConfig) -> CauchyData:
-    """Leapfrog evolution to time t; t - t0 must be a positive multiple of dt."""
-    return evolve_local_fd_ladder(data, [t], cfg)[0]
+def evolve_local_fd(data: CauchyData, t: float, dt: float) -> CauchyData:
+    """Leapfrog evolution to time t in steps of dt; t - t0 must be a positive multiple of dt."""
+    return evolve_local_fd_ladder(data, [t], dt)[0]
 
 
 def energy(data: CauchyData) -> float:

@@ -246,14 +246,10 @@ def pauli_jordan(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = Qu
 class SuppressionScan:
     """Spacelike versus timelike magnitude contrast for one (t, m) slice."""
 
-    t: float
-    margin: float
     spacelike_max: float
     timelike_max: float
     ratio: float
     passed: bool
-    residual: float
-    converged: bool
 
 
 def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
@@ -283,14 +279,10 @@ def spacelike_suppression_scan(
     timelike = float(np.max(mags[inside])) if np.any(inside) else 0.0
     ratio = spacelike / timelike if timelike > 0 else math.inf
     return SuppressionScan(
-        t=t,
-        margin=margin,
         spacelike_max=spacelike,
         timelike_max=timelike,
         ratio=ratio,
         passed=ratio < ratio_ceiling,
-        residual=sample.residual,
-        converged=sample.converged,
     )
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from kglab import (
     CauchyData,
-    EvolutionConfig,
     Field,
     Mass,
     QuadratureSpec,
@@ -126,8 +125,9 @@ def test_criterion_4_propagator_support():
     zero_max = float(np.max(np.abs(pauli_jordan(0.0, grid, m1).delta.values)))
     checks = {f"max|D(0,.)|<1e-10 [{zero_max:.2e}]": zero_max < 1e-10}
     for t, m in [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]:
-        scan = spacelike_suppression_scan(pauli_jordan(t, grid, Mass(m)), 0.2)
-        checks[f"ratio(t={t},m={m})<1e-4 [{scan.ratio:.2e}]"] = scan.passed and scan.converged
+        sample = pauli_jordan(t, grid, Mass(m))
+        scan = spacelike_suppression_scan(sample, 0.2)
+        checks[f"ratio(t={t},m={m})<1e-4 [{scan.ratio:.2e}]"] = scan.passed and sample.converged
     sample = pauli_jordan(1.0, grid, m1)
     plus_t, _ = delta_plus(1.0, grid, m1)
     plus_back, _ = delta_plus(-1.0, grid, m1)

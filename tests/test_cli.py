@@ -416,6 +416,24 @@ class TestGoldenDefaults:
             if isinstance(entry["value"], float) and ref["value"] != 0:
                 assert entry["value"] == pytest.approx(ref["value"], rel=1e-9, abs=1e-30)
 
+    def compare_json(self, fresh, golden, where=""):
+        """Floats at rel 1e-9, everything else exact, key for key."""
+        if isinstance(golden, float):
+            assert fresh == pytest.approx(golden, rel=1e-9, abs=1e-30), where
+        elif isinstance(golden, dict):
+            assert isinstance(fresh, dict) and fresh.keys() == golden.keys(), where
+            for key in golden:
+                self.compare_json(fresh[key], golden[key], f"{where}.{key}")
+        elif isinstance(golden, list):
+            assert isinstance(fresh, list) and len(fresh) == len(golden), where
+            for i, (a, b) in enumerate(zip(fresh, golden)):
+                self.compare_json(a, b, f"{where}[{i}]")
+        else:
+            assert type(fresh) is type(golden) and fresh == golden, where
+
+    def compare_json_file(self, fresh: Path, golden: Path):
+        self.compare_json(json.loads(fresh.read_text()), json.loads(golden.read_text()), golden.name)
+
     def compare_csv(self, fresh: Path, golden: Path):
         a = fresh.read_text().splitlines()
         b = golden.read_text().splitlines()
@@ -445,6 +463,9 @@ class TestGoldenDefaults:
         assert res.returncode == 0, res.stderr
         golden = REPO / "tests" / "golden" / "propagator_default"
         self.compare_report(out / "report.json", golden / "report.json")
+        for idx in range(3):
+            name = f"slice_{idx:03d}.meta.json"
+            self.compare_json_file(out / name, golden / name)
 
     def test_hegerfeldt_default(self, tmp_path):
         out = tmp_path / "out"
@@ -457,3 +478,4 @@ class TestGoldenDefaults:
         golden = REPO / "tests" / "golden" / "hegerfeldt_default"
         self.compare_report(out / "report.json", golden / "report.json")
         self.compare_csv(out / "leakage.csv", golden / "leakage.csv")
+        self.compare_json_file(out / "witness_report.json", golden / "witness_report.json")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kglab.config import ConfigError, load_config
+from kglab.propagator import SUPPRESSION_RATIO, QuadratureSpec
 
 
 def write(tmp_path, tree):
@@ -203,11 +204,16 @@ def propagator_tree(**overrides):
         ({"margin": 1.0}, "times.scan-region"),
         ({"grid": {"n": 1024, "dx": 1e306}}, "grid.dx"),
         ({"grid": {"n": 1024, "dx": 1e-160}, "times": [0.0], "margin": 1e-158}, "quadrature.cutoff"),
+        ({"ratio_ceiling": -1.0}, "ratio_ceiling"),
+        ({"multiplier_error_ceiling": 0.0}, "multiplier_error_ceiling"),
+        ({"zero_slice_ceiling": -1e-10}, "zero_slice_ceiling"),
     ],
 )
 def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
     cfg = load_config(write(tmp_path, propagator_tree()), "propagator")
     assert (cfg.margin, cfg.quadrature.rungs, cfg.quadrature.cutoff) == (0.2, 4, None)
+    assert cfg.quadrature == QuadratureSpec()
+    assert cfg.ratio_ceiling == SUPPRESSION_RATIO
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, propagator_tree(**overrides)), "propagator")
     assert err.value.rule == rule

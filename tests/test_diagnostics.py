@@ -17,6 +17,7 @@ from kglab import (
     support_radius,
     support_report,
 )
+from kglab.io import write_json
 
 import oracles
 
@@ -137,10 +138,11 @@ class TestBoundaryFloor:
 
 
 class TestSupportReport:
-    def test_roundtrip_json(self, grid):
+    def test_roundtrip_json(self, grid, tmp_path):
         f = Field(grid, np.exp(-np.abs(grid.x)))
         report = support_report(f, threshold=np.exp(-5.0), window=(3.0, 8.0))
-        payload = json.loads(report.to_json())
+        write_json(tmp_path / "report.json", report.payload())
+        payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema"] == "kglab.support-report/1"
         assert payload["tail_rate"] == pytest.approx(1.0, abs=1e-6)
         assert payload["support_radius"] == pytest.approx(5.0, abs=grid.dx)

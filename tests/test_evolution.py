@@ -3,7 +3,6 @@ import pytest
 
 from kglab import (
     CauchyData,
-    EvolutionConfig,
     Field,
     Mass,
     UniformGrid,
@@ -152,8 +151,7 @@ class TestLocalFd:
     def test_zero_data_stays_zero(self, grid):
         z = Field(grid, np.zeros(grid.n))
         data = CauchyData(z, z, Mass(1.0))
-        cfg = EvolutionConfig(method="local-fd", dt=grid.dx / 2)
-        out = evolve_local_fd(data, 1.0, cfg)
+        out = evolve_local_fd(data, 1.0, grid.dx / 2)
         assert np.all(out.phi.values == 0) and np.all(out.pi.values == 0)
 
     def test_second_order_convergence(self):
@@ -161,8 +159,7 @@ class TestLocalFd:
         for n, dx in [(2048, 1 / 64), (4096, 1 / 128)]:
             g = UniformGrid(n, dx)
             data = bump_data(g)
-            cfg = EvolutionConfig(method="local-fd", dt=dx / 2)
-            out = evolve_local_fd(data, 1.0, cfg)
+            out = evolve_local_fd(data, 1.0, dx / 2)
             ref = evolve_spectral(data, 1.0)
             errors.append(
                 np.linalg.norm(out.phi.values - ref.phi.values)
@@ -173,15 +170,13 @@ class TestLocalFd:
 
     def test_courant_rejected(self, grid):
         data = bump_data(grid)
-        cfg = EvolutionConfig(method="local-fd", dt=2 * grid.dx)
         with pytest.raises(ValueError, match="courant"):
-            evolve_local_fd(data, 1.0, cfg)
+            evolve_local_fd(data, 1.0, 2 * grid.dx)
 
     def test_non_multiple_time_rejected(self, grid):
         data = bump_data(grid)
-        cfg = EvolutionConfig(method="local-fd", dt=grid.dx)
         with pytest.raises(ValueError, match="multiple"):
-            evolve_local_fd(data, 1.0 + grid.dx / 3, cfg)
+            evolve_local_fd(data, 1.0 + grid.dx / 3, grid.dx)
 
     def test_leapfrog_invariant_conserved(self, grid):
         data = bump_data(grid)
@@ -228,28 +223,22 @@ class TestLocalFd:
 
     def test_ladder_matches_separate_evolutions(self, grid):
         data = bump_data(grid, pi="right-mover")
-        cfg = EvolutionConfig(method="local-fd", dt=grid.dx / 2)
+        dt = grid.dx / 2
         times = [2.0, 0.5, 2.0, 1.0]
-        ladder = evolve_local_fd_ladder(data, times, cfg)
+        ladder = evolve_local_fd_ladder(data, times, dt)
         assert [s.t0 for s in ladder] == times
         for t, state in zip(times, ladder):
-            single = evolve_local_fd(data, t, cfg)
+            single = evolve_local_fd(data, t, dt)
             assert np.array_equal(state.phi.values, single.phi.values)
             assert np.array_equal(state.pi.values, single.pi.values)
 
     def test_margin_rejected(self, grid):
         data = bump_data(grid)
-        cfg = EvolutionConfig(method="local-fd", dt=grid.dx / 2)
+        dt = grid.dx / 2
         with pytest.raises(ValueError, match="margin"):
-            evolve_local_fd(data, grid.L / 4 + 1.0, cfg)
+            evolve_local_fd(data, grid.L / 4 + 1.0, dt)
         with pytest.raises(ValueError, match="margin"):
-            evolve_local_fd_ladder(data, [1.0, grid.L / 4 + 1.0], cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EvolutionConfig(method="local-fd", dt=None)
-        with pytest.raises(ValueError):
-            EvolutionConfig(method="rk4")
+            evolve_local_fd_ladder(data, [1.0, grid.L / 4 + 1.0], dt)
 
 
 class TestJointSupportRadius:
