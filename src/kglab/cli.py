@@ -6,8 +6,9 @@ outputs regardless of KGLAB_THREADS.  Exit status 0 means every verdict
 passed, 1 means at least one verdict failed, 2 means the run was refused,
 with a JSON error on stderr that always names a rule: kind "config" (a
 precondition, at load time or from a domain check), "io", "memory" (an
-array too large for this machine) or "report".  The CLI computes nothing
-itself; every emitted number comes from a module operation.
+array too large for this machine) or "report".  Modules compute every
+field, kernel, fit and leakage; the CLI only reduces them to verdicts
+(energy drifts, ladder maxima, the initial peak, the zero slice's maximum).
 """
 
 from __future__ import annotations
@@ -231,7 +232,6 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
                 "mass": cfg.mass.m,
                 "residual": sample.residual,
                 "converged": sample.converged,
-                "flags": list(sample.flags),
                 "quadrature": sample.quad.metadata(),
             },
         )
@@ -260,7 +260,7 @@ def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
 
 
 def _run_report(path: Path) -> int:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
     verdicts = report.get("verdicts", {}) if isinstance(report, dict) else None
     if not isinstance(verdicts, dict) or not all(isinstance(v, dict) for v in verdicts.values()):
@@ -314,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(_error_json("config", exc.message, exc.rule), file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         rule = "report.path" if args.subcommand == "report" else "out"
         print(_error_json("io", str(exc), rule), file=sys.stderr)
         return EXIT_ERROR

@@ -82,9 +82,17 @@ def _bound(tree: dict, key: str, default: float, rule: str) -> float:
     return value
 
 
-def _section(tree: dict, key: str) -> dict:
-    section = tree.get(key, {})
+def _check_keys(tree: dict, allowed: set[str]) -> None:
+    for key in tree:
+        _require(key in allowed, "unknown-key", f"unrecognized config key {key!r}")
+
+
+def _section(tree: dict, key: str, keys: set[str], required: bool = False) -> dict:
+    """The object under ``key``, holding no key outside ``keys``; an absent
+    optional section reads as empty."""
+    section = _get(tree, key, key) if required else tree.get(key, {})
     _require(isinstance(section, dict), key, f"{key} section must be an object")
+    _check_keys(section, keys)
     return section
 
 
@@ -164,8 +172,7 @@ class PropagatorConfig:
 
 
 def _parse_grid(tree: dict) -> UniformGrid:
-    g = _get(tree, "grid", "grid")
-    _require(isinstance(g, dict), "grid", "grid section must be an object")
+    g = _section(tree, "grid", {"n", "dx"}, required=True)
     n = _get(g, "n", "grid.n")
     _require(isinstance(n, int), "grid.n", f"n must be an integer, got {n!r}")
     return UniformGrid(n=n, dx=_number(g, "dx", None, "grid.dx"))
@@ -179,8 +186,7 @@ def _parse_mass(tree: dict, positive: bool) -> Mass:
 
 
 def _parse_state(tree: dict, grid: UniformGrid, allow_pi: bool) -> StateSection:
-    s = _get(tree, "initial_state", "initial_state")
-    _require(isinstance(s, dict), "initial_state", "initial_state must be an object")
+    s = _section(tree, "initial_state", {"factory", "center", "radius", "amplitude", "pi"}, required=True)
     factory = _get(s, "factory", "initial_state.factory")
     _require(factory == "bump", "initial_state.factory", f"unknown factory {factory!r}; available: bump")
     center = _number(s, "center", 0.0, "initial_state.center")
@@ -203,16 +209,9 @@ def _parse_times(tree: dict, grid: UniformGrid) -> tuple[float, ...]:
 
 
 def _parse_format(tree: dict) -> str:
-    out = tree.get("output", {})
-    _require(isinstance(out, dict), "output", "output section must be an object")
-    fmt = out.get("format", "csv")
+    fmt = _section(tree, "output", {"format"}).get("format", "csv")
     _require(fmt in ("csv", "json"), "output.format", f"format must be csv or json, got {fmt!r}")
     return fmt
-
-
-def _check_keys(tree: dict, allowed: set[str]) -> None:
-    for key in tree:
-        _require(key in allowed, "unknown-key", f"unrecognized config key {key!r}")
 
 
 def _parse_evolve(tree: dict) -> EvolveConfig:
@@ -231,7 +230,7 @@ def _parse_evolve(tree: dict) -> EvolveConfig:
     _require(isinstance(snapshot_times, list), "snapshot_times", "snapshot_times must be a list of times")
     for t in snapshot_times:
         _require(_is_number(t) and t in times, "snapshot_times", f"snapshot time {t!r} is not in the time ladder")
-    thresholds = _section(tree, "thresholds")
+    thresholds = _section(tree, "thresholds", {"support", "cone_leakage"})
     support = _number(thresholds, "support", 1e-12, "thresholds.support")
     check_threshold(support)
     leakage = _bound(thresholds, "cone_leakage", 1e-8, "thresholds.cone_leakage")
@@ -251,12 +250,17 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
     times = _parse_times(tree, grid)
     for t in times:
         _require(t > 0, "times.positive", f"leakage times must be positive, got {t}")
-    thresholds = _section(tree, "thresholds")
+    _require(
+        all(a < b for a, b in zip(times, times[1:])),
+        "times.increasing",
+        f"leakage times must increase strictly, got {list(times)}",
+    )
+    thresholds = _section(tree, "thresholds", {"support"})
     support = _number(thresholds, "support", 1e-12, "thresholds.support")
     check_threshold(support)
     floor = _bound(tree, "leakage_floor", 1e-10, "leakage_floor")
     ceiling = _bound(tree, "contrast_ceiling", 1e-8, "contrast_ceiling")
-    tail = _section(tree, "tail_fit")
+    tail = _section(tree, "tail_fit", {"window", "snapshot_time", "rate_band", "min_r2"})
     window = tail.get("window")
     _require(
         isinstance(window, list) and len(window) == 2 and all(map(_is_number, window)),
@@ -302,16 +306,14 @@ def _parse_propagator(tree: dict) -> PropagatorConfig:
     margin = _number(tree, "margin", 0.2, "margin")
     for t in times:
         check_scan(grid, t, margin)
-    q = _section(tree, "quadrature")
-    _check_keys(q, {"cutoff", "eps_base", "rungs", "residual_tol", "band_fraction"})
+    q = _section(tree, "quadrature", {"cutoff", "rungs", "residual_tol", "band_fraction"})
     cutoff = _optional_number(q, "cutoff", "quadrature.cutoff")
-    eps_base = _optional_number(q, "eps_base", "quadrature.eps_base")
     rungs = q.get("rungs", QuadratureSpec.rungs)
     _require(
         isinstance(rungs, int) and not isinstance(rungs, bool), "quadrature.rungs", f"rungs must be an integer, got {rungs!r}"
     )
     quad = QuadratureSpec(
-        cutoff=cutoff, eps_base=eps_base, rungs=rungs,
+        cutoff=cutoff, rungs=rungs,
         residual_tol=_number(q, "residual_tol", QuadratureSpec.residual_tol, "quadrature.residual_tol"),
         band_fraction=_number(q, "band_fraction", QuadratureSpec.band_fraction, "quadrature.band_fraction"),
     )
@@ -335,11 +337,11 @@ _PARSERS = {
 def load_config(path: Path, command: str):
     """Parse a config file for the given command and build its domain values."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             tree = json.load(fh)
     except OSError as exc:
         raise ConfigError("config.path", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config.json", f"invalid JSON in {path}: {exc}") from exc
     _require(isinstance(tree, dict), "config", "top level must be an object")
     declared = tree.get("command")

@@ -35,7 +35,7 @@ __all__ = [
     "radius_above",
 ]
 
-REPORT_SCHEMA = "kglab.support-report/1"
+REPORT_SCHEMA = "kglab.support-report/2"
 
 #: magnitudes below this are treated as numerically zero in tail fits
 _TAIL_FLOOR = 1e-300
@@ -58,7 +58,6 @@ class TailFit:
 @dataclass(frozen=True)
 class SupportReport:
     support_radius: float
-    leakage_fraction: float
     tail_rate: float
     tail_intercept: float
     fit_r2: float
@@ -66,8 +65,6 @@ class SupportReport:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.leakage_fraction <= 1.0:
-            raise PreconditionError("report.leakage", f"leakage fraction {self.leakage_fraction} outside [0, 1]")
         check_window(self.window)
 
     def payload(self) -> dict:
@@ -172,26 +169,16 @@ def boundary_floor(f: Field) -> float:
     return float(np.max(np.abs(f.values[strip])))
 
 
-def support_report(
-    f: Field,
-    *,
-    threshold: float,
-    window: tuple[float, float],
-    cone: tuple[float, float, float] | None = None,
-) -> SupportReport:
-    """Bundle radius, optional cone leakage and tail fit into one report."""
+def support_report(f: Field, *, threshold: float, window: tuple[float, float]) -> SupportReport:
+    """Bundle the thresholded support radius and the tail fit into one report."""
     radius = support_radius(f, threshold)
     flags: list[str] = []
     if radius >= f.grid.L / 2.0:
         flags.append("nowhere-below-threshold")
-    leakage = 0.0
-    if cone is not None:
-        leakage = cone_leakage(f, *cone)
     tail = fit_exponential_tail(f, window)
     flags.extend(tail.flags)
     return SupportReport(
         support_radius=radius,
-        leakage_fraction=leakage,
         tail_rate=tail.rate,
         tail_intercept=tail.intercept,
         fit_r2=tail.r2,

@@ -7,9 +7,10 @@ The positive-frequency kernel is evaluated as
 
 w = sqrt(p^2 + m^2), on a declining damping ladder eps, eps/2, eps/4, ...
 followed by Richardson extrapolation toward eps -> 0.  The change across
-the last extrapolation rung is reported as the residual; samples whose
-residual exceeds the declared tolerance are flagged, never silently
-returned.  The commutator kernel is the odd combination
+the last extrapolation rung is reported as the residual; a sample whose
+residual exceeds the declared tolerance is flagged by a false
+``converged``, never silently returned.  The commutator kernel is the odd
+combination
 
     D(t, x) = Dp(t, x) - Dp(-t, -x) = 2 Re Dp(t, x),
 
@@ -90,10 +91,10 @@ RESIDUAL_COLLAR_CELLS = 4
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tunable quadrature parameters; ``None`` fields use the default rules."""
+    """Tunable quadrature parameters; a ``None`` cutoff uses the default
+    rule, and the damping ladder starts at ``EPS_BASE_FACTOR / cutoff**2``."""
 
     cutoff: float | None = None
-    eps_base: float | None = None
     rungs: int = 4
     residual_tol: float = 1e-6
     band_fraction: float = 0.5
@@ -114,9 +115,7 @@ class QuadratureSpec:
         # 2 ceil(cutoff / dp) + 1 nodes with dp = 2 pi / L; eps divides by cutoff^2
         if not (math.isfinite(cutoff * cutoff) and cutoff * grid.L / math.pi < MAX_SAMPLES):
             raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} needs more nodes than an array can hold")
-        eps = EPS_BASE_FACTOR / cutoff**2 if self.eps_base is None else float(self.eps_base)
-        if not eps > 0:
-            raise PreconditionError("quadrature.eps_base", f"damping must be positive, got {eps}")
+        eps = EPS_BASE_FACTOR / cutoff**2
         ladder = tuple(eps / 2.0**r for r in range(self.rungs))
         return ResolvedQuadrature(
             cutoff=cutoff,
@@ -152,9 +151,11 @@ class PropagatorSample:
     delta: Field
     delta_plus: Field
     residual: float
-    converged: bool
     quad: ResolvedQuadrature
-    flags: tuple[str, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= self.quad.residual_tol
 
     @property
     def grid(self) -> UniformGrid:
@@ -227,18 +228,13 @@ def pauli_jordan(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = Qu
     Dp(t, x) - Dp(-t, -x).
     """
     plus, plus_residual = delta_plus(t, grid, m, quad)
-    res = quad.resolve(grid, m)
-    residual = 2.0 * plus_residual
-    converged = residual <= res.residual_tol
     return PropagatorSample(
         t=t,
         m=m,
         delta=Field(grid, 2.0 * plus.values.real),
         delta_plus=plus,
-        residual=residual,
-        converged=converged,
-        quad=res,
-        flags=() if converged else ("unconverged",),
+        residual=2.0 * plus_residual,
+        quad=quad.resolve(grid, m),
     )
 
 
@@ -344,11 +340,12 @@ def cauchy_via_propagator(data, t: float, quad: QuadratureSpec = QuadratureSpec(
 
         Phi(t, .) = dD/dt(dt, .) * Phi0 + D(dt, .) * Pi0,
 
-    with * the periodic grid convolution dx * sum.  The D term convolves
-    the quadrature kernel; the dD/dt term is applied as the band
-    multiplier cos(w dt) (its kernel is a propagating delta pair that no
-    grid sampling can represent), cross-checked separately by
-    :func:`time_derivative_identity_error`.
+    with * the periodic grid convolution dx * sum, which the dx-weighted
+    transform pair turns into a product: Phi(t)^ = cos(w dt) Phi0^ + D^ Pi0^,
+    with D^ = forward_transform(D) as in :func:`bridge_identity_error`.
+    The dD/dt term is applied as the band multiplier cos(w dt) (its kernel
+    is a propagating delta pair that no grid sampling can represent),
+    cross-checked separately by :func:`time_derivative_identity_error`.
     """
     grid = data.grid
     dt = t - data.t0
@@ -359,9 +356,7 @@ def cauchy_via_propagator(data, t: float, quad: QuadratureSpec = QuadratureSpec(
             f"propagator quadrature did not converge: residual {sample.residual} "
             f"exceeds {sample.quad.residual_tol}"
         )
-    kernel = np.roll(sample.delta.values, -(grid.n // 2))  # displacement layout
-    conv = grid.dx * np.fft.ifft(np.fft.fft(kernel) * np.fft.fft(data.pi.values))
     w = omega(grid.p, data.m)
-    F = forward_transform(data.phi).coefficients
-    phi_part = inverse_transform(SpectralField(grid, np.cos(w * dt) * F))
-    return Field(grid, phi_part.values + conv)
+    D = forward_transform(sample.delta).coefficients
+    Phi = np.cos(w * dt) * data.phi.spectrum.coefficients + D * data.pi.spectrum.coefficients
+    return inverse_transform(SpectralField(grid, Phi))

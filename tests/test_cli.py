@@ -132,11 +132,18 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_broken_json_is_config_error(tmp_path):
-    cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    res = run_cli("propagator", "--config", str(cfg), "--out", str(tmp_path / "out"))
-    assert res.returncode == 2
-    assert json.loads(res.stderr)["error"]["rule"] == "config.json"
+    # a file that is not JSON, or not UTF-8 (a UTF-16 byte-order mark), is
+    # refused with a rule whether it is given as a config or as a report
+    for content in (b"{not json", b"\xff\xfe{}"):
+        cfg = tmp_path / "broken.json"
+        cfg.write_bytes(content)
+        res = run_cli("propagator", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["rule"] == "config.json"
+        res = run_cli("report", str(cfg))
+        assert res.returncode == 2
+        error = json.loads(res.stderr)["error"]
+        assert (error["kind"], error["rule"]) == ("io", "report.path")
 
 
 def test_unconverged_quadrature_fails_with_exit_one(tmp_path):

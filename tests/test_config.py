@@ -77,6 +77,10 @@ def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
         ({"thresholds": {"cone_leakage": -1e-8}}, "thresholds.cone_leakage"),
         ({"method": "local-fd", "dt": 5e-324}, "times.dt-multiple"),
         ({"cone_margin_cells": 10**400}, "cone_margin_cells"),
+        ({"thresholds": {"support": 1e-12, "cone_leakge": 1e-30}}, "unknown-key"),
+        ({"grid": {"n": 2048, "dx": 1 / 32, "nn": 4096}}, "unknown-key"),
+        ({"initial_state": {"factory": "bump", "radius": 1.0, "radus": 2.0}}, "unknown-key"),
+        ({"output": {"fromat": "json"}}, "unknown-key"),
     ],
 )
 def test_evolve_rejects_malformed_values(tmp_path, overrides, rule):
@@ -115,6 +119,10 @@ def hegerfeldt_tree(**overrides):
         ({"thresholds": {"support": -1e-12}}, "thresholds.support"),
         ({"mass": 0.0}, "mass.positive"),
         ({"cone_margin_cells": 10**400}, "cone_margin_cells"),
+        ({"tail_fit": {"window": [9.0, 16.0], "min_r": 0.5}}, "unknown-key"),
+        ({"thresholds": {"support": 1e-12, "cone_leakage": 1e-8}}, "unknown-key"),
+        ({"times": [0.1, 0.01, 0.001]}, "times.increasing"),
+        ({"times": [0.001, 0.01, 0.01, 0.1]}, "times.increasing"),
     ],
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
@@ -184,8 +192,8 @@ def propagator_tree(**overrides):
         ({"zero_slice_ceiling": True}, "zero_slice_ceiling"),
         ({"quadrature": [4]}, "quadrature"),
         ({"quadrature": {"cutoff": "x"}}, "quadrature.cutoff"),
-        ({"quadrature": {"eps_base": [1e-6]}}, "quadrature.eps_base"),
-        ({"quadrature": {"eps_base": -1e-6}}, "quadrature.eps_base"),
+        ({"quadrature": {"eps_base": [1e-6]}}, "unknown-key"),
+        ({"quadrature": {"eps_base": -1e-6}}, "unknown-key"),
         ({"quadrature": {"rungs": "4"}}, "quadrature.rungs"),
         ({"quadrature": {"rungs": 4.5}}, "quadrature.rungs"),
         ({"quadrature": {"rungs": True}}, "quadrature.rungs"),
@@ -207,6 +215,8 @@ def propagator_tree(**overrides):
         ({"ratio_ceiling": -1.0}, "ratio_ceiling"),
         ({"multiplier_error_ceiling": 0.0}, "multiplier_error_ceiling"),
         ({"zero_slice_ceiling": -1e-10}, "zero_slice_ceiling"),
+        ({"grid": {"n": 1024, "dx": 1 / 256, "dX": 1 / 128}}, "unknown-key"),
+        ({"output": {"format": "csv", "fromat": "json"}}, "unknown-key"),
     ],
 )
 def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
@@ -220,9 +230,9 @@ def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
 
 
 def test_propagator_null_cutoff_uses_the_default_rule(tmp_path):
-    tree = propagator_tree(quadrature={"cutoff": None, "eps_base": None, "rungs": 3})
+    tree = propagator_tree(quadrature={"cutoff": None, "rungs": 3})
     cfg = load_config(write(tmp_path, tree), "propagator")
-    assert (cfg.quadrature.cutoff, cfg.quadrature.eps_base, cfg.quadrature.rungs) == (None, None, 3)
+    assert (cfg.quadrature.cutoff, cfg.quadrature.rungs) == (None, 3)
 
 
 _JSON_LEAVES = (

@@ -143,7 +143,8 @@ class TestSupportReport:
         report = support_report(f, threshold=np.exp(-5.0), window=(3.0, 8.0))
         write_json(tmp_path / "report.json", report.payload())
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["schema"] == "kglab.support-report/1"
+        assert payload["schema"] == "kglab.support-report/2"
+        assert "leakage_fraction" not in payload
         assert payload["tail_rate"] == pytest.approx(1.0, abs=1e-6)
         assert payload["support_radius"] == pytest.approx(5.0, abs=grid.dx)
 
@@ -157,6 +158,4 @@ class TestSupportReport:
         from kglab import SupportReport
 
         with pytest.raises(ValueError):
-            SupportReport(1.0, 1.5, 1.0, 0.0, 1.0, (1.0, 2.0))
-        with pytest.raises(ValueError):
-            SupportReport(1.0, 0.5, 1.0, 0.0, 1.0, (2.0, 1.0))
+            SupportReport(1.0, 1.0, 0.0, 1.0, (2.0, 1.0))
