@@ -30,7 +30,6 @@ from .dispersion import Mass, omega
 from .evolution import (
     CauchyData,
     evolve_spectral,
-    evolve_local_fd,
     evolve_local_fd_ladder,
     local_fd_steps,
     energy,
@@ -73,7 +72,6 @@ __all__ = [
     "omega",
     "CauchyData",
     "evolve_spectral",
-    "evolve_local_fd",
     "evolve_local_fd_ladder",
     "local_fd_steps",
     "energy",

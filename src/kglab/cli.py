@@ -4,17 +4,17 @@ Subcommands: evolve, hegerfeldt, propagator, report.  Every command is a
 pure function of its config file: identical configs produce byte-identical
 outputs regardless of KGLAB_THREADS.  Exit status 0 means every verdict
 passed, 1 means at least one verdict failed, 2 means the run was refused,
-with a JSON error on stderr that always names a rule: kind "config" (a
-precondition, at load time or from a domain check), "io", "memory" (an
-array too large for this machine) or "report".  Modules compute every
-field, kernel, fit and leakage; the CLI only reduces them to verdicts
-(energy drifts, ladder maxima, the initial peak, the zero slice's maximum).
+with a JSON error on stderr that always names a rule: kind "usage" (a
+malformed command line), "config" (a precondition, at load time or from a
+domain check), "io", "memory" (an array too large for this machine) or
+"report".  Modules compute every field, kernel, fit and leakage; the CLI
+only reduces them to verdicts (energy drifts, ladder maxima, the initial
+peak, the zero slice's maximum).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -75,26 +75,22 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
     # the leapfrog reaches every ladder time in one pass; spectral states
-    # are evolved per time inside the map, from spectra taken before it
-    # shares the datum between threads
-    ladder = None
+    # are evolved lazily, so a refusal names the earliest time that fails
     if cfg.method == "local-fd":
-        ladder = evolve_local_fd_ladder(data, cfg.times, cfg.dt)
+        states = evolve_local_fd_ladder(data, cfg.times, cfg.dt)
     else:
-        data.phi.spectrum, data.pi.spectrum
-
-    def one_time(i: int):
-        t = cfg.times[i]
-        state = evolve_spectral(data, t) if ladder is None else ladder[i]
-        return (
+        states = (evolve_spectral(data, t) for t in cfg.times)
+    rows = [
+        (
             state,
             energy(state),
             joint_support_radius(state, cfg.support_threshold),
             diagnostics.cone_leakage(state.phi, r0, t, margin),
             diagnostics.boundary_floor(state.phi),
         )
-
-    states, energies, radii, leakages, floors = zip(*parallel_map(one_time, range(len(cfg.times))))
+        for t, state in zip(cfg.times, states)
+    ]
+    states, energies, radii, leakages, floors = zip(*rows)
     if cfg.method == "spectral-exact":
         drifts = [abs(e_t - e0) / e0 if e0 > 0 else 0.0 for e_t in energies]
     else:
@@ -291,24 +287,32 @@ def _error_json(kind: str, message: str, rule: str) -> str:
     return json.dumps({"error": {"kind": kind, "message": message, "rule": rule}}, sort_keys=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a malformed command line in place of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="kglab", description=__doc__)
+    parser = _Parser(prog="kglab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _RUNNERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, type=Path)
         cmd.add_argument("--out", required=True, type=Path)
-        cmd.add_argument("--format", choices=("csv", "json"), default=None)
     rep = sub.add_parser("report")
     rep.add_argument("path", type=Path)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(_error_json("usage", str(exc), "argv"), file=sys.stderr)
+        return EXIT_ERROR
 
     try:
         if args.subcommand == "report":
             return _run_report(args.path)
         cfg = load_config(args.config, args.subcommand)
-        if args.format is not None:
-            cfg = dataclasses.replace(cfg, out_format=args.format)
         args.out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[args.subcommand](cfg, args.out)
     except ConfigError as exc:

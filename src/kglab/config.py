@@ -155,7 +155,6 @@ class HegerfeldtConfig:
     min_r2: float
     grid_doubling_check: bool
     doubling_tolerance: float
-    out_format: str
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,6 @@ class PropagatorConfig:
     ratio_ceiling: float
     multiplier_error_ceiling: float
     zero_slice_ceiling: float
-    out_format: str
 
 
 def _parse_grid(tree: dict) -> UniformGrid:
@@ -208,9 +206,9 @@ def _parse_times(tree: dict, grid: UniformGrid) -> tuple[float, ...]:
     return tuple(float(t) for t in times)
 
 
-def _parse_format(tree: dict) -> str:
+def _parse_format(tree: dict, formats: tuple[str, ...]) -> str:
     fmt = _section(tree, "output", {"format"}).get("format", "csv")
-    _require(fmt in ("csv", "json"), "output.format", f"format must be csv or json, got {fmt!r}")
+    _require(fmt in formats, "output.format", f"format must be one of {formats}, got {fmt!r}")
     return fmt
 
 
@@ -238,7 +236,7 @@ def _parse_evolve(tree: dict) -> EvolveConfig:
         grid=grid, mass=mass, state=state, method=method, dt=dt,
         times=times, snapshot_times=tuple(float(t) for t in snapshot_times),
         support_threshold=support, leakage_ceiling=leakage,
-        cone_margin_cells=_cone_margin_cells(tree), out_format=_parse_format(tree),
+        cone_margin_cells=_cone_margin_cells(tree), out_format=_parse_format(tree, ("csv", "json")),
     )
 
 
@@ -286,6 +284,7 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
     doubling_tolerance = _bound(tree, "doubling_tolerance", 0.1, "doubling_tolerance")
     doubling_check = tree.get("grid_doubling_check", True)
     _require(isinstance(doubling_check, bool), "grid_doubling_check", f"grid_doubling_check must be true or false, got {doubling_check!r}")
+    _parse_format(tree, ("csv",))  # the command writes CSV only
     return HegerfeldtConfig(
         grid=grid, mass=mass, state=state, times=times,
         leakage_floor=floor, contrast_ceiling=ceiling,
@@ -294,7 +293,6 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
         snapshot_time=snapshot_time, rate_band=rate_band, min_r2=min_r2,
         grid_doubling_check=doubling_check,
         doubling_tolerance=doubling_tolerance,
-        out_format=_parse_format(tree),
     )
 
 
@@ -318,12 +316,12 @@ def _parse_propagator(tree: dict) -> PropagatorConfig:
         band_fraction=_number(q, "band_fraction", QuadratureSpec.band_fraction, "quadrature.band_fraction"),
     )
     quad.resolve(grid, mass)
+    _parse_format(tree, ("csv",))  # the command writes CSV only
     return PropagatorConfig(
         grid=grid, mass=mass, times=times, margin=margin, quadrature=quad,
         ratio_ceiling=_bound(tree, "ratio_ceiling", SUPPRESSION_RATIO, "ratio_ceiling"),
         multiplier_error_ceiling=_bound(tree, "multiplier_error_ceiling", 1e-3, "multiplier_error_ceiling"),
         zero_slice_ceiling=_bound(tree, "zero_slice_ceiling", 1e-10, "zero_slice_ceiling"),
-        out_format=_parse_format(tree),
     )
 
 

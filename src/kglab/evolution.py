@@ -56,7 +56,6 @@ from .spectral import Field, PreconditionError, SpectralField, finite_total, for
 __all__ = [
     "CauchyData",
     "evolve_spectral",
-    "evolve_local_fd",
     "evolve_local_fd_ladder",
     "local_fd_steps",
     "check_margin",
@@ -219,11 +218,6 @@ def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], dt: float) 
         for i in wanted.get(k, ()):
             states[i] = CauchyData(Field(data.grid, phi), Field(data.grid, pi), data.m, t0=times[i])
     return states
-
-
-def evolve_local_fd(data: CauchyData, t: float, dt: float) -> CauchyData:
-    """Leapfrog evolution to time t in steps of dt; t - t0 must be a positive multiple of dt."""
-    return evolve_local_fd_ladder(data, [t], dt)[0]
 
 
 def energy(data: CauchyData) -> float:

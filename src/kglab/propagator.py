@@ -208,10 +208,13 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 
-def delta_plus(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = QuadratureSpec()) -> tuple[Field, float]:
-    """Positive-frequency kernel Dp(t, .) on the grid (m > 0 only) and its last-rung residual."""
+def delta_plus(
+    t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec | ResolvedQuadrature = QuadratureSpec()
+) -> tuple[Field, float]:
+    """Positive-frequency kernel Dp(t, .) on the grid (m > 0 only) and its
+    last-rung residual; a spec is resolved here, a resolved one used as is."""
     m.require_positive("the positive-frequency kernel (infrared divergent at m = 0 in one dimension)")
-    res = quad.resolve(grid, m)
+    res = quad if isinstance(quad, ResolvedQuadrature) else quad.resolve(grid, m)
     values, residual = _damped_kernel(
         grid, m, res, t, lambda p, w: 0.5j * np.exp(-1j * w * t) / w
     )
@@ -227,14 +230,15 @@ def pauli_jordan(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = Qu
     twice that of Dp, the bound on the change across the last rung of
     Dp(t, x) - Dp(-t, -x).
     """
-    plus, plus_residual = delta_plus(t, grid, m, quad)
+    res = quad.resolve(grid, m)
+    plus, plus_residual = delta_plus(t, grid, m, res)
     return PropagatorSample(
         t=t,
         m=m,
         delta=Field(grid, 2.0 * plus.values.real),
         delta_plus=plus,
         residual=2.0 * plus_residual,
-        quad=quad.resolve(grid, m),
+        quad=res,
     )
 
 

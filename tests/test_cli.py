@@ -246,6 +246,10 @@ def test_allocation_beyond_memory_names_a_rule(tmp_path, overrides):
     assert (error["kind"], error["rule"]) == ("memory", "memory")
 
 
+#: numpy warns as the FFT of a near-maximal float overflows to inf and nan
+FFT_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+
+
 @pytest.mark.parametrize(
     "command,base,overrides,rule",
     [
@@ -269,6 +273,21 @@ def test_allocation_beyond_memory_names_a_rule(tmp_path, overrides):
             {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e153}, "method": "local-fd", "dt": 1 / 64},
             "field.overflow",
         ),
+        # samples of 1.7e308 are finite, their forward transform is not
+        pytest.param(
+            "evolve",
+            None,
+            {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1.7e308}},
+            "field.finite",
+            marks=FFT_OVERFLOW,
+        ),
+        pytest.param(
+            "hegerfeldt",
+            "hegerfeldt_default",
+            {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1.7e308}},
+            "field.finite",
+            marks=FFT_OVERFLOW,
+        ),
     ],
 )
 def test_precondition_found_during_the_run_names_a_rule(tmp_path, command, base, overrides, rule):
@@ -281,6 +300,52 @@ def test_precondition_found_during_the_run_names_a_rule(tmp_path, command, base,
     assert rc == 2
     error = json.loads(err)["error"]
     assert (error["kind"], error["rule"]) == ("config", rule)
+
+
+def test_evolve_never_reaches_the_worker_pool(tmp_path, monkeypatch):
+    from kglab import cli
+
+    def refuse(fn, items):
+        raise AssertionError("parallel_map called")
+
+    monkeypatch.setattr(cli, "parallel_map", refuse)
+    for stem in ("causal_default", "rightmover"):
+        assert main(["evolve", "--config", str(REPO / "configs" / f"{stem}.json"), "--out", str(tmp_path / stem)]) == 0
+    # the per-time work of the other two commands still goes through the pool
+    cfg = write_config(tmp_path, "prop.json", small_propagator_config())
+    with pytest.raises(AssertionError, match="parallel_map"):
+        main(["propagator", "--config", str(cfg), "--out", str(tmp_path / "prop")])
+    with pytest.raises(AssertionError, match="parallel_map"):
+        main(["hegerfeldt", "--config", str(REPO / "configs" / "hegerfeldt_default.json"), "--out", str(tmp_path / "heg")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["evolve"],
+        ["evolve", "--config", "configs/rightmover.json"],
+        ["bogus", "--config", "configs/rightmover.json", "--out", "OUT"],
+        ["evolve", "--config", "configs/rightmover.json", "--out", "OUT", "--format", "json"],
+        ["evolve", "--config", "configs/rightmover.json", "--out"],
+        ["report"],
+        ["report", "a.json", "b.json"],
+    ],
+)
+def test_malformed_command_line_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "out"
+    rc, err = run_main(*[str(out) if a == "OUT" else a for a in argv])
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"]) == ("usage", "argv")
+    assert not out.exists()
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kglab evolve")
 
 
 #: small valid configs (n = 256) for the whole-run fuzz
@@ -397,11 +462,10 @@ def test_local_fd_evolve_command(tmp_path):
 
 
 def test_cli_format_flag_switches_snapshots(tmp_path):
+    tree = json.loads((REPO / "configs" / "rightmover.json").read_text())
+    tree["output"] = {"format": "json"}
     out = tmp_path / "out"
-    res = run_cli(
-        "evolve", "--config", str(REPO / "configs" / "rightmover.json"),
-        "--out", str(out), "--format", "json",
-    )
+    res = run_cli("evolve", "--config", str(write_config(tmp_path, "json.json", tree)), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert (out / "snapshot_000.json").exists()
     from kglab.io import field_from_json

@@ -123,6 +123,7 @@ def hegerfeldt_tree(**overrides):
         ({"thresholds": {"support": 1e-12, "cone_leakage": 1e-8}}, "unknown-key"),
         ({"times": [0.1, 0.01, 0.001]}, "times.increasing"),
         ({"times": [0.001, 0.01, 0.01, 0.1]}, "times.increasing"),
+        ({"output": {"format": "json"}}, "output.format"),
     ],
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
@@ -217,6 +218,7 @@ def propagator_tree(**overrides):
         ({"zero_slice_ceiling": -1e-10}, "zero_slice_ceiling"),
         ({"grid": {"n": 1024, "dx": 1 / 256, "dX": 1 / 128}}, "unknown-key"),
         ({"output": {"format": "csv", "fromat": "json"}}, "unknown-key"),
+        ({"output": {"format": "json"}}, "output.format"),
     ],
 )
 def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):

@@ -7,7 +7,6 @@ from kglab import (
     Mass,
     UniformGrid,
     energy,
-    evolve_local_fd,
     evolve_local_fd_ladder,
     evolve_spectral,
     joint_support_radius,
@@ -151,7 +150,7 @@ class TestLocalFd:
     def test_zero_data_stays_zero(self, grid):
         z = Field(grid, np.zeros(grid.n))
         data = CauchyData(z, z, Mass(1.0))
-        out = evolve_local_fd(data, 1.0, grid.dx / 2)
+        out = evolve_local_fd_ladder(data, [1.0], grid.dx / 2)[0]
         assert np.all(out.phi.values == 0) and np.all(out.pi.values == 0)
 
     def test_second_order_convergence(self):
@@ -159,7 +158,7 @@ class TestLocalFd:
         for n, dx in [(2048, 1 / 64), (4096, 1 / 128)]:
             g = UniformGrid(n, dx)
             data = bump_data(g)
-            out = evolve_local_fd(data, 1.0, dx / 2)
+            out = evolve_local_fd_ladder(data, [1.0], dx / 2)[0]
             ref = evolve_spectral(data, 1.0)
             errors.append(
                 np.linalg.norm(out.phi.values - ref.phi.values)
@@ -171,12 +170,12 @@ class TestLocalFd:
     def test_courant_rejected(self, grid):
         data = bump_data(grid)
         with pytest.raises(ValueError, match="courant"):
-            evolve_local_fd(data, 1.0, 2 * grid.dx)
+            evolve_local_fd_ladder(data, [1.0], 2 * grid.dx)
 
     def test_non_multiple_time_rejected(self, grid):
         data = bump_data(grid)
         with pytest.raises(ValueError, match="multiple"):
-            evolve_local_fd(data, 1.0 + grid.dx / 3, grid.dx)
+            evolve_local_fd_ladder(data, [1.0 + grid.dx / 3], grid.dx)
 
     def test_leapfrog_invariant_conserved(self, grid):
         data = bump_data(grid)
@@ -228,7 +227,7 @@ class TestLocalFd:
         ladder = evolve_local_fd_ladder(data, times, dt)
         assert [s.t0 for s in ladder] == times
         for t, state in zip(times, ladder):
-            single = evolve_local_fd(data, t, dt)
+            single = evolve_local_fd_ladder(data, [t], dt)[0]
             assert np.array_equal(state.phi.values, single.phi.values)
             assert np.array_equal(state.pi.values, single.pi.values)
 
@@ -236,7 +235,7 @@ class TestLocalFd:
         data = bump_data(grid)
         dt = grid.dx / 2
         with pytest.raises(ValueError, match="margin"):
-            evolve_local_fd(data, grid.L / 4 + 1.0, dt)
+            evolve_local_fd_ladder(data, [grid.L / 4 + 1.0], dt)
         with pytest.raises(ValueError, match="margin"):
             evolve_local_fd_ladder(data, [1.0, grid.L / 4 + 1.0], dt)
 

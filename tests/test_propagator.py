@@ -123,6 +123,29 @@ class TestPauliJordan:
         assert np.array_equal(s.delta.values.real, 2.0 * direct.values.real)
         assert s.residual == 2.0 * residual
 
+    def test_one_resolve_per_slice(self, scan_grid, monkeypatch):
+        # the quadrature is resolved once and handed to the module-level
+        # delta_plus, which the benchmark tracer counts
+        from kglab import propagator
+
+        resolves, kernels = [], []
+        resolve, plus = QuadratureSpec.resolve, propagator.delta_plus
+
+        def spy_resolve(spec, grid, m):
+            resolves.append(spec)
+            return resolve(spec, grid, m)
+
+        def spy_plus(t, *args):
+            kernels.append(t)
+            return plus(t, *args)
+
+        monkeypatch.setattr(QuadratureSpec, "resolve", spy_resolve)
+        monkeypatch.setattr(propagator, "delta_plus", spy_plus)
+        for t in (0.0, 1.0):
+            pauli_jordan(t, scan_grid, Mass(1.0))
+        assert len(resolves) == 2
+        assert kernels == [0.0, 1.0]
+
     def test_bridge_identity(self, scan_grid):
         s = pauli_jordan(1.0, scan_grid, Mass(1.0))
         assert s.converged
