@@ -18,11 +18,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import diagnostics, posfreq, propagator
-from .config import ConfigError, EvolveConfig, HegerfeldtConfig, PropagatorConfig, load_config
+from .config import ConfigError, load_config
 from .evolution import (
     CauchyData,
     energy,
@@ -68,10 +69,10 @@ def _write_field(field, stem: Path, out_format: str) -> None:
         field_to_json(field, stem.with_suffix(".json"))
 
 
-def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
+def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
     data = CauchyData(cfg.state.build_phi(grid), cfg.state.build_pi(grid), cfg.mass)
-    r0 = joint_support_radius(data, cfg.support_threshold)
+    r0 = joint_support_radius(data, cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
     # the leapfrog reaches every ladder time in one pass; spectral states
@@ -84,7 +85,7 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
         (
             state,
             energy(state),
-            joint_support_radius(state, cfg.support_threshold),
+            joint_support_radius(state, cfg.support),
             diagnostics.cone_leakage(state.phi, r0, t, margin),
             diagnostics.boundary_floor(state.phi),
         )
@@ -100,7 +101,7 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
         drifts = [abs(leapfrog_energy(state, cfg.dt) - q0) / q0 if q0 > 0 else 0.0 for state in states]
     for t, state in zip(cfg.times, states):
         if t in cfg.snapshot_times:
-            _write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}", cfg.out_format)
+            _write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}", cfg.format)
     write_csv(
         out / "series.csv",
         ["t", "energy", "joint_support_radius", "cone_leakage"],
@@ -110,7 +111,7 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     peak = float(np.max(np.abs(data.phi.values)))
     drift = max(drifts)
     verdicts = {
-        "cone_leakage": _verdict(max(leakages), max(leakages) < cfg.leakage_ceiling),
+        "cone_leakage": _verdict(max(leakages), max(leakages) < cfg.cone_leakage),
         "energy_drift": _verdict(drift, drift < (1e-12 if cfg.method == "spectral-exact" else 1e-6)),
         "boundary_floor": _verdict(max(floors), max(floors) < 1e-10 * peak),
     }
@@ -120,7 +121,7 @@ def _run_evolve(cfg: EvolveConfig, out: Path) -> int:
     )
 
 
-def _hegerfeldt_rows(cfg: HegerfeldtConfig, psi0: Field, r0: float, margin: float):
+def _hegerfeldt_rows(cfg: SimpleNamespace, psi0: Field, r0: float, margin: float):
     zero = CauchyData(psi0, cfg.state.build_pi(psi0.grid), cfg.mass)
     # one forward transform per datum, taken before the map shares them
     psi0.spectrum, zero.pi.spectrum
@@ -136,11 +137,11 @@ def _hegerfeldt_rows(cfg: HegerfeldtConfig, psi0: Field, r0: float, margin: floa
     return parallel_map(one_time, cfg.times)
 
 
-def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
+def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
     mass = cfg.mass
     psi0 = cfg.state.build_phi(grid)
-    r0 = diagnostics.support_radius(psi0, cfg.support_threshold)
+    r0 = diagnostics.support_radius(psi0, cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
     leaks, tails, contrasts = zip(*_hegerfeldt_rows(cfg, psi0, r0, margin))
     write_csv(
@@ -163,7 +164,7 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
 
     witness = posfreq.positivity_tail_witness(psi0, mass)
     witness_report = diagnostics.support_report(
-        witness, threshold=cfg.support_threshold, window=cfg.window
+        witness, threshold=cfg.support, window=cfg.window
     )
     write_json(out / "witness_report.json", witness_report.payload())
 
@@ -205,7 +206,7 @@ def _run_hegerfeldt(cfg: HegerfeldtConfig, out: Path) -> int:
     )
 
 
-def _run_propagator(cfg: PropagatorConfig, out: Path) -> int:
+def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
 
     def one_time(t: float):

@@ -1,11 +1,15 @@
 """Experiment configuration: one human-editable JSON file per run.
 
-This layer parses JSON types, unknown keys and command policy, then
-delegates: every range or geometry rule lives in the domain value it
-protects, so the config builds those values (grid, mass and quadrature
-settings) or calls their checks, and a bad config fails at
-load time.  Either way :class:`ConfigError`, the package's one
-rule-carrying :class:`~kglab.spectral.PreconditionError`, names the rule.
+Each command declares its keys once, in one table of :data:`KEYS` that
+mirrors the JSON tree: an entry ``key: (default, kind)`` reads one value,
+and a nested dict is a section.  One reader walks the table.  It refuses
+unknown keys in every section, fills in the defaults and checks each
+value's kind, under a rule named by the key's dotted path.  The
+command's parser then builds the domain values (grid, mass, initial
+state and quadrature settings), which own every range and geometry rule,
+and checks the command's cross-key policy.  So a bad config fails at
+load time, and :class:`ConfigError`, the package's one rule-carrying
+:class:`~kglab.spectral.PreconditionError`, names the rule.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,35 +28,22 @@ from .evolution import check_margin, ladder_steps
 from .propagator import SUPPRESSION_RATIO, QuadratureSpec, check_scan
 from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, check_bump, make_bump
 
-__all__ = [
-    "CONE_MARGIN_CELLS",
-    "ConfigError",
-    "StateSection",
-    "EvolveConfig",
-    "HegerfeldtConfig",
-    "PropagatorConfig",
-    "load_config",
-]
+__all__ = ["CONE_MARGIN_CELLS", "ConfigError", "KEYS", "REQUIRED", "StateSection", "load_config"]
 
 #: geometric slack, in grid cells, added to every light-cone check to
 #: absorb threshold and discretization fuzz
 CONE_MARGIN_CELLS = 5
 
-#: evolution methods of the evolve command; local-fd also needs a dt
-_METHODS = ("spectral-exact", "local-fd")
-
 #: invalid configuration; ``rule`` names the first failing check
 ConfigError = PreconditionError
+
+#: the default of a key that every config must set
+REQUIRED = "required"
 
 
 def _require(condition: bool, rule: str, message: str) -> None:
     if not condition:
         raise ConfigError(rule, message)
-
-
-def _get(tree: dict, key: str, rule: str):
-    _require(key in tree, rule, f"missing required key {key!r}")
-    return tree[key]
 
 
 def _is_number(value) -> bool:
@@ -63,47 +55,128 @@ def _is_number(value) -> bool:
         return False
 
 
-def _optional_number(tree: dict, key: str, rule: str) -> float | None:
-    """A finite number, or None where the key is absent or null."""
-    return None if tree.get(key) is None else _number(tree, key, 0.0, rule)
+def _floats(value) -> tuple[float, ...]:
+    return tuple(map(float, value))
 
 
-def _number(tree: dict, key: str, default: float | None, rule: str) -> float:
-    """A finite number; a default of None makes the key required."""
-    value = tree.get(key, default)
-    _require(_is_number(value), rule, f"{key} must be a finite number, got {value!r}")
-    return float(value)
+# A kind reads one JSON value: (what it must be, test, conversion).
+_NUMBER = ("a finite number", _is_number, float)
+_BOUND = ("a finite, positive number", lambda v: _is_number(v) and v > 0, float)
+_OPTIONAL = ("a finite number or null", lambda v: v is None or _is_number(v), float)
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)
+_CELLS = ("a non-negative integer", lambda v: _is_number(v) and isinstance(v, int) and v >= 0, int)
+_FLAG = ("true or false", lambda v: isinstance(v, bool), bool)
+_TIMES = ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), _floats)
+_LADDER = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0, list)
+_PAIR = (
+    "a list [lo, hi] of two finite numbers",
+    lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+    _floats,
+)
 
 
-def _bound(tree: dict, key: str, default: float, rule: str) -> float:
-    """A finite, positive number: a verdict bound or tolerance."""
-    value = _number(tree, key, default, rule)
-    _require(value > 0, rule, f"{key} must be positive, got {value}")
-    return value
+def _one_of(*choices):
+    return (f"one of {choices}", choices.__contains__, lambda v: v)
 
 
-def _check_keys(tree: dict, allowed: set[str]) -> None:
+def _keys(**entries) -> dict:
+    """A command's table: the entries every command shares, then its own."""
+    return {
+        "grid": {"n": (REQUIRED, _INTEGER), "dx": (REQUIRED, _NUMBER)},
+        "mass": (REQUIRED, _NUMBER),
+        **entries,
+    }
+
+
+def _state(*pi: str) -> dict:
+    """The initial_state section; Pi is zero unless ``pi`` allows more."""
+    return {
+        "factory": (REQUIRED, _one_of("bump")),
+        "center": (0.0, _NUMBER),
+        "radius": (REQUIRED, _NUMBER),
+        "amplitude": (1.0, _NUMBER),
+        "pi": ("zero", _one_of("zero", *pi)),
+    }
+
+
+def _output(*formats: str) -> dict:
+    """The output section; CSV unless ``formats`` allows more."""
+    return {"format": ("csv", _one_of("csv", *formats))}
+
+
+_TIME_LADDER = (REQUIRED, _LADDER)
+_SUPPORT = {"support": (1e-12, _NUMBER)}
+_CONE_MARGIN = (CONE_MARGIN_CELLS, _CELLS)
+
+#: every key of every command: ``key: (default, kind)``, a dict for a section
+KEYS = {
+    "evolve": _keys(
+        initial_state=_state("right-mover"),
+        times=_TIME_LADDER,
+        dt=(None, _OPTIONAL),
+        method=("spectral-exact", _one_of("spectral-exact", "local-fd")),
+        snapshot_times=([], _TIMES),
+        thresholds={**_SUPPORT, "cone_leakage": (1e-8, _BOUND)},
+        cone_margin_cells=_CONE_MARGIN,
+        output=_output("json"),
+    ),
+    "hegerfeldt": _keys(
+        initial_state=_state(),
+        times=_TIME_LADDER,
+        thresholds=_SUPPORT,
+        leakage_floor=(1e-10, _BOUND),
+        contrast_ceiling=(1e-8, _BOUND),
+        tail_fit={
+            "window": (REQUIRED, _PAIR),
+            "snapshot_time": (None, _NUMBER),  # absent: the last time
+            "rate_band": (0.15, _BOUND),
+            "min_r2": (0.99, _NUMBER),
+        },
+        doubling_tolerance=(0.1, _BOUND),
+        grid_doubling_check=(True, _FLAG),
+        cone_margin_cells=_CONE_MARGIN,
+        output=_output(),
+    ),
+    "propagator": _keys(
+        times=_TIME_LADDER,
+        margin=(0.2, _NUMBER),
+        quadrature={
+            "cutoff": (QuadratureSpec.cutoff, _OPTIONAL),
+            "rungs": (QuadratureSpec.rungs, _INTEGER),
+            "residual_tol": (QuadratureSpec.residual_tol, _NUMBER),
+            "band_fraction": (QuadratureSpec.band_fraction, _NUMBER),
+        },
+        output=_output(),
+        ratio_ceiling=(SUPPRESSION_RATIO, _BOUND),
+        multiplier_error_ceiling=(1e-3, _BOUND),
+        zero_slice_ceiling=(1e-10, _BOUND),
+    ),
+}
+
+
+def _read(tree: dict, table: dict, values: dict, path: str = "") -> dict:
+    """Check ``tree`` against ``table`` and gather its leaves into ``values``
+    by leaf name, defaults filled in; a section holding a required key is
+    required itself, and an absent optional one reads as empty."""
     for key in tree:
-        _require(key in allowed, "unknown-key", f"unrecognized config key {key!r}")
-
-
-def _section(tree: dict, key: str, keys: set[str], required: bool = False) -> dict:
-    """The object under ``key``, holding no key outside ``keys``; an absent
-    optional section reads as empty."""
-    section = _get(tree, key, key) if required else tree.get(key, {})
-    _require(isinstance(section, dict), key, f"{key} section must be an object")
-    _check_keys(section, keys)
-    return section
-
-
-def _cone_margin_cells(tree: dict) -> int:
-    cells = tree.get("cone_margin_cells", CONE_MARGIN_CELLS)
-    _require(
-        _is_number(cells) and isinstance(cells, int) and cells >= 0,
-        "cone_margin_cells",
-        f"margin cells must be a non-negative integer, got {cells!r}",
-    )
-    return cells
+        _require(key in table, "unknown-key", f"unrecognized config key {path + key!r}")
+    for key, entry in table.items():
+        rule = path + key
+        if isinstance(entry, dict):
+            required = any(leaf[0] == REQUIRED for leaf in entry.values())
+            _require(key in tree or not required, rule, f"missing required key {rule!r}")
+            section = tree.get(key, {})
+            _require(isinstance(section, dict), rule, f"{rule} section must be an object")
+            _read(section, entry, values, rule + ".")
+            continue
+        default, (what, test, convert) = entry
+        if key in tree:
+            _require(test(tree[key]), rule, f"{rule} must be {what}, got {tree[key]!r}")
+        else:
+            _require(default != REQUIRED, rule, f"missing required key {rule!r}")
+        value = tree.get(key, default)
+        values[key] = None if value is None else convert(value)
+    return values
 
 
 @dataclass(frozen=True)
@@ -113,7 +186,7 @@ class StateSection:
     center: float
     radius: float
     amplitude: float
-    pi: str = "zero"
+    pi: str
 
     def build_phi(self, grid: UniformGrid) -> Field:
         return make_bump(grid, self.center, self.radius, self.amplitude)
@@ -124,128 +197,39 @@ class StateSection:
         return bump_right_mover(grid, self.center, self.radius, self.amplitude)
 
 
-@dataclass(frozen=True)
-class EvolveConfig:
-    grid: UniformGrid
-    mass: Mass
-    state: StateSection
-    method: str
-    dt: float | None
-    times: tuple[float, ...]
-    snapshot_times: tuple[float, ...]
-    support_threshold: float
-    leakage_ceiling: float
-    cone_margin_cells: int
-    out_format: str
-
-
-@dataclass(frozen=True)
-class HegerfeldtConfig:
-    grid: UniformGrid
-    mass: Mass
-    state: StateSection
-    times: tuple[float, ...]
-    leakage_floor: float
-    contrast_ceiling: float
-    support_threshold: float
-    cone_margin_cells: int
-    window: tuple[float, float]
-    snapshot_time: float
-    rate_band: float
-    min_r2: float
-    grid_doubling_check: bool
-    doubling_tolerance: float
-
-
-@dataclass(frozen=True)
-class PropagatorConfig:
-    grid: UniformGrid
-    mass: Mass
-    times: tuple[float, ...]
-    margin: float
-    quadrature: QuadratureSpec
-    ratio_ceiling: float
-    multiplier_error_ceiling: float
-    zero_slice_ceiling: float
-
-
-def _parse_grid(tree: dict) -> UniformGrid:
-    g = _section(tree, "grid", {"n", "dx"}, required=True)
-    n = _get(g, "n", "grid.n")
-    _require(isinstance(n, int), "grid.n", f"n must be an integer, got {n!r}")
-    return UniformGrid(n=n, dx=_number(g, "dx", None, "grid.dx"))
-
-
-def _parse_mass(tree: dict, positive: bool) -> Mass:
-    mass = Mass(_number(tree, "mass", None, "mass"))
-    if positive:
+def _build(values: dict, positive_mass: bool) -> SimpleNamespace:
+    """The config with its grid, mass and initial state built, in that
+    order, and every time checked against the periodic margin."""
+    grid = values["grid"] = UniformGrid(n=values.pop("n"), dx=values.pop("dx"))
+    mass = values["mass"] = Mass(values["mass"])
+    if positive_mass:
         mass.require_positive("this command (1/omega is singular at m = 0)")
-    return mass
-
-
-def _parse_state(tree: dict, grid: UniformGrid, allow_pi: bool) -> StateSection:
-    s = _section(tree, "initial_state", {"factory", "center", "radius", "amplitude", "pi"}, required=True)
-    factory = _get(s, "factory", "initial_state.factory")
-    _require(factory == "bump", "initial_state.factory", f"unknown factory {factory!r}; available: bump")
-    center = _number(s, "center", 0.0, "initial_state.center")
-    radius = _number(s, "radius", None, "initial_state.radius")
-    amplitude = _number(s, "amplitude", 1.0, "initial_state.amplitude")
-    check_bump(grid, center, radius)
-    pi = s.get("pi", "zero")
-    allowed = ("zero", "right-mover") if allow_pi else ("zero",)
-    _require(pi in allowed, "initial_state.pi", f"pi must be one of {allowed}, got {pi!r}")
-    return StateSection(center=center, radius=radius, amplitude=amplitude, pi=pi)
-
-
-def _parse_times(tree: dict, grid: UniformGrid) -> tuple[float, ...]:
-    times = _get(tree, "times", "times")
-    _require(isinstance(times, list) and times, "times", "need a non-empty list of times")
-    for t in times:
+    if values.pop("factory", None):  # the command reads an initial state
+        state = values["state"] = StateSection(*(values.pop(k) for k in ("center", "radius", "amplitude", "pi")))
+        check_bump(grid, state.center, state.radius)
+    for t in values["times"]:  # typed here, so a bad time names the rule it breaks first
         _require(_is_number(t), "times", f"times must be finite numbers, got {t!r}")
         check_margin(grid, t)
-    return tuple(float(t) for t in times)
+    values["times"] = _floats(values["times"])
+    return SimpleNamespace(**values)
 
 
-def _parse_format(tree: dict, formats: tuple[str, ...]) -> str:
-    fmt = _section(tree, "output", {"format"}).get("format", "csv")
-    _require(fmt in formats, "output.format", f"format must be one of {formats}, got {fmt!r}")
-    return fmt
+def _parse_evolve(values: dict) -> SimpleNamespace:
+    cfg = _build(values, positive_mass=False)
+    if cfg.method == "local-fd":
+        _require(cfg.dt is not None, "dt", "local-fd needs a time step dt")
+        ladder_steps(cfg.grid, cfg.times, cfg.dt)
+    else:
+        _require(cfg.dt is None, "dt", f"{cfg.method} reads no time step, got dt = {cfg.dt}")
+    for t in cfg.snapshot_times:
+        _require(t in cfg.times, "snapshot_times", f"snapshot time {t!r} is not in the time ladder")
+    check_threshold(cfg.support)
+    return cfg
 
 
-def _parse_evolve(tree: dict) -> EvolveConfig:
-    _check_keys(tree, {"command", "grid", "mass", "initial_state", "method", "dt", "times", "snapshot_times", "thresholds", "cone_margin_cells", "output"})
-    grid = _parse_grid(tree)
-    mass = _parse_mass(tree, positive=False)
-    state = _parse_state(tree, grid, allow_pi=True)
-    times = _parse_times(tree, grid)
-    dt = _optional_number(tree, "dt", "dt")
-    method = tree.get("method", "spectral-exact")
-    _require(method in _METHODS, "method", f"unknown method {method!r}; allowed: {_METHODS}")
-    if method == "local-fd":
-        _require(dt is not None, "dt", "local-fd needs a time step dt")
-        ladder_steps(grid, times, dt)
-    snapshot_times = tree.get("snapshot_times", [])
-    _require(isinstance(snapshot_times, list), "snapshot_times", "snapshot_times must be a list of times")
-    for t in snapshot_times:
-        _require(_is_number(t) and t in times, "snapshot_times", f"snapshot time {t!r} is not in the time ladder")
-    thresholds = _section(tree, "thresholds", {"support", "cone_leakage"})
-    support = _number(thresholds, "support", 1e-12, "thresholds.support")
-    check_threshold(support)
-    leakage = _bound(thresholds, "cone_leakage", 1e-8, "thresholds.cone_leakage")
-    return EvolveConfig(
-        grid=grid, mass=mass, state=state, method=method, dt=dt,
-        times=times, snapshot_times=tuple(float(t) for t in snapshot_times),
-        support_threshold=support, leakage_ceiling=leakage,
-        cone_margin_cells=_cone_margin_cells(tree), out_format=_parse_format(tree, ("csv", "json")),
-    )
-
-
-def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
-    _check_keys(tree, {"command", "grid", "mass", "initial_state", "times", "leakage_floor", "contrast_ceiling", "thresholds", "cone_margin_cells", "tail_fit", "grid_doubling_check", "doubling_tolerance", "output"})
-    grid = _parse_grid(tree)
-    mass = _parse_mass(tree, positive=True)
-    state = _parse_state(tree, grid, allow_pi=False)
-    times = _parse_times(tree, grid)
+def _parse_hegerfeldt(values: dict) -> SimpleNamespace:
+    cfg = _build(values, positive_mass=True)
+    times = cfg.times
     for t in times:
         _require(t > 0, "times.positive", f"leakage times must be positive, got {t}")
     _require(
@@ -253,76 +237,35 @@ def _parse_hegerfeldt(tree: dict) -> HegerfeldtConfig:
         "times.increasing",
         f"leakage times must increase strictly, got {list(times)}",
     )
-    thresholds = _section(tree, "thresholds", {"support"})
-    support = _number(thresholds, "support", 1e-12, "thresholds.support")
-    check_threshold(support)
-    floor = _bound(tree, "leakage_floor", 1e-10, "leakage_floor")
-    ceiling = _bound(tree, "contrast_ceiling", 1e-8, "contrast_ceiling")
-    tail = _section(tree, "tail_fit", {"window", "snapshot_time", "rate_band", "min_r2"})
-    window = tail.get("window")
+    _require(len(times) > 1, "times.count", "leakage_monotone needs at least two leakage times to compare")
+    check_threshold(cfg.support)
+    check_window(cfg.window)
+    compton = cfg.mass.compton_wavelength
+    edge = cfg.state.center + cfg.state.radius
     _require(
-        isinstance(window, list) and len(window) == 2 and all(map(_is_number, window)),
-        "tail_fit.window",
-        f"window must be a list [lo, hi] of two finite numbers, got {window!r}",
-    )
-    check_window(window)
-    compton = mass.compton_wavelength
-    _require(
-        window[0] >= state.center + state.radius + 3.0 * compton,
+        cfg.window[0] >= edge + 3.0 * compton,
         "tail_fit.window.near-field",
-        f"window must start >= 3 Compton lengths beyond the support edge {state.center + state.radius}",
+        f"window must start >= 3 Compton lengths beyond the support edge {edge}",
     )
     _require(
-        window[1] <= grid.L / 2 - grid.L / 16 - 2.0 * compton,
+        cfg.window[1] <= cfg.grid.L / 2 - cfg.grid.L / 16 - 2.0 * compton,
         "tail_fit.window.wrap",
         "window must end >= 2 Compton lengths before the boundary-floor strip",
     )
-    snapshot_time = _number(tail, "snapshot_time", times[-1], "tail_fit.snapshot_time")
-    _require(snapshot_time in times, "tail_fit.snapshot_time", f"snapshot time {snapshot_time} is not in the time ladder")
-    rate_band = _bound(tail, "rate_band", 0.15, "tail_fit.rate_band")
-    min_r2 = _number(tail, "min_r2", 0.99, "tail_fit.min_r2")
-    doubling_tolerance = _bound(tree, "doubling_tolerance", 0.1, "doubling_tolerance")
-    doubling_check = tree.get("grid_doubling_check", True)
-    _require(isinstance(doubling_check, bool), "grid_doubling_check", f"grid_doubling_check must be true or false, got {doubling_check!r}")
-    _parse_format(tree, ("csv",))  # the command writes CSV only
-    return HegerfeldtConfig(
-        grid=grid, mass=mass, state=state, times=times,
-        leakage_floor=floor, contrast_ceiling=ceiling,
-        support_threshold=support, cone_margin_cells=_cone_margin_cells(tree),
-        window=(float(window[0]), float(window[1])),
-        snapshot_time=snapshot_time, rate_band=rate_band, min_r2=min_r2,
-        grid_doubling_check=doubling_check,
-        doubling_tolerance=doubling_tolerance,
-    )
+    if cfg.snapshot_time is None:
+        cfg.snapshot_time = times[-1]
+    _require(cfg.snapshot_time in times, "tail_fit.snapshot_time", f"snapshot time {cfg.snapshot_time} is not a ladder time")
+    return cfg
 
 
-def _parse_propagator(tree: dict) -> PropagatorConfig:
-    _check_keys(tree, {"command", "grid", "mass", "times", "margin", "quadrature", "ratio_ceiling", "multiplier_error_ceiling", "zero_slice_ceiling", "output"})
-    grid = _parse_grid(tree)
-    mass = _parse_mass(tree, positive=True)
-    times = _parse_times(tree, grid)
-    margin = _number(tree, "margin", 0.2, "margin")
-    for t in times:
-        check_scan(grid, t, margin)
-    q = _section(tree, "quadrature", {"cutoff", "rungs", "residual_tol", "band_fraction"})
-    cutoff = _optional_number(q, "cutoff", "quadrature.cutoff")
-    rungs = q.get("rungs", QuadratureSpec.rungs)
-    _require(
-        isinstance(rungs, int) and not isinstance(rungs, bool), "quadrature.rungs", f"rungs must be an integer, got {rungs!r}"
-    )
-    quad = QuadratureSpec(
-        cutoff=cutoff, rungs=rungs,
-        residual_tol=_number(q, "residual_tol", QuadratureSpec.residual_tol, "quadrature.residual_tol"),
-        band_fraction=_number(q, "band_fraction", QuadratureSpec.band_fraction, "quadrature.band_fraction"),
-    )
-    quad.resolve(grid, mass)
-    _parse_format(tree, ("csv",))  # the command writes CSV only
-    return PropagatorConfig(
-        grid=grid, mass=mass, times=times, margin=margin, quadrature=quad,
-        ratio_ceiling=_bound(tree, "ratio_ceiling", SUPPRESSION_RATIO, "ratio_ceiling"),
-        multiplier_error_ceiling=_bound(tree, "multiplier_error_ceiling", 1e-3, "multiplier_error_ceiling"),
-        zero_slice_ceiling=_bound(tree, "zero_slice_ceiling", 1e-10, "zero_slice_ceiling"),
-    )
+def _parse_propagator(values: dict) -> SimpleNamespace:
+    cfg = _build(values, positive_mass=True)
+    for t in cfg.times:
+        check_scan(cfg.grid, t, cfg.margin)
+    raw = vars(cfg)
+    cfg.quadrature = QuadratureSpec(*(raw.pop(k) for k in ("cutoff", "rungs", "residual_tol", "band_fraction")))
+    cfg.quadrature.resolve(cfg.grid, cfg.mass)
+    return cfg
 
 
 _PARSERS = {
@@ -332,7 +275,7 @@ _PARSERS = {
 }
 
 
-def load_config(path: Path, command: str):
+def load_config(path: Path, command: str) -> SimpleNamespace:
     """Parse a config file for the given command and build its domain values."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -342,7 +285,6 @@ def load_config(path: Path, command: str):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config.json", f"invalid JSON in {path}: {exc}") from exc
     _require(isinstance(tree, dict), "config", "top level must be an object")
-    declared = tree.get("command")
-    if declared is not None:
-        _require(declared == command, "command", f"config declares command {declared!r}, invoked as {command!r}")
-    return _PARSERS[command](tree)
+    declared = tree.pop("command", None)
+    _require(declared in (None, command), "command", f"config declares command {declared!r}, invoked as {command!r}")
+    return _PARSERS[command](_read(tree, KEYS[command], {}))

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kglab.config import ConfigError, load_config
+from kglab.config import KEYS, REQUIRED, ConfigError, load_config
 from kglab.propagator import SUPPRESSION_RATIO, QuadratureSpec
 
 
@@ -31,7 +32,7 @@ def evolve_tree(**overrides):
 def test_valid_evolve_config(tmp_path):
     cfg = load_config(write(tmp_path, evolve_tree()), "evolve")
     assert cfg.times == (1.0, 2.0)
-    assert cfg.support_threshold == 1e-12
+    assert cfg.support == 1e-12
 
 
 @pytest.mark.parametrize(
@@ -81,6 +82,7 @@ def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
         ({"grid": {"n": 2048, "dx": 1 / 32, "nn": 4096}}, "unknown-key"),
         ({"initial_state": {"factory": "bump", "radius": 1.0, "radus": 2.0}}, "unknown-key"),
         ({"output": {"fromat": "json"}}, "unknown-key"),
+        ({"dt": 0.5}, "dt"),
     ],
 )
 def test_evolve_rejects_malformed_values(tmp_path, overrides, rule):
@@ -124,6 +126,7 @@ def hegerfeldt_tree(**overrides):
         ({"times": [0.1, 0.01, 0.001]}, "times.increasing"),
         ({"times": [0.001, 0.01, 0.01, 0.1]}, "times.increasing"),
         ({"output": {"format": "json"}}, "output.format"),
+        ({"times": [0.1], "grid_doubling_check": False}, "times.count"),
     ],
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
@@ -250,31 +253,25 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-#: where a drawn value may land: top-level fields and the fields of the
-#: grid, quadrature and output sections
-_PROPAGATOR_FIELDS = (
-    "grid", "grid.n", "grid.dx", "mass", "times", "margin", "ratio_ceiling",
-    "multiplier_error_ceiling", "zero_slice_ceiling", "command", "output", "output.format",
-    "quadrature", "quadrature.cutoff", "quadrature.eps_base", "quadrature.rungs",
-    "quadrature.residual_tol", "quadrature.band_fraction",
-)
 
 
-_STATE_FIELDS = (
-    "initial_state", "initial_state.factory", "initial_state.center", "initial_state.radius",
-    "initial_state.amplitude", "initial_state.pi",
-)
-_EVOLVE_FIELDS = _STATE_FIELDS + (
-    "grid", "grid.n", "grid.dx", "mass", "times", "method", "dt", "snapshot_times",
-    "thresholds", "thresholds.support", "thresholds.cone_leakage", "cone_margin_cells",
-    "command", "output", "output.format",
-)
-_HEGERFELDT_FIELDS = _STATE_FIELDS + (
-    "grid", "grid.n", "grid.dx", "mass", "times", "leakage_floor", "contrast_ceiling",
-    "thresholds", "thresholds.support", "cone_margin_cells", "tail_fit", "tail_fit.window",
-    "tail_fit.snapshot_time", "tail_fit.rate_band", "tail_fit.min_r2", "grid_doubling_check",
-    "doubling_tolerance", "command", "output", "output.format",
-)
+def dotted(table: dict, path: str = ""):
+    """Every section and key of a key table, as (dotted path, entry)."""
+    for key, entry in table.items():
+        yield path + key, entry
+        if isinstance(entry, dict):
+            yield from dotted(entry, path + key + ".")
+
+
+def fields(command: str) -> tuple[str, ...]:
+    return (*(path for path, _ in dotted(KEYS[command])), "command")
+
+
+#: where a drawn value may land: every section and key the command's table
+#: declares, ``command``, and for the propagator a retired key
+_PROPAGATOR_FIELDS = (*fields("propagator"), "quadrature.eps_base")
+_EVOLVE_FIELDS = fields("evolve")
+_HEGERFELDT_FIELDS = fields("hegerfeldt")
 #: extra leaves that get past the type checks into the domain rules
 _DOMAIN_VALUES = _JSON_VALUES | st.sampled_from(
     ["local-fd", "spectral-exact", "right-mover", "bump", 1 / 64, 1 / 32, 0.01, 0.1, [9.0, 16.0], [1.0, 2.0]]
@@ -333,3 +330,24 @@ def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(tmp_path / "nope.json", "evolve")
     assert err.value.rule == "config.path"
+
+
+def readme_keys() -> dict:
+    """Each command's ``{dotted key: default}`` from the README's Config keys tables."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Config keys\n")[1].split("\n## ")[0]
+    tables = {}
+    for command, body in re.findall(r"^### `(\w+)`\n(.*?)(?=^### |\Z)", section, re.M | re.S):
+        rows = re.findall(r"^\| `([\w.]+)` \| (.+?) \| ", body, re.M)
+        tables[command] = {
+            key: REQUIRED if cell == REQUIRED else None if cell == "—" else json.loads(cell.strip("`"))
+            for key, cell in rows
+        }
+    return tables
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_readme_documents_every_key_with_its_default(command):
+    # the same keys both ways, each with its table default
+    defaults = {path: entry[0] for path, entry in dotted(KEYS[command]) if not isinstance(entry, dict)}
+    assert readme_keys()[command] == defaults
