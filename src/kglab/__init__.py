@@ -49,7 +49,6 @@ from .propagator import (
 )
 from .posfreq import evolve_positive, positivity_tail_witness
 from .diagnostics import (
-    SupportReport,
     TailFit,
     cone_leakage,
     fit_exponential_tail,
@@ -88,7 +87,6 @@ __all__ = [
     "time_derivative_identity_error",
     "evolve_positive",
     "positivity_tail_witness",
-    "SupportReport",
     "TailFit",
     "cone_leakage",
     "fit_exponential_tail",

@@ -8,8 +8,9 @@ with a JSON error on stderr that always names a rule: kind "usage" (a
 malformed command line), "config" (a precondition, at load time or from a
 domain check), "io", "memory" (an array too large for this machine) or
 "report".  Modules compute every field, kernel, fit and leakage; the CLI
-only reduces them to verdicts (energy drifts, ladder maxima, the initial
-peak, the zero slice's maximum).
+only reduces them to verdicts, comparing each with its bound (energy
+drifts, ladder maxima, the initial peak, the suppression ratios, the zero
+slice's maximum).
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
             leaks,
             [tail.rate for tail in tails],
             [tail.r2 for tail in tails],
-            [tail.window[0] for tail in tails],
-            [tail.window[1] for tail in tails],
+            [cfg.window[0]] * len(tails),
+            [cfg.window[1]] * len(tails),
         ],
     )
     write_csv(
@@ -166,7 +167,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     witness_report = diagnostics.support_report(
         witness, threshold=cfg.support, window=cfg.window
     )
-    write_json(out / "witness_report.json", witness_report.payload())
+    write_json(out / "witness_report.json", witness_report)
 
     snap_tail = tails[cfg.times.index(cfg.snapshot_time)]
     floor_at = min(cfg.times, key=lambda t: abs(t - 0.01))
@@ -179,9 +180,9 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
         ),
         "spectral_contrast": _verdict(max(contrasts), max(contrasts) < cfg.contrast_ceiling),
         "witness_rate": _verdict(
-            witness_report.tail_rate,
-            abs(witness_report.tail_rate / mass.m - 1.0) < cfg.rate_band
-            and witness_report.fit_r2 > cfg.min_r2,
+            witness_report["tail_rate"],
+            abs(witness_report["tail_rate"] / mass.m - 1.0) < cfg.rate_band
+            and witness_report["fit_r2"] > cfg.min_r2,
         ),
         "snapshot_rate": _verdict(
             snap_tail.rate,
@@ -214,7 +215,7 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
         bridge = propagator.bridge_identity_error(sample)
         scan = None
         if t != 0.0:
-            scan = propagator.spacelike_suppression_scan(sample, cfg.margin, cfg.ratio_ceiling)
+            scan = propagator.spacelike_suppression_scan(sample, cfg.margin)
         return sample, bridge, scan
 
     results = parallel_map(one_time, cfg.times)
@@ -245,7 +246,7 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
             entry["spacelike_max"] = scan.spacelike_max
             entry["timelike_max"] = scan.timelike_max
             entry["ratio"] = scan.ratio
-            verdicts[f"spacelike_suppression_t{idx}"] = _verdict(scan.ratio, scan.passed)
+            verdicts[f"spacelike_suppression_t{idx}"] = _verdict(scan.ratio, scan.ratio < cfg.ratio_ceiling)
         else:
             zero_max = float(np.max(np.abs(sample.delta.values)))
             entry["zero_slice_max"] = zero_max
@@ -257,8 +258,12 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
 
 
 def _run_report(path: Path) -> int:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
+        print(_error_json("io", str(exc), "report.path"), file=sys.stderr)
+        return EXIT_ERROR
     verdicts = report.get("verdicts", {}) if isinstance(report, dict) else None
     if not isinstance(verdicts, dict) or not all(isinstance(v, dict) for v in verdicts.values()):
         message = f"{path} is not a kglab report: need an object whose verdicts are objects"
@@ -319,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(_error_json("config", exc.message, exc.rule), file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         rule = "report.path" if args.subcommand == "report" else "out"
         print(_error_json("io", str(exc), rule), file=sys.stderr)
         return EXIT_ERROR

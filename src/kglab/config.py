@@ -25,7 +25,7 @@ import numpy as np
 from .diagnostics import check_threshold, check_window
 from .dispersion import Mass
 from .evolution import check_margin, ladder_steps
-from .propagator import SUPPRESSION_RATIO, QuadratureSpec, check_scan
+from .propagator import QuadratureSpec, check_scan
 from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, check_bump, make_bump
 
 __all__ = ["CONE_MARGIN_CELLS", "ConfigError", "KEYS", "REQUIRED", "StateSection", "load_config"]
@@ -147,7 +147,7 @@ KEYS = {
             "band_fraction": (QuadratureSpec.band_fraction, _NUMBER),
         },
         output=_output(),
-        ratio_ceiling=(SUPPRESSION_RATIO, _BOUND),
+        ratio_ceiling=(1e-4, _BOUND),
         multiplier_error_ceiling=(1e-3, _BOUND),
         zero_slice_ceiling=(1e-10, _BOUND),
     ),
@@ -282,7 +282,7 @@ def load_config(path: Path, command: str) -> SimpleNamespace:
             tree = json.load(fh)
     except OSError as exc:
         raise ConfigError("config.path", f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
         raise ConfigError("config.json", f"invalid JSON in {path}: {exc}") from exc
     _require(isinstance(tree, dict), "config", "top level must be an object")
     declared = tree.pop("command", None)

@@ -4,7 +4,9 @@ Support is thresholded everywhere except the stencil bound of the local
 evolution, which is asserted at exact zero; floating point makes exact
 zero-sets meaningful only for stencil schemes.  Tail fits symmetrize the
 left and right tails by averaging log-magnitudes; a left/right rate
-mismatch above 10% is flagged.
+mismatch above 10% is flagged.  :func:`support_report` returns the
+``witness_report.json`` payload: the support radius and the tail fit
+under one ``schema``.
 
 A practical note on fit windows: multiplier kernels built from
 sqrt(p^2 + m^2) produce tails |f| ~ exp(-m |x|) |x|^(-3/2), so a pure
@@ -16,14 +18,13 @@ enough out that the algebraic correction is inside the stated band.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import Field, PreconditionError, finite_total
 
 __all__ = [
-    "SupportReport",
     "TailFit",
     "cone_leakage",
     "fit_exponential_tail",
@@ -51,25 +52,7 @@ class TailFit:
     rate: float
     intercept: float
     r2: float
-    window: tuple[float, float]
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    support_radius: float
-    tail_rate: float
-    tail_intercept: float
-    fit_r2: float
-    window: tuple[float, float]
-    flags: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        check_window(self.window)
-
-    def payload(self) -> dict:
-        """The report's fields under its ``schema``, for ``kglab.io.write_json``."""
-        return {**asdict(self), "schema": REPORT_SCHEMA}
 
 
 def check_threshold(threshold: float) -> None:
@@ -139,7 +122,6 @@ def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
         rate=-slope,
         intercept=intercept,
         r2=r2,
-        window=(lo, hi),
         flags=tuple(flags),
     )
 
@@ -169,19 +151,21 @@ def boundary_floor(f: Field) -> float:
     return float(np.max(np.abs(f.values[strip])))
 
 
-def support_report(f: Field, *, threshold: float, window: tuple[float, float]) -> SupportReport:
-    """Bundle the thresholded support radius and the tail fit into one report."""
+def support_report(f: Field, *, threshold: float, window: tuple[float, float]) -> dict:
+    """The thresholded support radius and the tail fit as one JSON payload,
+    for ``kglab.io.write_json``."""
     radius = support_radius(f, threshold)
     flags: list[str] = []
     if radius >= f.grid.L / 2.0:
         flags.append("nowhere-below-threshold")
     tail = fit_exponential_tail(f, window)
     flags.extend(tail.flags)
-    return SupportReport(
-        support_radius=radius,
-        tail_rate=tail.rate,
-        tail_intercept=tail.intercept,
-        fit_r2=tail.r2,
-        window=tail.window,
-        flags=tuple(flags),
-    )
+    return {
+        "support_radius": radius,
+        "tail_rate": tail.rate,
+        "tail_intercept": tail.intercept,
+        "fit_r2": tail.r2,
+        "window": list(window),
+        "flags": flags,
+        "schema": REPORT_SCHEMA,
+    }

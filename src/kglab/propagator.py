@@ -79,9 +79,6 @@ CUTOFF_FACTOR = 40.0
 #: default damping ladder base: eps = EPS_BASE_FACTOR / P^2
 EPS_BASE_FACTOR = 80.0
 
-#: spacelike-to-timelike magnitude ratio below which a scan passes
-SUPPRESSION_RATIO = 1e-4
-
 #: most Richardson rungs: the weights 2^k overflow a float beyond k = 1023
 MAX_RUNGS = 1024
 
@@ -249,7 +246,6 @@ class SuppressionScan:
     spacelike_max: float
     timelike_max: float
     ratio: float
-    passed: bool
 
 
 def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
@@ -263,12 +259,9 @@ def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
 def spacelike_suppression_scan(
     sample: PropagatorSample,
     margin: float,
-    ratio_ceiling: float = SUPPRESSION_RATIO,
 ) -> SuppressionScan:
     """max |D| over |x| > |t| + margin against the timelike maximum, on the
     slice of a :func:`pauli_jordan` sample.
-
-    Failures are reported in the returned record, not raised.
     """
     t, grid = sample.t, sample.grid
     check_scan(grid, t, margin)
@@ -282,7 +275,6 @@ def spacelike_suppression_scan(
         spacelike_max=spacelike,
         timelike_max=timelike,
         ratio=ratio,
-        passed=ratio < ratio_ceiling,
     )
 
 

@@ -132,9 +132,10 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_broken_json_is_config_error(tmp_path):
-    # a file that is not JSON, or not UTF-8 (a UTF-16 byte-order mark), is
-    # refused with a rule whether it is given as a config or as a report
-    for content in (b"{not json", b"\xff\xfe{}"):
+    # a file that is not JSON, not UTF-8 (a UTF-16 byte-order mark), or holds
+    # an integer past Python's 4,300-digit conversion limit, is refused with
+    # a rule whether it is given as a config or as a report
+    for content in (b"{not json", b"\xff\xfe{}", b"[1" + b"0" * 5000 + b"]"):
         cfg = tmp_path / "broken.json"
         cfg.write_bytes(content)
         res = run_cli("propagator", "--config", str(cfg), "--out", str(tmp_path / "out"))
@@ -155,6 +156,25 @@ def test_unconverged_quadrature_fails_with_exit_one(tmp_path):
     assert res.returncode == 1
     report = json.loads((out / "report.json").read_text())
     assert report["verdicts"]["quadrature_converged"]["passed"] is False
+
+
+def test_suppression_ceiling_is_compared_by_the_cli(tmp_path):
+    # the scan measures the ratio; the verdict compares it with ratio_ceiling
+    verdicts = {}
+    for ceiling in (1e-4, 1e-30):
+        tree = small_propagator_config()
+        tree["ratio_ceiling"] = ceiling
+        cfg = write_config(tmp_path, f"prop_{ceiling}.json", tree)
+        out = tmp_path / f"out_{ceiling}"
+        res = run_cli("propagator", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == (0 if ceiling == 1e-4 else 1), res.stderr
+        verdicts[ceiling] = json.loads((out / "report.json").read_text())["verdicts"]
+    scans = [name for name in verdicts[1e-30] if name.startswith("spacelike_suppression_t")]
+    assert scans
+    for name, verdict in verdicts[1e-30].items():
+        assert verdict["passed"] is (name not in scans), name
+    for name in scans:
+        assert verdicts[1e-30][name]["value"] == verdicts[1e-4][name]["value"]
 
 
 def test_propagator_run_takes_one_quadrature_per_slice(tmp_path, monkeypatch):

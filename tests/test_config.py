@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kglab.config import KEYS, REQUIRED, ConfigError, load_config
-from kglab.propagator import SUPPRESSION_RATIO, QuadratureSpec
+from kglab.propagator import QuadratureSpec
 
 
 def write(tmp_path, tree):
@@ -228,7 +228,7 @@ def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
     cfg = load_config(write(tmp_path, propagator_tree()), "propagator")
     assert (cfg.margin, cfg.quadrature.rungs, cfg.quadrature.cutoff) == (0.2, 4, None)
     assert cfg.quadrature == QuadratureSpec()
-    assert cfg.ratio_ceiling == SUPPRESSION_RATIO
+    assert cfg.ratio_ceiling == 1e-4
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, propagator_tree(**overrides)), "propagator")
     assert err.value.rule == rule

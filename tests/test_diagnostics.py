@@ -18,6 +18,7 @@ from kglab import (
     support_report,
 )
 from kglab.io import write_json
+from kglab.spectral import PreconditionError
 
 import oracles
 
@@ -141,7 +142,7 @@ class TestSupportReport:
     def test_roundtrip_json(self, grid, tmp_path):
         f = Field(grid, np.exp(-np.abs(grid.x)))
         report = support_report(f, threshold=np.exp(-5.0), window=(3.0, 8.0))
-        write_json(tmp_path / "report.json", report.payload())
+        write_json(tmp_path / "report.json", report)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema"] == "kglab.support-report/2"
         assert "leakage_fraction" not in payload
@@ -151,11 +152,11 @@ class TestSupportReport:
     def test_nowhere_below_threshold_flagged(self, grid):
         f = Field(grid, np.ones(grid.n) + np.exp(-np.abs(grid.x)))
         report = support_report(f, threshold=0.5, window=(3.0, 8.0))
-        assert report.support_radius == grid.L / 2
-        assert "nowhere-below-threshold" in report.flags
+        assert report["support_radius"] == grid.L / 2
+        assert "nowhere-below-threshold" in report["flags"]
 
-    def test_invariants_enforced(self):
-        from kglab import SupportReport
-
-        with pytest.raises(ValueError):
-            SupportReport(1.0, 1.0, 0.0, 1.0, (2.0, 1.0))
+    def test_invariants_enforced(self, grid):
+        f = Field(grid, np.exp(-np.abs(grid.x)))
+        with pytest.raises(PreconditionError) as err:
+            support_report(f, threshold=np.exp(-5.0), window=(2.0, 1.0))
+        assert err.value.rule == "tail_fit.window"
