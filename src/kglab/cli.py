@@ -8,9 +8,11 @@ with a JSON error on stderr that always names a rule: kind "usage" (a
 malformed command line), "config" (a precondition, at load time or from a
 domain check), "io", "memory" (an array too large for this machine) or
 "report".  Modules compute every field, kernel, fit and leakage; the CLI
-only reduces them to verdicts, comparing each with its bound (energy
-drifts, ladder maxima, the initial peak, the suppression ratios, the zero
-slice's maximum).
+only reduces them to verdicts.  Each measurement is reduced once (a ladder
+maximum, the leakage at one time, a ratio) and every ceiling verdict is
+one strict comparison in ``_below``; the composite verdicts (a rising
+ladder, a leakage floor, a tail rate inside its band with its fit's r2,
+all slices converged) build their ``passed`` in ``_verdict``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .evolution import (
 )
 from .io import field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
 from .runtime import parallel_map
-from .spectral import Field, UniformGrid
+from .spectral import UniformGrid
 
 __all__ = ["main"]
 
@@ -46,6 +48,11 @@ EXIT_ERROR = 2
 
 def _verdict(value, passed: bool) -> dict:
     return {"value": value, "passed": bool(passed)}
+
+
+def _below(value, bound) -> dict:
+    """A ceiling verdict: ``value`` passes strictly below ``bound``."""
+    return _verdict(value, value < bound)
 
 
 def _write_report(out: Path, command: str, cfg, verdicts: dict, **fields) -> int:
@@ -61,13 +68,6 @@ def _write_report(out: Path, command: str, cfg, verdicts: dict, **fields) -> int
     }
     write_json(out / "report.json", report)
     return EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_FAIL
-
-
-def _write_field(field, stem: Path, out_format: str) -> None:
-    if out_format == "csv":
-        field_to_csv(field, stem.with_suffix(".csv"))
-    else:
-        field_to_json(field, stem.with_suffix(".json"))
 
 
 def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
@@ -100,42 +100,25 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
         # continuum energy
         q0 = leapfrog_energy(data, cfg.dt)
         drifts = [abs(leapfrog_energy(state, cfg.dt) - q0) / q0 if q0 > 0 else 0.0 for state in states]
+    write_field = field_to_csv if cfg.format == "csv" else field_to_json
     for t, state in zip(cfg.times, states):
         if t in cfg.snapshot_times:
-            _write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}", cfg.format)
+            write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}.{cfg.format}")
     write_csv(
         out / "series.csv",
         ["t", "energy", "joint_support_radius", "cone_leakage"],
         [cfg.times, energies, radii, leakages],
     )
 
-    peak = float(np.max(np.abs(data.phi.values)))
-    drift = max(drifts)
     verdicts = {
-        "cone_leakage": _verdict(max(leakages), max(leakages) < cfg.cone_leakage),
-        "energy_drift": _verdict(drift, drift < (1e-12 if cfg.method == "spectral-exact" else 1e-6)),
-        "boundary_floor": _verdict(max(floors), max(floors) < 1e-10 * peak),
+        "cone_leakage": _below(max(leakages), cfg.cone_leakage),
+        "energy_drift": _below(max(drifts), 1e-12 if cfg.method == "spectral-exact" else 1e-6),
+        "boundary_floor": _below(max(floors), 1e-10 * float(np.max(np.abs(data.phi.values)))),
     }
     return _write_report(
         out, "evolve", cfg, verdicts,
         method=cfg.method, times=list(cfg.times), initial_energy=e0, initial_support_radius=r0, cone_margin=margin,
     )
-
-
-def _hegerfeldt_rows(cfg: SimpleNamespace, psi0: Field, r0: float, margin: float):
-    zero = CauchyData(psi0, cfg.state.build_pi(psi0.grid), cfg.mass)
-    # one forward transform per datum, taken before the map shares them
-    psi0.spectrum, zero.pi.spectrum
-
-    def one_time(t: float):
-        psi_t = posfreq.evolve_positive(psi0, cfg.mass, t)
-        leak = diagnostics.cone_leakage(psi_t, r0, t, margin)
-        tail = diagnostics.fit_exponential_tail(psi_t, cfg.window)
-        spectral_t = evolve_spectral(zero, t)
-        contrast = diagnostics.cone_leakage(spectral_t.phi, r0, t, margin)
-        return leak, tail, contrast
-
-    return parallel_map(one_time, cfg.times)
 
 
 def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
@@ -144,7 +127,20 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     psi0 = cfg.state.build_phi(grid)
     r0 = diagnostics.support_radius(psi0, cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
-    leaks, tails, contrasts = zip(*_hegerfeldt_rows(cfg, psi0, r0, margin))
+    zero = CauchyData(psi0, cfg.state.build_pi(grid), mass)
+    # one forward transform per datum, taken before the map shares them
+    psi0.spectrum, zero.pi.spectrum
+
+    def one_time(t: float):
+        psi_t = posfreq.evolve_positive(psi0, mass, t)
+        return (
+            diagnostics.cone_leakage(psi_t, r0, t, margin),
+            diagnostics.fit_exponential_tail(psi_t, cfg.window),
+            diagnostics.cone_leakage(evolve_spectral(zero, t).phi, r0, t, margin),
+        )
+
+    leaks, tails, contrasts = zip(*parallel_map(one_time, cfg.times))
+    del zero  # frees Pi and its spectrum before the doubled grid sets the peak RSS
     write_csv(
         out / "leakage.csv",
         ["t", "leakage_fraction", "fitted_rate", "fit_r2", "window_lo", "window_hi"],
@@ -169,25 +165,17 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     )
     write_json(out / "witness_report.json", witness_report)
 
+    def rate(value: float, r2: float) -> dict:
+        return _verdict(value, abs(value / mass.m - 1.0) < cfg.rate_band and r2 > cfg.min_r2)
+
     snap_tail = tails[cfg.times.index(cfg.snapshot_time)]
-    floor_at = min(cfg.times, key=lambda t: abs(t - 0.01))
+    floor_leak = min(zip(cfg.times, leaks), key=lambda pair: abs(pair[0] - 0.01))[1]
     verdicts = {
-        "leakage_floor": _verdict(
-            leaks[cfg.times.index(floor_at)], leaks[cfg.times.index(floor_at)] > cfg.leakage_floor
-        ),
-        "leakage_monotone": _verdict(
-            leaks, all(a < b for a, b in zip(leaks, leaks[1:]))
-        ),
-        "spectral_contrast": _verdict(max(contrasts), max(contrasts) < cfg.contrast_ceiling),
-        "witness_rate": _verdict(
-            witness_report["tail_rate"],
-            abs(witness_report["tail_rate"] / mass.m - 1.0) < cfg.rate_band
-            and witness_report["fit_r2"] > cfg.min_r2,
-        ),
-        "snapshot_rate": _verdict(
-            snap_tail.rate,
-            abs(snap_tail.rate / mass.m - 1.0) < cfg.rate_band and snap_tail.r2 > cfg.min_r2,
-        ),
+        "leakage_floor": _verdict(floor_leak, floor_leak > cfg.leakage_floor),
+        "leakage_monotone": _verdict(leaks, all(a < b for a, b in zip(leaks, leaks[1:]))),
+        "spectral_contrast": _below(max(contrasts), cfg.contrast_ceiling),
+        "witness_rate": rate(witness_report["tail_rate"], witness_report["fit_r2"]),
+        "snapshot_rate": rate(snap_tail.rate, snap_tail.r2),
     }
     if cfg.grid_doubling_check:
         # same cone edge (base-grid support radius and margin) isolates
@@ -200,7 +188,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
             return diagnostics.cone_leakage(posfreq.evolve_positive(psi2, mass, t), r0, t, margin)
 
         rel = max(abs(b / a - 1.0) for a, b in zip(leaks, parallel_map(leak2, cfg.times)))
-        verdicts["grid_doubling_stability"] = _verdict(rel, rel < cfg.doubling_tolerance)
+        verdicts["grid_doubling_stability"] = _below(rel, cfg.doubling_tolerance)
     return _write_report(
         out, "hegerfeldt", cfg, verdicts,
         times=list(cfg.times), support_radius=r0, window=list(cfg.window), snapshot_time=cfg.snapshot_time,
@@ -213,9 +201,7 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
     def one_time(t: float):
         sample = propagator.pauli_jordan(t, grid, cfg.mass, cfg.quadrature)
         bridge = propagator.bridge_identity_error(sample)
-        scan = None
-        if t != 0.0:
-            scan = propagator.spacelike_suppression_scan(sample, cfg.margin)
+        scan = propagator.spacelike_suppression_scan(sample, cfg.margin) if t != 0.0 else None
         return sample, bridge, scan
 
     results = parallel_map(one_time, cfg.times)
@@ -223,34 +209,19 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
     slices = []
     for idx, (t, (sample, bridge, scan)) in enumerate(zip(cfg.times, results)):
         propagator_slice_to_csv(sample, out / f"slice_{idx:03d}.csv")
+        entry = {"t": t, "residual": sample.residual, "converged": sample.converged}
         write_json(
             out / f"slice_{idx:03d}.meta.json",
-            {
-                "t": t,
-                "mass": cfg.mass.m,
-                "residual": sample.residual,
-                "converged": sample.converged,
-                "quadrature": sample.quad.metadata(),
-            },
+            {**entry, "mass": cfg.mass.m, "quadrature": sample.quad.metadata()},
         )
-        entry = {
-            "t": t,
-            "residual": sample.residual,
-            "converged": sample.converged,
-            "multiplier_error": bridge,
-        }
-        verdicts[f"multiplier_identity_t{idx}"] = _verdict(
-            bridge, bridge < cfg.multiplier_error_ceiling
-        )
+        entry["multiplier_error"] = bridge
+        verdicts[f"multiplier_identity_t{idx}"] = _below(bridge, cfg.multiplier_error_ceiling)
         if scan is not None:
-            entry["spacelike_max"] = scan.spacelike_max
-            entry["timelike_max"] = scan.timelike_max
-            entry["ratio"] = scan.ratio
-            verdicts[f"spacelike_suppression_t{idx}"] = _verdict(scan.ratio, scan.ratio < cfg.ratio_ceiling)
+            entry.update(spacelike_max=scan.spacelike_max, timelike_max=scan.timelike_max, ratio=scan.ratio)
+            verdicts[f"spacelike_suppression_t{idx}"] = _below(scan.ratio, cfg.ratio_ceiling)
         else:
-            zero_max = float(np.max(np.abs(sample.delta.values)))
-            entry["zero_slice_max"] = zero_max
-            verdicts[f"zero_slice_t{idx}"] = _verdict(zero_max, zero_max < cfg.zero_slice_ceiling)
+            entry["zero_slice_max"] = float(np.max(np.abs(sample.delta.values)))
+            verdicts[f"zero_slice_t{idx}"] = _below(entry["zero_slice_max"], cfg.zero_slice_ceiling)
         slices.append(entry)
     converged = all(sample.converged for sample, _, _ in results)
     verdicts["quadrature_converged"] = _verdict(converged, converged)
@@ -264,9 +235,9 @@ def _run_report(path: Path) -> int:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
         print(_error_json("io", str(exc), "report.path"), file=sys.stderr)
         return EXIT_ERROR
-    verdicts = report.get("verdicts", {}) if isinstance(report, dict) else None
-    if not isinstance(verdicts, dict) or not all(isinstance(v, dict) for v in verdicts.values()):
-        message = f"{path} is not a kglab report: need an object whose verdicts are objects"
+    verdicts = report.get("verdicts") if isinstance(report, dict) else None
+    if not (isinstance(verdicts, dict) and verdicts and all(isinstance(v, dict) for v in verdicts.values())):
+        message = f"{path} is not a kglab report: need an object with a non-empty verdicts object of objects"
         print(_error_json("report", message, "report.verdicts"), file=sys.stderr)
         return EXIT_ERROR
     print(f"command: {report.get('command', '?')}")

@@ -75,7 +75,7 @@ def field_to_json(f: Field, path: Path) -> None:
 def field_from_json(path: Path) -> Field:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("schema") != FIELD_SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != FIELD_SCHEMA or not {"grid", "re", "im"} <= payload.keys():
         raise PreconditionError("field.schema", f"not a field envelope: {path}")
     grid = UniformGrid(n=int(payload["grid"]["n"]), dx=float(payload["grid"]["dx"]))
     values = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)

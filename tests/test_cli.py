@@ -446,6 +446,9 @@ def test_report_renders_verdict_table(tmp_path):
     "payload",
     [
         [1, 2],
+        {},
+        {"schema": "kglab.support-report/2", "tail_rate": 1.0, "fit_r2": 1.0, "flags": []},
+        {"command": "evolve", "verdicts": {}},
         {"command": "evolve", "verdicts": {"energy_drift": 0.5}},
         {"command": "evolve", "verdicts": [{"value": 1, "passed": True}]},
     ],
@@ -497,16 +500,6 @@ def test_cli_format_flag_switches_snapshots(tmp_path):
 class TestGoldenDefaults:
     """Value-level regression against the committed golden outputs."""
 
-    def compare_report(self, fresh: Path, golden: Path):
-        a = json.loads(fresh.read_text())
-        b = json.loads(golden.read_text())
-        assert a["verdicts"].keys() == b["verdicts"].keys()
-        for name, entry in a["verdicts"].items():
-            ref = b["verdicts"][name]
-            assert entry["passed"] == ref["passed"], name
-            if isinstance(entry["value"], float) and ref["value"] != 0:
-                assert entry["value"] == pytest.approx(ref["value"], rel=1e-9, abs=1e-30)
-
     def compare_json(self, fresh, golden, where=""):
         """Floats at rel 1e-9, everything else exact, key for key."""
         if isinstance(golden, float):
@@ -528,7 +521,7 @@ class TestGoldenDefaults:
     def compare_csv(self, fresh: Path, golden: Path):
         a = fresh.read_text().splitlines()
         b = golden.read_text().splitlines()
-        assert a[0] == b[0]
+        assert a[0] == b[0] and len(a) == len(b)
         for ra, rb in zip(a[1:], b[1:]):
             va = np.array([float(c) for c in ra.split(",")])
             vb = np.array([float(c) for c in rb.split(",")])
@@ -541,7 +534,7 @@ class TestGoldenDefaults:
         )
         assert res.returncode == 0, res.stderr
         golden = REPO / "tests" / "golden" / "causal_default"
-        self.compare_report(out / "report.json", golden / "report.json")
+        self.compare_json_file(out / "report.json", golden / "report.json")
         self.compare_csv(out / "series.csv", golden / "series.csv")
 
     def test_propagator_default(self, tmp_path):
@@ -553,7 +546,7 @@ class TestGoldenDefaults:
         )
         assert res.returncode == 0, res.stderr
         golden = REPO / "tests" / "golden" / "propagator_default"
-        self.compare_report(out / "report.json", golden / "report.json")
+        self.compare_json_file(out / "report.json", golden / "report.json")
         for idx in range(3):
             name = f"slice_{idx:03d}.meta.json"
             self.compare_json_file(out / name, golden / name)
@@ -567,6 +560,19 @@ class TestGoldenDefaults:
         )
         assert res.returncode == 0, res.stderr
         golden = REPO / "tests" / "golden" / "hegerfeldt_default"
-        self.compare_report(out / "report.json", golden / "report.json")
+        self.compare_json_file(out / "report.json", golden / "report.json")
+        self.compare_csv(out / "leakage.csv", golden / "leakage.csv")
+        self.compare_json_file(out / "witness_report.json", golden / "witness_report.json")
+
+    def test_hegerfeldt_m2(self, tmp_path):
+        out = tmp_path / "out"
+        res = run_cli(
+            "hegerfeldt",
+            "--config", str(REPO / "configs" / "hegerfeldt_m2.json"),
+            "--out", str(out),
+        )
+        assert res.returncode == 0, res.stderr
+        golden = REPO / "tests" / "golden" / "hegerfeldt_m2"
+        self.compare_json_file(out / "report.json", golden / "report.json")
         self.compare_csv(out / "leakage.csv", golden / "leakage.csv")
         self.compare_json_file(out / "witness_report.json", golden / "witness_report.json")

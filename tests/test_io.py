@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kglab import Field, Mass, UniformGrid, make_bump, pauli_jordan
+from kglab.spectral import PreconditionError
 from kglab.io import (
     field_from_json,
     field_to_csv,
@@ -61,6 +63,24 @@ def test_non_envelope_rejected(tmp_path):
     write_json(path, {"schema": "something-else"})
     with pytest.raises(ValueError, match="envelope"):
         field_from_json(path)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        "kglab.field/1",
+        {"schema": "kglab.field/1"},
+        {"schema": "kglab.field/1", "grid": {"n": 4, "dx": 1.0}, "re": [0.0] * 4},
+        {"schema": "kglab.field/1", "re": [0.0] * 4, "im": [0.0] * 4},
+    ],
+)
+def test_malformed_envelope_names_the_schema_rule(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PreconditionError) as err:
+        field_from_json(path)
+    assert err.value.rule == "field.schema"
 
 
 def test_propagator_slice_csv(tmp_path):
