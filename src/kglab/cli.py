@@ -37,7 +37,7 @@ from .evolution import (
 )
 from .io import field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
 from .runtime import parallel_map
-from .spectral import UniformGrid
+from .spectral import Field, UniformGrid, bump_right_mover, make_bump
 
 __all__ = ["main"]
 
@@ -72,7 +72,10 @@ def _write_report(out: Path, command: str, cfg, verdicts: dict, **fields) -> int
 
 def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
-    data = CauchyData(cfg.state.build_phi(grid), cfg.state.build_pi(grid), cfg.mass)
+    bump = (grid, cfg.center, cfg.radius, cfg.amplitude)
+    phi = make_bump(*bump)
+    pi = bump_right_mover(*bump) if cfg.pi == "right-mover" else Field(grid, np.zeros(grid.n, dtype=np.complex128))
+    data = CauchyData(phi, pi, cfg.mass)
     r0 = joint_support_radius(data, cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
@@ -124,10 +127,10 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
 def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
     mass = cfg.mass
-    psi0 = cfg.state.build_phi(grid)
+    psi0 = make_bump(grid, cfg.center, cfg.radius, cfg.amplitude)
     r0 = diagnostics.support_radius(psi0, cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
-    zero = CauchyData(psi0, cfg.state.build_pi(grid), mass)
+    zero = CauchyData(psi0, Field(grid, np.zeros(grid.n, dtype=np.complex128)), mass)
     # one forward transform per datum, taken before the map shares them
     psi0.spectrum, zero.pi.spectrum
 
@@ -181,7 +184,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
         # same cone edge (base-grid support radius and margin) isolates
         # the resolution dependence, which is what rules out aliasing; the
         # verdict reads only the leakage, so only the leakage is computed
-        psi2 = cfg.state.build_phi(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0))
+        psi2 = make_bump(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0), cfg.center, cfg.radius, cfg.amplitude)
         psi2.spectrum  # transformed once, before the map shares it
 
         def leak2(t: float):

@@ -5,10 +5,12 @@ mirrors the JSON tree: an entry ``key: (default, kind)`` reads one value,
 and a nested dict is a section.  One reader walks the table.  It refuses
 unknown keys in every section, fills in the defaults and checks each
 value's kind, under a rule named by the key's dotted path.  The
-command's parser then builds the domain values (grid, mass, initial
-state and quadrature settings), which own every range and geometry rule,
-and checks the command's cross-key policy.  So a bad config fails at
-load time, and :class:`ConfigError`, the package's one rule-carrying
+command's parser then builds the domain values (grid, mass and
+quadrature settings) and runs the domain checks (the bump, the times),
+which own every range and geometry rule, and checks the command's
+cross-key policy.  The initial state stays plain values, built by the
+command that reads it.  So a bad config fails at load time, and
+:class:`ConfigError`, the package's one rule-carrying
 :class:`~kglab.spectral.PreconditionError`, names the rule.
 """
 
@@ -16,19 +18,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-
-import numpy as np
 
 from .diagnostics import check_threshold, check_window
 from .dispersion import Mass
 from .evolution import check_margin, ladder_steps
 from .propagator import QuadratureSpec, check_scan
-from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, check_bump, make_bump
+from .spectral import PreconditionError, UniformGrid, check_bump
 
-__all__ = ["CONE_MARGIN_CELLS", "ConfigError", "KEYS", "REQUIRED", "StateSection", "load_config"]
+__all__ = ["CONE_MARGIN_CELLS", "ConfigError", "KEYS", "REQUIRED", "load_config"]
 
 #: geometric slack, in grid cells, added to every light-cone check to
 #: absorb threshold and discretization fuzz
@@ -68,6 +67,10 @@ _CELLS = ("a non-negative integer", lambda v: _is_number(v) and isinstance(v, in
 _FLAG = ("true or false", lambda v: isinstance(v, bool), bool)
 _TIMES = ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), _floats)
 _LADDER = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0, list)
+# the rate verdicts pass |rate/m - 1| < rate_band and r2 > min_r2: a band of
+# 1 or more passes a tail that does not decay, and a fit's r2 lies in [0, 1]
+_RATE_BAND = ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1, float)
+_MIN_R2 = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1, float)
 _PAIR = (
     "a list [lo, hi] of two finite numbers",
     lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
@@ -88,22 +91,18 @@ def _keys(**entries) -> dict:
     }
 
 
-def _state(*pi: str) -> dict:
-    """The initial_state section; Pi is zero unless ``pi`` allows more."""
-    return {
-        "factory": (REQUIRED, _one_of("bump")),
-        "center": (0.0, _NUMBER),
-        "radius": (REQUIRED, _NUMBER),
-        "amplitude": (1.0, _NUMBER),
-        "pi": ("zero", _one_of("zero", *pi)),
-    }
-
-
 def _output(*formats: str) -> dict:
     """The output section; CSV unless ``formats`` allows more."""
     return {"format": ("csv", _one_of("csv", *formats))}
 
 
+#: the initial_state section: a bump Phi; evolve adds its Pi
+_STATE = {
+    "factory": (REQUIRED, _one_of("bump")),
+    "center": (0.0, _NUMBER),
+    "radius": (REQUIRED, _NUMBER),
+    "amplitude": (1.0, _NUMBER),
+}
 _TIME_LADDER = (REQUIRED, _LADDER)
 _SUPPORT = {"support": (1e-12, _NUMBER)}
 _CONE_MARGIN = (CONE_MARGIN_CELLS, _CELLS)
@@ -111,7 +110,7 @@ _CONE_MARGIN = (CONE_MARGIN_CELLS, _CELLS)
 #: every key of every command: ``key: (default, kind)``, a dict for a section
 KEYS = {
     "evolve": _keys(
-        initial_state=_state("right-mover"),
+        initial_state={**_STATE, "pi": ("zero", _one_of("zero", "right-mover"))},
         times=_TIME_LADDER,
         dt=(None, _OPTIONAL),
         method=("spectral-exact", _one_of("spectral-exact", "local-fd")),
@@ -121,7 +120,7 @@ KEYS = {
         output=_output("json"),
     ),
     "hegerfeldt": _keys(
-        initial_state=_state(),
+        initial_state=_STATE,
         times=_TIME_LADDER,
         thresholds=_SUPPORT,
         leakage_floor=(1e-10, _BOUND),
@@ -129,8 +128,8 @@ KEYS = {
         tail_fit={
             "window": (REQUIRED, _PAIR),
             "snapshot_time": (None, _NUMBER),  # absent: the last time
-            "rate_band": (0.15, _BOUND),
-            "min_r2": (0.99, _NUMBER),
+            "rate_band": (0.15, _RATE_BAND),
+            "min_r2": (0.99, _MIN_R2),
         },
         doubling_tolerance=(0.1, _BOUND),
         grid_doubling_check=(True, _FLAG),
@@ -179,34 +178,15 @@ def _read(tree: dict, table: dict, values: dict, path: str = "") -> dict:
     return values
 
 
-@dataclass(frozen=True)
-class StateSection:
-    """A bump Phi and its time derivative Pi: zero or the right mover."""
-
-    center: float
-    radius: float
-    amplitude: float
-    pi: str
-
-    def build_phi(self, grid: UniformGrid) -> Field:
-        return make_bump(grid, self.center, self.radius, self.amplitude)
-
-    def build_pi(self, grid: UniformGrid) -> Field:
-        if self.pi == "zero":
-            return Field(grid, np.zeros(grid.n, dtype=np.complex128))
-        return bump_right_mover(grid, self.center, self.radius, self.amplitude)
-
-
 def _build(values: dict, positive_mass: bool) -> SimpleNamespace:
-    """The config with its grid, mass and initial state built, in that
-    order, and every time checked against the periodic margin."""
+    """The config with its grid and mass built, its bump (if any) checked,
+    in that order, and every time checked against the periodic margin."""
     grid = values["grid"] = UniformGrid(n=values.pop("n"), dx=values.pop("dx"))
     mass = values["mass"] = Mass(values["mass"])
     if positive_mass:
         mass.require_positive("this command (1/omega is singular at m = 0)")
-    if values.pop("factory", None):  # the command reads an initial state
-        state = values["state"] = StateSection(*(values.pop(k) for k in ("center", "radius", "amplitude", "pi")))
-        check_bump(grid, state.center, state.radius)
+    if "factory" in values:  # the command reads an initial state
+        check_bump(grid, values["center"], values["radius"])
     for t in values["times"]:  # typed here, so a bad time names the rule it breaks first
         _require(_is_number(t), "times", f"times must be finite numbers, got {t!r}")
         check_margin(grid, t)
@@ -216,6 +196,7 @@ def _build(values: dict, positive_mass: bool) -> SimpleNamespace:
 
 def _parse_evolve(values: dict) -> SimpleNamespace:
     cfg = _build(values, positive_mass=False)
+    _require(len(set(cfg.times)) == len(cfg.times), "times.unique", f"a ladder time is listed twice in {list(cfg.times)}")
     if cfg.method == "local-fd":
         _require(cfg.dt is not None, "dt", "local-fd needs a time step dt")
         ladder_steps(cfg.grid, cfg.times, cfg.dt)
@@ -241,7 +222,7 @@ def _parse_hegerfeldt(values: dict) -> SimpleNamespace:
     check_threshold(cfg.support)
     check_window(cfg.window)
     compton = cfg.mass.compton_wavelength
-    edge = cfg.state.center + cfg.state.radius
+    edge = cfg.center + cfg.radius
     _require(
         cfg.window[0] >= edge + 3.0 * compton,
         "tail_fit.window.near-field",

@@ -75,11 +75,14 @@ def field_to_json(f: Field, path: Path) -> None:
 def field_from_json(path: Path) -> Field:
     with open(path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("schema") != FIELD_SCHEMA or not {"grid", "re", "im"} <= payload.keys():
+    if not isinstance(payload, dict) or payload.get("schema") != FIELD_SCHEMA:
         raise PreconditionError("field.schema", f"not a field envelope: {path}")
-    grid = UniformGrid(n=int(payload["grid"]["n"]), dx=float(payload["grid"]["dx"]))
-    values = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    return Field(grid, values)
+    try:
+        n, dx = int(payload["grid"]["n"]), float(payload["grid"]["dx"])
+        re, im = np.array([payload["re"], payload["im"]], dtype=float)  # ragged rows raise
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise PreconditionError("field.schema", f"malformed field envelope {path}: {exc!r}") from exc
+    return Field(UniformGrid(n=n, dx=dx), re + 1j * im)
 
 
 def propagator_slice_to_csv(sample, path: Path) -> None:

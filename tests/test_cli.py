@@ -537,6 +537,17 @@ class TestGoldenDefaults:
         self.compare_json_file(out / "report.json", golden / "report.json")
         self.compare_csv(out / "series.csv", golden / "series.csv")
 
+    def test_rightmover(self, tmp_path):
+        """The one shipped config with m = 0 and a right-moving Pi."""
+        out = tmp_path / "out"
+        res = run_cli(
+            "evolve", "--config", str(REPO / "configs" / "rightmover.json"), "--out", str(out)
+        )
+        assert res.returncode == 0, res.stderr
+        golden = REPO / "tests" / "golden" / "rightmover"
+        self.compare_json_file(out / "report.json", golden / "report.json")
+        self.compare_csv(out / "series.csv", golden / "series.csv")
+
     def test_propagator_default(self, tmp_path):
         out = tmp_path / "out"
         res = run_cli(

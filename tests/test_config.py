@@ -83,6 +83,7 @@ def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
         ({"initial_state": {"factory": "bump", "radius": 1.0, "radus": 2.0}}, "unknown-key"),
         ({"output": {"fromat": "json"}}, "unknown-key"),
         ({"dt": 0.5}, "dt"),
+        ({"times": [1.0, 1.0, 2.0], "snapshot_times": [1.0]}, "times.unique"),
     ],
 )
 def test_evolve_rejects_malformed_values(tmp_path, overrides, rule):
@@ -127,6 +128,12 @@ def hegerfeldt_tree(**overrides):
         ({"times": [0.001, 0.01, 0.01, 0.1]}, "times.increasing"),
         ({"output": {"format": "json"}}, "output.format"),
         ({"times": [0.1], "grid_doubling_check": False}, "times.count"),
+        ({"tail_fit": {"window": [9.0, 16.0], "rate_band": 1.0}}, "tail_fit.rate_band"),
+        ({"tail_fit": {"window": [9.0, 16.0], "min_r2": 2.0}}, "tail_fit.min_r2"),
+        ({"tail_fit": {"window": [9.0, 16.0], "min_r2": 1.0}}, "tail_fit.min_r2"),
+        ({"tail_fit": {"window": [9.0, 16.0], "min_r2": -0.5}}, "tail_fit.min_r2"),
+        # hegerfeldt evolves Phi alone: its initial state has no Pi
+        ({"initial_state": {"factory": "bump", "radius": 1.0, "pi": "zero"}}, "unknown-key"),
     ],
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):

@@ -73,6 +73,10 @@ def test_non_envelope_rejected(tmp_path):
         {"schema": "kglab.field/1"},
         {"schema": "kglab.field/1", "grid": {"n": 4, "dx": 1.0}, "re": [0.0] * 4},
         {"schema": "kglab.field/1", "re": [0.0] * 4, "im": [0.0] * 4},
+        {"schema": "kglab.field/1", "grid": 5, "re": [], "im": []},
+        {"schema": "kglab.field/1", "grid": {"n": 16}, "re": [0.0] * 16, "im": [0.0] * 16},
+        {"schema": "kglab.field/1", "grid": {"n": 16, "dx": 1.0}, "re": "ab", "im": [0.0] * 16},
+        {"schema": "kglab.field/1", "grid": {"n": 16, "dx": 1.0}, "re": [0.0] * 16, "im": [0.0]},
     ],
 )
 def test_malformed_envelope_names_the_schema_rule(tmp_path, payload):
@@ -81,6 +85,14 @@ def test_malformed_envelope_names_the_schema_rule(tmp_path, payload):
     with pytest.raises(PreconditionError) as err:
         field_from_json(path)
     assert err.value.rule == "field.schema"
+
+
+def test_envelope_with_a_bad_grid_names_the_grid_rule(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "kglab.field/1", "grid": {"n": 4, "dx": 1.0}, "re": [0.0] * 4, "im": [0.0] * 4}))
+    with pytest.raises(PreconditionError) as err:
+        field_from_json(path)
+    assert err.value.rule == "grid.n"
 
 
 def test_propagator_slice_csv(tmp_path):
