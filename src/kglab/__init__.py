@@ -30,6 +30,7 @@ from .dispersion import Mass, omega
 from .evolution import (
     CauchyData,
     evolve_spectral,
+    evolve_from_rest,
     evolve_local_fd_ladder,
     local_fd_steps,
     energy,
@@ -39,7 +40,6 @@ from .evolution import (
 from .propagator import (
     QuadratureSpec,
     PropagatorSample,
-    SuppressionScan,
     delta_plus,
     pauli_jordan,
     spacelike_suppression_scan,
@@ -71,6 +71,7 @@ __all__ = [
     "omega",
     "CauchyData",
     "evolve_spectral",
+    "evolve_from_rest",
     "evolve_local_fd_ladder",
     "local_fd_steps",
     "energy",
@@ -78,7 +79,6 @@ __all__ = [
     "joint_support_radius",
     "QuadratureSpec",
     "PropagatorSample",
-    "SuppressionScan",
     "delta_plus",
     "pauli_jordan",
     "spacelike_suppression_scan",

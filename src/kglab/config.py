@@ -66,7 +66,7 @@ _INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, boo
 _CELLS = ("a non-negative integer", lambda v: _is_number(v) and isinstance(v, int) and v >= 0, int)
 _FLAG = ("true or false", lambda v: isinstance(v, bool), bool)
 _TIMES = ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), _floats)
-_LADDER = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0, list)
+_LADDER = ("a non-empty list of finite numbers", lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)), _floats)
 # the rate verdicts pass |rate/m - 1| < rate_band and r2 > min_r2: a band of
 # 1 or more passes a tail that does not decay, and a fit's r2 lies in [0, 1]
 _RATE_BAND = ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1, float)
@@ -187,10 +187,8 @@ def _build(values: dict, positive_mass: bool) -> SimpleNamespace:
         mass.require_positive("this command (1/omega is singular at m = 0)")
     if "factory" in values:  # the command reads an initial state
         check_bump(grid, values["center"], values["radius"])
-    for t in values["times"]:  # typed here, so a bad time names the rule it breaks first
-        _require(_is_number(t), "times", f"times must be finite numbers, got {t!r}")
+    for t in values["times"]:
         check_margin(grid, t)
-    values["times"] = _floats(values["times"])
     return SimpleNamespace(**values)
 
 

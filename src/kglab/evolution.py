@@ -12,6 +12,8 @@ quadratic energy to rounding, and is causal only up to the (spectrally
 small) tails of the trigonometric interpolant.  The coefficients Phi_k(0)
 and Pi_k(0) are the cached ``Field.spectrum`` of the datum, so a time
 ladder costs one forward transform per datum and two inverses per time.
+A datum at rest (Pi = 0) needs only Phi_k(t) = cos(w t) Phi_k(0): one
+inverse per time, see :func:`evolve_from_rest`.
 
 Local (finite propagation speed by construction): the first-order system
 Phi' = Pi, Pi' = (D2 - m^2) Phi with the 3-point Laplacian D2, stepped by
@@ -56,6 +58,7 @@ from .spectral import Field, PreconditionError, SpectralField, finite_total, for
 __all__ = [
     "CauchyData",
     "evolve_spectral",
+    "evolve_from_rest",
     "evolve_local_fd_ladder",
     "local_fd_steps",
     "check_margin",
@@ -116,6 +119,18 @@ def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
     phi_t = inverse_transform(SpectralField(grid, c * F + s_over_w * P))
     pi_t = inverse_transform(SpectralField(grid, -w_s * F + c * P))
     return CauchyData(phi_t, pi_t, data.m, t0=t)
+
+
+def evolve_from_rest(phi: Field, m: Mass, t: float) -> Field:
+    """Phi(t) of the Cauchy data (phi, Pi = 0) at t0 = 0 (|t| <= L/4).
+
+    Equal to ``evolve_spectral(CauchyData(phi, 0, m), t).phi`` for t != 0,
+    since c F + s 0 == c F, but reads only the cached ``spectrum`` of phi
+    and takes one inverse transform: no Pi, no Pi(t).
+    """
+    grid = phi.grid
+    check_margin(grid, t)
+    return inverse_transform(SpectralField(grid, np.cos(omega(grid.p, m) * t) * phi.spectrum.coefficients))
 
 
 def _apply_stencil(ext: np.ndarray, scale: float, msq: float) -> np.ndarray:

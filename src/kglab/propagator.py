@@ -63,7 +63,6 @@ __all__ = [
     "QuadratureSpec",
     "ResolvedQuadrature",
     "PropagatorSample",
-    "SuppressionScan",
     "delta_plus",
     "pauli_jordan",
     "spacelike_suppression_scan",
@@ -239,15 +238,6 @@ def pauli_jordan(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = Qu
     )
 
 
-@dataclass(frozen=True)
-class SuppressionScan:
-    """Spacelike versus timelike magnitude contrast for one (t, m) slice."""
-
-    spacelike_max: float
-    timelike_max: float
-    ratio: float
-
-
 def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
     """The scan rules: margin >= 3 dx and |t| + margin inside L/2."""
     if margin < 3.0 * grid.dx:
@@ -256,12 +246,10 @@ def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
         raise PreconditionError("times.scan-region", f"scan region reaches the domain boundary L/2 = {grid.L / 2.0}")
 
 
-def spacelike_suppression_scan(
-    sample: PropagatorSample,
-    margin: float,
-) -> SuppressionScan:
+def spacelike_suppression_scan(sample: PropagatorSample, margin: float) -> dict:
     """max |D| over |x| > |t| + margin against the timelike maximum, on the
-    slice of a :func:`pauli_jordan` sample.
+    slice of a :func:`pauli_jordan` sample, as the slice's report entry
+    ``{spacelike_max, timelike_max, ratio}``.
     """
     t, grid = sample.t, sample.grid
     check_scan(grid, t, margin)
@@ -271,11 +259,7 @@ def spacelike_suppression_scan(
     inside = ax <= abs(t)
     timelike = float(np.max(mags[inside])) if np.any(inside) else 0.0
     ratio = spacelike / timelike if timelike > 0 else math.inf
-    return SuppressionScan(
-        spacelike_max=spacelike,
-        timelike_max=timelike,
-        ratio=ratio,
-    )
+    return {"spacelike_max": spacelike, "timelike_max": timelike, "ratio": ratio}
 
 
 def _band_mask(grid: UniformGrid, band_fraction: float) -> np.ndarray:

@@ -127,7 +127,7 @@ def test_criterion_4_propagator_support():
     for t, m in [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]:
         sample = pauli_jordan(t, grid, Mass(m))
         scan = spacelike_suppression_scan(sample, 0.2)
-        checks[f"ratio(t={t},m={m})<1e-4 [{scan.ratio:.2e}]"] = scan.ratio < 1e-4 and sample.converged
+        checks[f"ratio(t={t},m={m})<1e-4 [{scan['ratio']:.2e}]"] = scan["ratio"] < 1e-4 and sample.converged
     sample = pauli_jordan(1.0, grid, m1)
     plus_t, _ = delta_plus(1.0, grid, m1)
     plus_back, _ = delta_plus(-1.0, grid, m1)

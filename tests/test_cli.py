@@ -95,6 +95,26 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert outs["1"] == outs["4"]
 
 
+@pytest.mark.parametrize("config", ["hegerfeldt_default", "hegerfeldt_m2"])
+def test_spectral_contrast_is_the_full_datum_at_rest(tmp_path, config):
+    # compare_csv's atol cannot see a move in cells near 1e-27: compare reprs
+    from kglab import CauchyData, Field, Mass, UniformGrid, cone_leakage, evolve_spectral, make_bump, support_radius
+
+    path = REPO / "configs" / f"{config}.json"
+    tree = json.loads(path.read_text())
+    assert main(["hegerfeldt", "--config", str(path), "--out", str(tmp_path)]) == 0
+    grid = UniformGrid(**tree["grid"])
+    state = tree["initial_state"]
+    psi0 = make_bump(grid, state["center"], state["radius"], state["amplitude"])
+    data = CauchyData(psi0, Field(grid, np.zeros(grid.n, dtype=np.complex128)), Mass(tree["mass"]))
+    r0 = support_radius(psi0, tree["thresholds"]["support"])
+    margin = tree["cone_margin_cells"] * grid.dx
+    expected = [repr(cone_leakage(evolve_spectral(data, t).phi, r0, t, margin)) for t in tree["times"]]
+    rows = (tmp_path / "contrast.csv").read_text().splitlines()
+    assert rows[0].split(",")[2] == "spectral_leakage"
+    assert [row.split(",")[2] for row in rows[1:]] == expected
+
+
 def test_massless_hegerfeldt_rejected(tmp_path):
     tree = {
         "grid": {"n": 1024, "dx": 1 / 16},
@@ -205,16 +225,18 @@ def test_propagator_run_takes_one_quadrature_per_slice(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "config, expected",
     [
-        # psi0 and the zero Pi transformed once each; per time one inverse
-        # for the positive flow and two for the contrast, one more for the
-        # witness; the doubled grid measures only the positive-flow leakage
+        # psi0 transformed once; per time one inverse for the positive flow
+        # and one for the contrast, one more for the witness; the doubled
+        # grid measures only the positive-flow leakage
         (
             "hegerfeldt_default",
-            {("forward", 8192): 2, ("inverse", 8192): 10, ("forward", 16384): 1, ("inverse", 16384): 3},
+            {("forward", 8192): 1, ("inverse", 8192): 7, ("forward", 16384): 1, ("inverse", 16384): 3},
         ),
         # Phi and Pi once each, energy() a pair per state, two inverses per time
         ("causal_default", {("forward", 4096): 6, ("inverse", 4096): 10}),
         ("rightmover", {("forward", 4096): 4, ("inverse", 4096): 4}),
+        # doubling off: the base grid alone
+        ("hegerfeldt_m2", {("forward", 8192): 1, ("inverse", 8192): 7}),
     ],
 )
 def test_each_datum_is_transformed_once(tmp_path, monkeypatch, config, expected, threads):

@@ -7,6 +7,7 @@ from kglab import (
     Mass,
     UniformGrid,
     energy,
+    evolve_from_rest,
     evolve_local_fd_ladder,
     evolve_spectral,
     joint_support_radius,
@@ -107,6 +108,25 @@ def test_cached_spectra_are_bit_equal_to_transform_every_call(grid):
         for out, expected in pairs:
             assert np.array_equal(out.phi.values, expected.phi.values)
             assert np.array_equal(out.pi.values, expected.pi.values)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.5])
+def test_evolve_from_rest_equals_the_full_datum_at_rest(grid, m):
+    rng = np.random.default_rng(3)
+    profiles = (
+        make_bump(grid, 0.0, 1.0, 1.0),
+        Field(grid, -oracles.bump_derivative(grid.x)),  # a right mover's Pi, used as Phi
+        Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)),
+    )
+    for phi in profiles:
+        data = CauchyData(phi, Field(grid, np.zeros(grid.n)), Mass(m))
+        for t in (1.0, 2.5, -0.75):
+            assert np.array_equal(evolve_from_rest(phi, Mass(m), t).values, evolve_spectral(data, t).phi.values)
+
+
+def test_evolve_from_rest_keeps_the_margin(grid):
+    with pytest.raises(ValueError, match="margin"):
+        evolve_from_rest(make_bump(grid, 0.0, 1.0, 1.0), Mass(1.0), -(grid.L / 4 + 1.0))
 
 
 def test_time_reversal(grid):

@@ -171,14 +171,14 @@ class TestSuppressionScan:
         sample = pauli_jordan(t, scan_grid, Mass(m))
         assert sample.converged
         scan = spacelike_suppression_scan(sample, 0.2)
-        assert scan.ratio < 1e-4
+        assert scan["ratio"] < 1e-4
 
     def test_zero_time_slice(self, scan_grid):
         scan = spacelike_suppression_scan(pauli_jordan(0.0, scan_grid, Mass(1.0)), 0.2)
-        assert scan.spacelike_max < 1e-10
+        assert scan["spacelike_max"] < 1e-10
 
     def test_margin_shrinks_spacelike_max(self, sample):
-        maxes = [spacelike_suppression_scan(sample, mg).spacelike_max for mg in (0.2, 0.4, 0.8)]
+        maxes = [spacelike_suppression_scan(sample, mg)["spacelike_max"] for mg in (0.2, 0.4, 0.8)]
         assert maxes[0] > maxes[1] > maxes[2]
 
     def test_doubled_cutoff_confirms_suppression(self, scan_grid, sample):
@@ -186,8 +186,8 @@ class TestSuppressionScan:
         doubled = spacelike_suppression_scan(
             pauli_jordan(1.0, scan_grid, Mass(1.0), QuadratureSpec(cutoff=2 * 40 * 256.0)), 0.2
         )
-        assert doubled.ratio < 1e-4
-        assert doubled.spacelike_max < 10 * base.spacelike_max
+        assert doubled["ratio"] < 1e-4
+        assert doubled["spacelike_max"] < 10 * base["spacelike_max"]
 
     def test_margin_floor_enforced(self, scan_grid, sample):
         with pytest.raises(ValueError, match="margin"):
