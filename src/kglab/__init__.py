@@ -45,7 +45,6 @@ from .propagator import (
     spacelike_suppression_scan,
     cauchy_via_propagator,
     bridge_identity_error,
-    time_derivative_identity_error,
 )
 from .posfreq import evolve_positive, positivity_tail_witness
 from .diagnostics import (
@@ -84,7 +83,6 @@ __all__ = [
     "spacelike_suppression_scan",
     "cauchy_via_propagator",
     "bridge_identity_error",
-    "time_derivative_identity_error",
     "evolve_positive",
     "positivity_tail_witness",
     "TailFit",

@@ -26,14 +26,16 @@ three-dimensional prefactor - is what fixes the normalization, with
 i/(4 pi) the one-dimensional analog of the conventional constant.
 
 Quadrature nodes sit on the lattice dp = 2 pi / L of the target grid, so
-a kernel sample equals the periodization of the continuum kernel and the
-synthesis over all grid points folds onto the n momentum bins, costing
-one FFT per damping rung.  Sampling a kernel with jump discontinuities on
-the cone necessarily aliases content beyond the grid band onto lower
-bins; the multiplier identity is therefore compared over the declared
-band |p| <= band_fraction * pi / dx in the uniform norm (error divided by
-the multiplier's sup over the band).  At the Nyquist bin itself the
-folded coefficient doubles for an even kernel, so an all-mode pointwise
+a kernel sample equals the periodization of the continuum kernel.  The
+integrand is even in p, so it is evaluated on the half lattice p >= 0 and
+mirrored; the nodes, laid out by momentum bin in a zero-padded block,
+fold onto the n bins as row sums, costing one FFT per damping rung.
+Sampling a kernel with jump discontinuities on the cone necessarily
+aliases content beyond the grid band onto lower bins; the multiplier
+identity is therefore compared over the declared band
+|p| <= band_fraction * pi / dx in the uniform norm (error divided by the
+multiplier's sup over the band).  At the Nyquist bin itself the folded
+coefficient doubles for an even kernel, so an all-mode pointwise
 comparison is not a meaningful target for any sampled kernel.
 
 The kernels carry genuine distributional edges on the cone (D jumps by
@@ -69,7 +71,6 @@ __all__ = [
     "check_scan",
     "cauchy_via_propagator",
     "bridge_identity_error",
-    "time_derivative_identity_error",
 ]
 
 #: default cutoff rule: P = CUTOFF_FACTOR * max(m, 1/dx)
@@ -108,8 +109,9 @@ class QuadratureSpec:
         cutoff = floor if self.cutoff is None else float(self.cutoff)
         if cutoff < floor:
             raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} below the required floor {floor}")
-        # 2 ceil(cutoff / dp) + 1 nodes with dp = 2 pi / L; eps divides by cutoff^2
-        if not (math.isfinite(cutoff * cutoff) and cutoff * grid.L / math.pi < MAX_SAMPLES):
+        # 2 ceil(cutoff / dp) + 1 nodes with dp = 2 pi / L, padded to whole rows
+        # of n: fewer than cutoff L / pi + 2 n + 2 samples; eps divides by cutoff^2
+        if not (math.isfinite(cutoff * cutoff) and cutoff * grid.L / math.pi + 2 * (grid.n + 1) < MAX_SAMPLES):
             raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} needs more nodes than an array can hold")
         eps = EPS_BASE_FACTOR / cutoff**2
         ladder = tuple(eps / 2.0**r for r in range(self.rungs))
@@ -158,20 +160,11 @@ class PropagatorSample:
         return self.delta.grid
 
 
-def _lattice(grid: UniformGrid, cutoff: float) -> tuple[np.ndarray, float]:
-    dp = 2.0 * np.pi / grid.L
-    q_max = int(math.ceil(cutoff / dp))
-    return np.arange(-q_max, q_max + 1), dp
-
-
-def _synthesize(grid: UniformGrid, q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_q g_q exp(i p_q x_j) over all grid points via folding plus one FFT."""
-    bins = np.mod(q, grid.n)
-    G = np.bincount(bins, weights=g.real, minlength=grid.n) + 1j * np.bincount(
-        bins, weights=g.imag, minlength=grid.n
-    )
+def _synthesize(grid: UniformGrid, block: np.ndarray) -> np.ndarray:
+    """sum_q g_q exp(i p_q x_j) over all grid points from a (rows, n) block
+    whose column j holds the nodes of bin j: row sums plus one FFT."""
     # exp(i p_q x_j) = (-1)^q exp(2 pi i q j / n)
-    return np.fft.ifft(_alternating(grid.n) * G) * grid.n
+    return np.fft.ifft(_alternating(grid.n) * block.sum(axis=0)) * grid.n
 
 
 def _extrapolate(levels: list[np.ndarray], smooth: np.ndarray) -> tuple[np.ndarray, float]:
@@ -192,15 +185,26 @@ def _off_cone(grid: UniformGrid, t: float, collar_cells: int) -> np.ndarray:
 
 
 def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, float]:
-    """Extrapolated (1/2 pi) Int dp e^{-eps p^2} multiplier(p, w) e^{i p x}."""
-    q, dp = _lattice(grid, res.cutoff)
-    p = q * dp
-    w = omega(p, m)
-    base = multiplier(p, w)
-    levels = [
-        (dp / (2.0 * np.pi)) * _synthesize(grid, q, np.exp(-eps * p * p) * base)
-        for eps in res.eps_ladder
-    ]
+    """Extrapolated (1/2 pi) Int dp e^{-eps p^2} multiplier(w) e^{i p x}.
+
+    The integrand is even in p bit for bit, so it is evaluated on the
+    nodes q = 0 .. q_max and mirrored.  Laid out in order from offset
+    -q_max mod n in a zero-padded (rows, n) block, node q sits in column
+    q mod n, and the row sums add each bin's nodes in increasing q."""
+    dp = 2.0 * np.pi / grid.L
+    q_max = int(math.ceil(res.cutoff / dp))
+    p = np.arange(q_max + 1) * dp
+    base = multiplier(omega(p, m))
+    start = -q_max % grid.n
+    rows = -(-(start + 2 * q_max + 1) // grid.n)
+    block = np.zeros((rows, grid.n), dtype=complex)
+    flat = block.reshape(-1)
+    levels = []
+    for eps in res.eps_ladder:
+        g = np.exp(-eps * p * p) * base
+        flat[start : start + q_max] = g[:0:-1]
+        flat[start + q_max : start + 2 * q_max + 1] = g
+        levels.append((dp / (2.0 * np.pi)) * _synthesize(grid, block))
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 
@@ -212,7 +216,7 @@ def delta_plus(
     m.require_positive("the positive-frequency kernel (infrared divergent at m = 0 in one dimension)")
     res = quad if isinstance(quad, ResolvedQuadrature) else quad.resolve(grid, m)
     values, residual = _damped_kernel(
-        grid, m, res, t, lambda p, w: 0.5j * np.exp(-1j * w * t) / w
+        grid, m, res, t, lambda w: 0.5j * np.exp(-1j * w * t) / w
     )
     return Field(grid, values), residual
 
@@ -239,7 +243,12 @@ def pauli_jordan(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = Qu
 
 
 def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
-    """The scan rules: margin >= 3 dx and |t| + margin inside L/2."""
+    """The scan rules: t = 0 or |t| >= dx, margin >= 3 dx and |t| + margin
+    inside L/2.  Below one cell the timelike region |x| <= |t| is the
+    single cell x = 0, so no suppression ratio or multiplier identity is
+    resolved there."""
+    if 0.0 < abs(t) < grid.dx:
+        raise PreconditionError("times.resolved", f"slice time {t} is below one cell dx = {grid.dx}")
     if margin < 3.0 * grid.dx:
         raise PreconditionError("margin", f"margin {margin} below 3*dx = {3.0 * grid.dx}")
     if abs(t) + margin >= grid.L / 2.0:
@@ -284,37 +293,6 @@ def bridge_identity_error(sample: PropagatorSample) -> float:
     return float(np.max(np.abs(measured[band] - target[band])) / sup)
 
 
-def time_derivative_identity_error(
-    t: float,
-    grid: UniformGrid,
-    m: Mass,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Centered finite difference of D in t against the quadrature kernel of
-    the cos(w t) multiplier, compared pointwise away from the cone.
-
-    Both objects converge to the same smooth function off the light cone
-    (the cone itself carries the propagating delta pair, which no pointwise
-    comparison can see), so the uniform-norm relative deviation over the
-    off-cone region validates that differentiating the commutator kernel
-    in time reproduces the multiplier used by the initial-value formula.
-    The difference step is one cell, h = dx.
-    """
-    h = grid.dx
-    fwd = pauli_jordan(t + h, grid, m, quad)
-    bwd = pauli_jordan(t - h, grid, m, quad)
-    fd = (fwd.delta.values - bwd.delta.values) / (2.0 * h)
-    res = fwd.quad
-    dt_vals, _ = _damped_kernel(grid, m, res, t, lambda p, w: np.cos(w * t))
-    mask = (
-        _off_cone(grid, t, RESIDUAL_COLLAR_CELLS + 1)
-        & _off_cone(grid, t + h, RESIDUAL_COLLAR_CELLS)
-        & _off_cone(grid, t - h, RESIDUAL_COLLAR_CELLS)
-    )
-    sup = float(np.max(np.abs(dt_vals[mask])))
-    return float(np.max(np.abs(fd[mask] - dt_vals[mask])) / sup)
-
-
 def cauchy_via_propagator(data, t: float, quad: QuadratureSpec = QuadratureSpec()) -> Field:
     """Solve the initial-value problem through the commutator kernel,
 
@@ -324,8 +302,7 @@ def cauchy_via_propagator(data, t: float, quad: QuadratureSpec = QuadratureSpec(
     transform pair turns into a product: Phi(t)^ = cos(w dt) Phi0^ + D^ Pi0^,
     with D^ = forward_transform(D) as in :func:`bridge_identity_error`.
     The dD/dt term is applied as the band multiplier cos(w dt) (its kernel
-    is a propagating delta pair that no grid sampling can represent),
-    cross-checked separately by :func:`time_derivative_identity_error`.
+    is a propagating delta pair that no grid sampling can represent).
     """
     grid = data.grid
     dt = t - data.t0

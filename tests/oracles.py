@@ -8,7 +8,9 @@ transform-every-call references apply the package's own transform pair
 afresh on every call, the form whose bits the cached ``Field.spectrum``
 must reproduce, and the frequency split of (Phi, Pi) into positive and
 negative branches, which checks the mode algebra against
-``evolve_spectral``.  The reference writers at the end format one cell at
+``evolve_spectral``.  The full-lattice kernel synthesis is the package's
+own former form of the propagator quadrature, whose bits the half-lattice
+row-sum fold must reproduce.  The reference writers at the end format one cell at
 a time through ``csv.writer`` and ``json.dump``, the forms whose bytes the
 column-at-once writers of ``kglab.io`` must reproduce.
 """
@@ -22,6 +24,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from kglab import CauchyData, SpectralField, forward_transform, inverse_transform, omega
+from kglab.propagator import RESIDUAL_COLLAR_CELLS, _extrapolate, _off_cone
+from kglab.spectral import _alternating
 
 GL200 = np.polynomial.legendre.leggauss(200)
 
@@ -221,6 +225,29 @@ def recombine(psi_plus, psi_minus, m, t: float):
     phi = inverse_transform(SpectralField(grid, plus + minus))
     pi = inverse_transform(SpectralField(grid, -1j * w * (plus - minus)))
     return CauchyData(phi, pi, m, t0=t)
+
+
+# --- the package's own former kernel synthesis: full lattice, np.bincount fold ---
+
+
+def full_lattice_kernel(grid, m, res, t: float, multiplier):
+    """``propagator._damped_kernel`` as the package once computed it: the
+    integrand on every node q = -q_max .. q_max, folded onto the n bins with
+    ``np.mod`` and two ``np.bincount`` calls, one inverse FFT per rung."""
+    dp = 2.0 * np.pi / grid.L
+    q_max = int(np.ceil(res.cutoff / dp))
+    q = np.arange(-q_max, q_max + 1)
+    p = q * dp
+    base = multiplier(omega(p, m))
+    bins = np.mod(q, grid.n)
+    levels = []
+    for eps in res.eps_ladder:
+        g = np.exp(-eps * p * p) * base
+        G = np.bincount(bins, weights=g.real, minlength=grid.n) + 1j * np.bincount(
+            bins, weights=g.imag, minlength=grid.n
+        )
+        levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(_alternating(grid.n) * G) * grid.n)
+    return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 
 # --- reference writers: one cell at a time, bytes fixed by the stdlib ---

@@ -288,6 +288,32 @@ def test_allocation_beyond_memory_names_a_rule(tmp_path, overrides):
     assert (error["kind"], error["rule"]) == ("memory", "memory")
 
 
+@pytest.mark.parametrize("t", [1e-300, 1 / 512])
+def test_slice_below_one_cell_is_refused(tmp_path, t):
+    # below dx = 1/256 the timelike region |x| <= |t| is the single cell x = 0,
+    # where the suppression ratio and the multiplier identity resolve nothing
+    tree = small_propagator_config()
+    tree["times"] = [0.0, t]
+    cfg = write_config(tmp_path, "prop.json", tree)
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert json.loads(err)["error"]["rule"] == "times.resolved"
+
+
+def test_slice_of_one_cell_runs(tmp_path):
+    # t = dx is resolved: it runs, and its multiplier identity fails for the
+    # measured dx/t reason while t = 0 stays the zero slice
+    tree = small_propagator_config()
+    tree["times"] = [0.0, 1 / 256]
+    cfg = write_config(tmp_path, "prop.json", tree)
+    out = tmp_path / "out"
+    assert run_main("propagator", "--config", str(cfg), "--out", str(out))[0] == 1
+    verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+    assert verdicts["zero_slice_t0"]["passed"]
+    assert verdicts["spacelike_suppression_t1"]["passed"]
+    assert not verdicts["multiplier_identity_t1"]["passed"]
+
+
 #: numpy warns as the FFT of a near-maximal float overflows to inf and nan
 FFT_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 

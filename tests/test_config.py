@@ -229,6 +229,8 @@ def propagator_tree(**overrides):
         ({"grid": {"n": 1024, "dx": 1 / 256, "dX": 1 / 128}}, "unknown-key"),
         ({"output": {"format": "csv", "fromat": "json"}}, "unknown-key"),
         ({"output": {"format": "json"}}, "output.format"),
+        ({"times": [0.0, 1e-300]}, "times.resolved"),
+        ({"times": [-1 / 512, 1.0]}, "times.resolved"),
     ],
 )
 def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import oracles
 from kglab import (
     CauchyData,
     Field,
@@ -12,10 +15,12 @@ from kglab import (
     delta_plus,
     evolve_spectral,
     make_bump,
+    omega,
     pauli_jordan,
     spacelike_suppression_scan,
-    time_derivative_identity_error,
 )
+from kglab.propagator import RESIDUAL_COLLAR_CELLS, _damped_kernel, _off_cone
+from kglab.spectral import PreconditionError
 
 
 # committed golden value for Dp(t=1.5, x=0.5, m=1), regenerated by
@@ -193,6 +198,11 @@ class TestSuppressionScan:
         with pytest.raises(ValueError, match="margin"):
             spacelike_suppression_scan(sample, scan_grid.dx)
 
+    def test_slice_below_one_cell_refused(self, scan_grid):
+        with pytest.raises(PreconditionError) as err:
+            spacelike_suppression_scan(pauli_jordan(scan_grid.dx / 2, scan_grid, Mass(1.0)), 0.2)
+        assert err.value.rule == "times.resolved"
+
     def test_boundary_enforced(self, sample):
         with pytest.raises(ValueError, match="boundary"):
             spacelike_suppression_scan(sample, 7.0)
@@ -257,9 +267,89 @@ class TestCauchyViaPropagator:
             cauchy_via_propagator(data, 1.0, QuadratureSpec(residual_tol=1e-30))
 
 
+def time_derivative_identity_error(t: float, grid: UniformGrid, m: Mass) -> float:
+    """Centered finite difference of D in t against the quadrature kernel of
+    the cos(w t) multiplier, compared pointwise away from the cone.
+
+    Both objects converge to the same smooth function off the light cone
+    (the cone itself carries the propagating delta pair, which no pointwise
+    comparison can see), so the uniform-norm relative deviation over the
+    off-cone region validates that differentiating the commutator kernel
+    in time reproduces the multiplier used by the initial-value formula.
+    The difference step is one cell, h = dx.
+    """
+    h = grid.dx
+    fwd = pauli_jordan(t + h, grid, m)
+    bwd = pauli_jordan(t - h, grid, m)
+    fd = (fwd.delta.values - bwd.delta.values) / (2.0 * h)
+    dt_vals, _ = _damped_kernel(grid, m, fwd.quad, t, lambda w: np.cos(w * t))
+    mask = (
+        _off_cone(grid, t, RESIDUAL_COLLAR_CELLS + 1)
+        & _off_cone(grid, t + h, RESIDUAL_COLLAR_CELLS)
+        & _off_cone(grid, t - h, RESIDUAL_COLLAR_CELLS)
+    )
+    sup = float(np.max(np.abs(dt_vals[mask])))
+    return float(np.max(np.abs(fd[mask] - dt_vals[mask])) / sup)
+
+
 def test_time_derivative_cross_check(scan_grid):
     err = time_derivative_identity_error(1.0, scan_grid, Mass(1.0))
     assert err < 1e-2
+
+
+class TestHalfLatticeFold:
+    """The kernel evaluates the even integrand on q >= 0 and folds by row
+    sums; the full-lattice np.bincount form it replaced is the reference."""
+
+    @pytest.mark.parametrize(
+        "n,dx,m,cutoff,t,offset",
+        [
+            # propagator_default: q_max = 26076 lands at offset 2596
+            (4096, 1 / 256, 1.0, None, 0.0, 2596),
+            (4096, 1 / 256, 1.0, None, 1.0, 2596),
+            (4096, 1 / 256, 1.0, None, 2.0, 2596),
+            # an explicit cutoff with q_max = 8 n: the block starts at 0
+            (4096, 1 / 256, 1.0, 32767.5 * math.pi / 8, 1.0, 0),
+            # m = 2 on a coarse grid: q_max = 6519, offset 649
+            (1024, 1 / 16, 2.0, None, 1.0, 649),
+        ],
+    )
+    def test_matches_the_full_lattice_fold(self, n, dx, m, cutoff, t, offset):
+        grid, mass = UniformGrid(n, dx), Mass(m)
+        res = QuadratureSpec(cutoff=cutoff).resolve(grid, mass)
+        assert -math.ceil(res.cutoff / (2.0 * math.pi / grid.L)) % n == offset
+
+        def plus(w):
+            return 0.5j * np.exp(-1j * w * t) / w
+
+        values, residual = _damped_kernel(grid, mass, res, t, plus)
+        ref_values, ref_residual = oracles.full_lattice_kernel(grid, mass, res, t, plus)
+        assert np.array_equal(values, ref_values)
+        assert residual == ref_residual
+
+    def test_multiplier_sees_the_half_lattice_once(self, scan_grid):
+        seen = []
+
+        def cos(w):
+            seen.append(w.copy())
+            return np.cos(w)
+
+        res = QuadratureSpec().resolve(scan_grid, Mass(1.0))
+        _damped_kernel(scan_grid, Mass(1.0), res, 1.0, cos)
+        dp = 2.0 * math.pi / scan_grid.L
+        q_max = math.ceil(res.cutoff / dp)
+        assert len(seen) == 1
+        assert seen[0].shape == (q_max + 1,)
+        assert np.array_equal(seen[0], omega(np.arange(q_max + 1) * dp, Mass(1.0)))
+
+    def test_cutoff_guard_covers_the_padded_block(self):
+        # n = 2^55, dx = 1: 15 * 2^55 nodes stay below MAX_SAMPLES = 2^59 - 1,
+        # but the block padded to whole rows of n needs up to 2 n more
+        grid = UniformGrid(2**55, 1.0)
+        QuadratureSpec(cutoff=13 * math.pi).resolve(grid, Mass(1.0))
+        with pytest.raises(PreconditionError) as err:
+            QuadratureSpec(cutoff=15 * math.pi).resolve(grid, Mass(1.0))
+        assert err.value.rule == "quadrature.cutoff"
 
 
 def test_richardson_ladder_recovers_limit():
