@@ -20,7 +20,6 @@ randomness; see the README for the CLI experiment runner.
 from .spectral import (
     UniformGrid,
     Field,
-    SpectralField,
     forward_transform,
     inverse_transform,
     make_bump,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "UniformGrid",
     "Field",
-    "SpectralField",
     "forward_transform",
     "inverse_transform",
     "make_bump",

@@ -10,8 +10,9 @@ with w = sqrt(p_k^2 + m^2) and sin(w dt)/w -> dt on the massless zero
 mode.  This solves the discrete equation exactly per mode, conserves the
 quadratic energy to rounding, and is causal only up to the (spectrally
 small) tails of the trigonometric interpolant.  The coefficients Phi_k(0)
-and Pi_k(0) are the cached ``Field.spectrum`` of the datum, so a time
-ladder costs one forward transform per datum and two inverses per time.
+and Pi_k(0) are the cached coefficient arrays ``Field.spectrum`` of the
+datum and each combination returns through one ``inverse_transform``, so a
+time ladder costs one forward transform per datum and two inverses per time.
 A datum at rest (Pi = 0) needs only Phi_k(t) = cos(w t) Phi_k(0): one
 inverse per time, see :func:`evolve_from_rest`.
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from .diagnostics import radius_above
 from .dispersion import Mass, omega
-from .spectral import Field, PreconditionError, SpectralField, finite_total, forward_transform, inverse_transform
+from .spectral import Field, PreconditionError, finite_total, forward_transform, inverse_transform
 
 __all__ = [
     "CauchyData",
@@ -114,10 +115,10 @@ def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
     c = np.cos(w * dt)
     s_over_w = dt * np.sinc(w * dt / np.pi)  # sin(w dt)/w, exact at w = 0
     w_s = w * np.sin(w * dt)
-    F = data.phi.spectrum.coefficients
-    P = data.pi.spectrum.coefficients
-    phi_t = inverse_transform(SpectralField(grid, c * F + s_over_w * P))
-    pi_t = inverse_transform(SpectralField(grid, -w_s * F + c * P))
+    F = data.phi.spectrum
+    P = data.pi.spectrum
+    phi_t = inverse_transform(data.phi, c * F + s_over_w * P)
+    pi_t = inverse_transform(data.pi, -w_s * F + c * P)
     return CauchyData(phi_t, pi_t, data.m, t0=t)
 
 
@@ -130,7 +131,7 @@ def evolve_from_rest(phi: Field, m: Mass, t: float) -> Field:
     """
     grid = phi.grid
     check_margin(grid, t)
-    return inverse_transform(SpectralField(grid, np.cos(omega(grid.p, m) * t) * phi.spectrum.coefficients))
+    return inverse_transform(phi, np.cos(omega(grid.p, m) * t) * phi.spectrum)
 
 
 def _apply_stencil(ext: np.ndarray, scale: float, msq: float) -> np.ndarray:
@@ -242,8 +243,7 @@ def energy(data: CauchyData) -> float:
     :func:`evolve_spectral` to rounding (mode-wise rotation).
     """
     grid = data.grid
-    F = forward_transform(data.phi)
-    dphi = inverse_transform(SpectralField(grid, 1j * grid.p * F.coefficients))
+    dphi = inverse_transform(data.phi, 1j * grid.p * forward_transform(data.phi))
     with np.errstate(over="ignore"):
         dens = (
             np.abs(data.pi.values) ** 2

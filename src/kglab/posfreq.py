@@ -9,9 +9,10 @@ analytic, so the derivative grows Compton tails exp(-m |x|), and the
 first-order flow leaks L2 mass outside the light cone immediately, at
 any t > 0.
 
-Both operations multiply the cached ``Field.spectrum`` of their input
-(by exp(-i w t), and by -i w in the tail witness), so a state evolved to a
-time ladder and fed to the witness is transformed once; take that spectrum
+Both operations multiply the cached coefficient array ``Field.spectrum``
+of their input and take one inverse transform (of exp(-i w t), and of w in
+the tail witness, which applies its -i to the samples), so a state evolved
+to a time ladder and fed to the witness is transformed once; take that spectrum
 before the ladder fans out over threads (see :class:`~kglab.spectral.Field`).
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dispersion import Mass, omega
 from .evolution import check_margin
-from .spectral import Field, SpectralField, inverse_transform
+from .spectral import Field, inverse_transform
 
 __all__ = ["evolve_positive", "positivity_tail_witness"]
 
@@ -30,9 +31,7 @@ def evolve_positive(psi: Field, m: Mass, t: float) -> Field:
     """First-order flow psi_k(t) = exp(-i w t) psi_k(0); unitary per mode."""
     grid = psi.grid
     check_margin(grid, t)
-    w = omega(grid.p, m)
-    coeffs = psi.spectrum.coefficients * np.exp(-1j * w * t)
-    return inverse_transform(SpectralField(grid, coeffs))
+    return inverse_transform(psi, psi.spectrum * np.exp(-1j * omega(grid.p, m) * t))
 
 
 def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
@@ -44,5 +43,6 @@ def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
     module notes on fit windows).
     """
     m.require_positive("the tail witness")
-    scaled = phi_compact.spectrum.coefficients * omega(phi_compact.grid.p, m)
-    return Field(phi_compact.grid, -1j * inverse_transform(SpectralField(phi_compact.grid, scaled)).values)
+    derivative = inverse_transform(phi_compact, phi_compact.spectrum * omega(phi_compact.grid.p, m))
+    # -1j goes on the samples: inside the inverse FFT it flips the sign of some exact zeros
+    return Field(phi_compact.grid, -1j * derivative.values)

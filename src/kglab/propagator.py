@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Mass, omega
-from .spectral import MAX_SAMPLES, Field, PreconditionError, SpectralField, UniformGrid, _alternating
+from .spectral import MAX_SAMPLES, Field, PreconditionError, UniformGrid, _alternating
 from .spectral import forward_transform, inverse_transform
 
 __all__ = [
@@ -283,7 +283,7 @@ def bridge_identity_error(sample: PropagatorSample) -> float:
     evolution.
     """
     grid = sample.grid
-    measured = forward_transform(sample.delta).coefficients
+    measured = forward_transform(sample.delta)
     w = omega(grid.p, sample.m)
     target = sample.t * np.sinc(w * sample.t / np.pi)
     band = _band_mask(grid, sample.quad.band_fraction)
@@ -314,6 +314,5 @@ def cauchy_via_propagator(data, t: float, quad: QuadratureSpec = QuadratureSpec(
             f"exceeds {sample.quad.residual_tol}"
         )
     w = omega(grid.p, data.m)
-    D = forward_transform(sample.delta).coefficients
-    Phi = np.cos(w * dt) * data.phi.spectrum.coefficients + D * data.pi.spectrum.coefficients
-    return inverse_transform(SpectralField(grid, Phi))
+    D = forward_transform(sample.delta)
+    return inverse_transform(data.phi, np.cos(w * dt) * data.phi.spectrum + D * data.pi.spectrum)

@@ -13,6 +13,10 @@ continuum transform, so discrete quantities converge to continuum
 integrals without stray constants.  With the half-domain offset the
 kernel splits as exp(-i p_k x_j) = (-1)^k exp(-2 pi i k j / n); the
 alternating sign is applied exactly instead of through exp(i pi k).
+
+Coefficients are plain complex128 arrays in FFT order (``Field.spectrum``
+caches a field's own); every mode multiplier returns to the grid through
+one ``inverse_transform(like, multiplier * coefficients)``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = [
     "UniformGrid",
     "Field",
     "finite_total",
-    "SpectralField",
     "forward_transform",
     "inverse_transform",
     "check_bump",
@@ -93,13 +96,13 @@ class UniformGrid:
         return mom
 
 
-def _validated_samples(grid: UniformGrid, values, what: str) -> np.ndarray:
+def _validated_samples(grid: UniformGrid, values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
     if arr.shape != (grid.n,):
-        raise PreconditionError("field.size", f"{what} needs {grid.n} samples, got {arr.shape[0]}")
+        raise PreconditionError("field.size", f"field needs {grid.n} samples, got {arr.shape[0]}")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise PreconditionError("field.finite", f"non-finite {what} sample at index {bad[0]}")
+        raise PreconditionError("field.finite", f"non-finite field sample at index {bad[0]}")
     arr.flags.writeable = False
     return arr
 
@@ -123,50 +126,43 @@ def finite_total(total, what: str) -> float:
 class Field:
     """Complex samples on the grid, immutable after construction.
 
-    ``spectrum`` is :func:`forward_transform` of the field, computed on
-    first access and kept, so a datum evolved to many times is transformed
-    once.  Take it before sharing the field across worker threads: since
-    Python 3.12 ``cached_property`` holds no lock, so threads that race on
-    the first access each transform it, and in 3.11 its lock is one per
-    class, so a first access inside a pool serializes every other one.
+    ``spectrum`` is :func:`forward_transform` of the field, a read-only
+    coefficient array computed on first access and kept, so a datum evolved
+    to many times is transformed once.  Take it before sharing the field
+    across worker threads: since Python 3.12 ``cached_property`` holds no
+    lock, so threads that race on the first access each transform it, and
+    in 3.11 its lock is one per class, so a first access inside a pool
+    serializes every other one.
     """
 
     grid: UniformGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validated_samples(self.grid, self.values, "field"))
+        object.__setattr__(self, "values", _validated_samples(self.grid, self.values))
 
     @cached_property
-    def spectrum(self) -> SpectralField:
-        return forward_transform(self)
+    def spectrum(self) -> np.ndarray:
+        coeffs = forward_transform(self)
+        coeffs.flags.writeable = False
+        return coeffs
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Discrete-momentum coefficients, indexed like ``grid.p`` (FFT order)."""
-
-    grid: UniformGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", _validated_samples(self.grid, self.coefficients, "coefficient")
-        )
-
-
-def forward_transform(f: Field) -> SpectralField:
-    """Riemann-sum DFT: F(p_k) = dx * sum_j exp(-i p_k x_j) f_j."""
+def forward_transform(f: Field) -> np.ndarray:
+    """Riemann-sum DFT: F(p_k) = dx * sum_j exp(-i p_k x_j) f_j, the n
+    complex coefficients indexed like ``grid.p`` (FFT order)."""
     g = f.grid
-    coeffs = g.dx * _alternating(g.n) * np.fft.fft(f.values)
-    return SpectralField(g, coeffs)
+    return g.dx * _alternating(g.n) * np.fft.fft(f.values)
 
 
-def inverse_transform(F: SpectralField) -> Field:
-    """Exact inverse of :func:`forward_transform`."""
-    g = F.grid
-    values = np.fft.ifft(_alternating(g.n) * F.coefficients) / g.dx
-    return Field(g, values)
+def inverse_transform(like: Field, coefficients) -> Field:
+    """Exact inverse of :func:`forward_transform`, on the grid of ``like``.
+
+    The coefficients are checked only as the new field's samples: a
+    non-finite coefficient or an overflowing sum fails rule ``field.finite``.
+    """
+    g = like.grid
+    return Field(g, np.fft.ifft(_alternating(g.n) * coefficients) / g.dx)
 
 
 def check_bump(grid: UniformGrid, center: float, radius: float) -> None:
@@ -243,6 +239,6 @@ def complex_momentum_transform(f: Field, q: float) -> np.ndarray:
     shift = np.max(log_terms[nz])
     weighted = np.zeros(g.n, dtype=np.complex128)
     weighted[nz] = np.exp(log_terms[nz] - shift) * (f.values[nz] / mags[nz])
-    spectrum = g.dx * _alternating(g.n) * np.fft.fft(weighted)
+    spectrum = forward_transform(Field(g, weighted))
     with np.errstate(divide="ignore"):
         return shift + np.log(np.abs(spectrum))

@@ -8,7 +8,10 @@ transform-every-call references apply the package's own transform pair
 afresh on every call, the form whose bits the cached ``Field.spectrum``
 must reproduce, and the frequency split of (Phi, Pi) into positive and
 negative branches, which checks the mode algebra against
-``evolve_spectral``.  The full-lattice kernel synthesis is the package's
+``evolve_spectral``.  The former multiplier forms are the package's own
+earlier tail witness and complex-momentum probe, whose bits the single
+``inverse_transform(field, coefficients)`` path and the shared forward
+transform must reproduce.  The full-lattice kernel synthesis is the package's
 own former form of the propagator quadrature, whose bits the half-lattice
 row-sum fold must reproduce.  The reference writers at the end format one cell at
 a time through ``csv.writer`` and ``json.dump``, the forms whose bytes the
@@ -23,7 +26,7 @@ import json
 import numpy as np
 from scipy.integrate import quad
 
-from kglab import CauchyData, SpectralField, forward_transform, inverse_transform, omega
+from kglab import CauchyData, Field, forward_transform, inverse_transform, omega
 from kglab.propagator import RESIDUAL_COLLAR_CELLS, _extrapolate, _off_cone
 from kglab.spectral import _alternating
 
@@ -171,7 +174,7 @@ def delta_plus_quad(t: float, x: float, m: float, cutoff: float, eps0: float, pa
 
 
 def _with_multiplier(f, mult):
-    return inverse_transform(SpectralField(f.grid, forward_transform(f).coefficients * mult))
+    return inverse_transform(f, forward_transform(f) * mult)
 
 
 def evolve_spectral_uncached(data, t: float):
@@ -184,10 +187,10 @@ def evolve_spectral_uncached(data, t: float):
     c = np.cos(w * dt)
     s_over_w = dt * np.sinc(w * dt / np.pi)
     w_s = w * np.sin(w * dt)
-    F = forward_transform(data.phi).coefficients
-    P = forward_transform(data.pi).coefficients
-    phi_t = inverse_transform(SpectralField(grid, c * F + s_over_w * P))
-    pi_t = inverse_transform(SpectralField(grid, -w_s * F + c * P))
+    F = forward_transform(data.phi)
+    P = forward_transform(data.pi)
+    phi_t = inverse_transform(data.phi, c * F + s_over_w * P)
+    pi_t = inverse_transform(data.pi, -w_s * F + c * P)
     return CauchyData(phi_t, pi_t, data.m, t0=t)
 
 
@@ -209,10 +212,10 @@ def project_positive(data):
     and -i w (psi_plus - psi_minus) = Pi mode by mode."""
     grid = data.grid
     w = omega(grid.p, data.m)
-    F = forward_transform(data.phi).coefficients
-    P = forward_transform(data.pi).coefficients
-    plus = inverse_transform(SpectralField(grid, 0.5 * (F + 1j * P / w)))
-    minus = inverse_transform(SpectralField(grid, 0.5 * (F - 1j * P / w)))
+    F = forward_transform(data.phi)
+    P = forward_transform(data.pi)
+    plus = inverse_transform(data.phi, 0.5 * (F + 1j * P / w))
+    minus = inverse_transform(data.phi, 0.5 * (F - 1j * P / w))
     return plus, minus
 
 
@@ -220,11 +223,39 @@ def recombine(psi_plus, psi_minus, m, t: float):
     """Evolve the branches by exp(-+i w t) and reassemble (Phi, Pi) at t."""
     grid = psi_plus.grid
     w = omega(grid.p, m)
-    plus = forward_transform(psi_plus).coefficients * np.exp(-1j * w * t)
-    minus = forward_transform(psi_minus).coefficients * np.exp(1j * w * t)
-    phi = inverse_transform(SpectralField(grid, plus + minus))
-    pi = inverse_transform(SpectralField(grid, -1j * w * (plus - minus)))
+    plus = forward_transform(psi_plus) * np.exp(-1j * w * t)
+    minus = forward_transform(psi_minus) * np.exp(1j * w * t)
+    phi = inverse_transform(psi_plus, plus + minus)
+    pi = inverse_transform(psi_plus, -1j * w * (plus - minus))
     return CauchyData(phi, pi, m, t0=t)
+
+
+# --- the package's own former multiplier forms, before the one inverse path ---
+
+
+def former_tail_witness(phi, m):
+    """``positivity_tail_witness`` as the package once computed it: the
+    multiplier omega alone, one inverse transform, then -1j on the samples."""
+    scaled = forward_transform(phi) * omega(phi.grid.p, m)
+    return Field(phi.grid, -1j * inverse_transform(phi, scaled).values)
+
+
+def former_complex_momentum_transform(f, q: float):
+    """``complex_momentum_transform`` as the package once computed it, with
+    the forward transform's weights written out in place."""
+    g = f.grid
+    mags = np.abs(f.values)
+    nz = mags > 0.0
+    if not np.any(nz):
+        return np.full(g.n, -np.inf)
+    with np.errstate(divide="ignore"):
+        log_terms = q * g.x + np.log(mags)
+    shift = np.max(log_terms[nz])
+    weighted = np.zeros(g.n, dtype=np.complex128)
+    weighted[nz] = np.exp(log_terms[nz] - shift) * (f.values[nz] / mags[nz])
+    spectrum = g.dx * _alternating(g.n) * np.fft.fft(weighted)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.abs(spectrum))
 
 
 # --- the package's own former kernel synthesis: full lattice, np.bincount fold ---

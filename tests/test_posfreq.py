@@ -74,8 +74,8 @@ class TestEvolvePositive:
         from kglab import forward_transform
 
         b = make_bump(grid, 0.0, 1.0, 1.0)
-        before = np.abs(forward_transform(b).coefficients)
-        after = np.abs(forward_transform(evolve_positive(b, Mass(1.0), 3.0)).coefficients)
+        before = np.abs(forward_transform(b))
+        after = np.abs(forward_transform(evolve_positive(b, Mass(1.0), 3.0)))
         assert np.max(np.abs(after - before)) < 1e-12 * np.max(before)
 
     def test_group_and_reversal(self, grid):
