@@ -198,18 +198,12 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
 
 
 def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
-    grid = cfg.grid
-
-    def one_time(t: float):
-        sample = propagator.pauli_jordan(t, grid, cfg.mass, cfg.quadrature)
+    def one_slice(item: tuple[int, float]) -> dict:
+        # writes its own slice, so its repr overlaps the other kernels
+        idx, t = item
+        sample = propagator.pauli_jordan(t, cfg.grid, cfg.mass, cfg.quadrature)
         bridge = propagator.bridge_identity_error(sample)
         scan = propagator.spacelike_suppression_scan(sample, cfg.margin) if t != 0.0 else None
-        return sample, bridge, scan
-
-    results = parallel_map(one_time, cfg.times)
-    verdicts = {}
-    slices = []
-    for idx, (t, (sample, bridge, scan)) in enumerate(zip(cfg.times, results)):
         propagator_slice_to_csv(sample, out / f"slice_{idx:03d}.csv")
         entry = {"t": t, "residual": sample.residual, "converged": sample.converged}
         write_json(
@@ -217,15 +211,18 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
             {**entry, "mass": cfg.mass.m, "quadrature": sample.quad.metadata()},
         )
         entry["multiplier_error"] = bridge
-        verdicts[f"multiplier_identity_t{idx}"] = _below(bridge, cfg.multiplier_error_ceiling)
-        if scan is not None:
-            entry.update(scan)
-            verdicts[f"spacelike_suppression_t{idx}"] = _below(scan["ratio"], cfg.ratio_ceiling)
+        entry.update(scan or {"zero_slice_max": float(np.max(np.abs(sample.delta.values)))})
+        return entry
+
+    slices = parallel_map(one_slice, enumerate(cfg.times))
+    verdicts = {}
+    for idx, entry in enumerate(slices):
+        verdicts[f"multiplier_identity_t{idx}"] = _below(entry["multiplier_error"], cfg.multiplier_error_ceiling)
+        if "ratio" in entry:
+            verdicts[f"spacelike_suppression_t{idx}"] = _below(entry["ratio"], cfg.ratio_ceiling)
         else:
-            entry["zero_slice_max"] = float(np.max(np.abs(sample.delta.values)))
             verdicts[f"zero_slice_t{idx}"] = _below(entry["zero_slice_max"], cfg.zero_slice_ceiling)
-        slices.append(entry)
-    converged = all(sample.converged for sample, _, _ in results)
+    converged = all(entry["converged"] for entry in slices)
     verdicts["quadrature_converged"] = _verdict(converged, converged)
     return _write_report(out, "propagator", cfg, verdicts, margin=cfg.margin, slices=slices)
 

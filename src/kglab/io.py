@@ -7,7 +7,9 @@ bit-exactly.
 
 Bulk writers format whole columns at once: each column is converted to
 Python floats by one ``ndarray.tolist()`` and formatted by one pass of
-``repr``; rows are joined in C and written in one call.  The field
+``repr``; rows are joined in C and written in one call.  A grid's ``x``
+column is formatted once and reused by every field or slice written on
+that grid, until a file on another grid replaces it.  The field
 envelope encodes its ``re``/``im`` arrays with the C JSON encoder.  The
 bytes are exactly those of a row-at-a-time ``csv.writer`` over
 ``repr(float(cell))`` and of ``json.dump(..., indent=2, sort_keys=True)``;
@@ -16,6 +18,7 @@ bytes are exactly those of a row-at-a-time ``csv.writer`` over
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Sequence
@@ -41,12 +44,24 @@ FIELD_SCHEMA = "kglab.field/1"
 _ELEMENTS = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
 
 
+def _cells(column):
+    return map(repr, np.asarray(column, dtype=float).tolist())
+
+
+@functools.lru_cache(maxsize=1)
+def _x_cells(grid: UniformGrid) -> tuple[str, ...]:
+    return tuple(_cells(grid.x))
+
+
+def _write_cells(path: Path, header: Sequence[str], cells: Sequence) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells, strict=True))]))
+        fh.write("\n")
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length numeric columns under a header, one cell per float repr."""
-    text = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*text, strict=True))]))
-        fh.write("\n")
+    _write_cells(path, header, [_cells(col) for col in columns])
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -56,7 +71,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def field_to_csv(f: Field, path: Path) -> None:
-    write_csv(path, ["x", "re", "im"], [f.grid.x, f.values.real, f.values.imag])
+    _write_cells(path, ["x", "re", "im"], [_x_cells(f.grid), _cells(f.values.real), _cells(f.values.imag)])
 
 
 def field_to_json(f: Field, path: Path) -> None:
@@ -87,11 +102,10 @@ def field_from_json(path: Path) -> Field:
 
 def propagator_slice_to_csv(sample, path: Path) -> None:
     """Slice columns (x, re D, im D, re Dp, im Dp)."""
-    grid = sample.grid
     delta = sample.delta.values
     plus = sample.delta_plus.values
-    write_csv(
+    _write_cells(
         path,
         ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
-        [grid.x, delta.real, delta.imag, plus.real, plus.imag],
+        [_x_cells(sample.grid), *map(_cells, (delta.real, delta.imag, plus.real, plus.imag))],
     )

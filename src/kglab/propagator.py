@@ -190,7 +190,10 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     The integrand is even in p bit for bit, so it is evaluated on the
     nodes q = 0 .. q_max and mirrored.  Laid out in order from offset
     -q_max mod n in a zero-padded (rows, n) block, node q sits in column
-    q mod n, and the row sums add each bin's nodes in increasing q."""
+    q mod n, and the row sums add each bin's nodes in increasing q.  A rung
+    allocates no node array: it reuses one buffer for exp((-eps p) p) and
+    writes the product straight into the block's right half, which the left
+    half mirrors."""
     dp = 2.0 * np.pi / grid.L
     q_max = int(math.ceil(res.cutoff / dp))
     p = np.arange(q_max + 1) * dp
@@ -199,11 +202,15 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     rows = -(-(start + 2 * q_max + 1) // grid.n)
     block = np.zeros((rows, grid.n), dtype=complex)
     flat = block.reshape(-1)
+    right = flat[start + q_max : start + 2 * q_max + 1]
+    damp = np.empty_like(p)
     levels = []
     for eps in res.eps_ladder:
-        g = np.exp(-eps * p * p) * base
-        flat[start : start + q_max] = g[:0:-1]
-        flat[start + q_max : start + 2 * q_max + 1] = g
+        np.multiply(-eps, p, out=damp)
+        damp *= p
+        np.exp(damp, out=damp)
+        np.multiply(damp, base, out=right)
+        flat[start : start + q_max] = right[:0:-1]
         levels.append((dp / (2.0 * np.pi)) * _synthesize(grid, block))
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
@@ -215,9 +222,15 @@ def delta_plus(
     last-rung residual; a spec is resolved here, a resolved one used as is."""
     m.require_positive("the positive-frequency kernel (infrared divergent at m = 0 in one dimension)")
     res = quad if isinstance(quad, ResolvedQuadrature) else quad.resolve(grid, m)
-    values, residual = _damped_kernel(
-        grid, m, res, t, lambda w: 0.5j * np.exp(-1j * w * t) / w
-    )
+
+    def multiplier(w: np.ndarray) -> np.ndarray:  # 0.5j * exp(-1j * w * t) / w, bit for bit
+        z = -1j * w
+        z *= t
+        np.exp(z, out=z)
+        z *= 0.5j
+        return np.divide(z, w, out=z)
+
+    values, residual = _damped_kernel(grid, m, res, t, multiplier)
     return Field(grid, values), residual
 
 

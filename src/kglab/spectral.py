@@ -150,9 +150,14 @@ class Field:
 
 def forward_transform(f: Field) -> np.ndarray:
     """Riemann-sum DFT: F(p_k) = dx * sum_j exp(-i p_k x_j) f_j, the n
-    complex coefficients indexed like ``grid.p`` (FFT order)."""
+    complex coefficients indexed like ``grid.p`` (FFT order); a sum past
+    float64 fails rule ``field.finite`` here, unwarned in any thread."""
     g = f.grid
-    return g.dx * _alternating(g.n) * np.fft.fft(f.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = g.dx * _alternating(g.n) * np.fft.fft(f.values)
+    if not np.isfinite(coeffs).all():
+        raise PreconditionError("field.finite", "the forward transform of finite samples overflows float64")
+    return coeffs
 
 
 def inverse_transform(like: Field, coefficients) -> Field:
@@ -162,7 +167,8 @@ def inverse_transform(like: Field, coefficients) -> Field:
     non-finite coefficient or an overflowing sum fails rule ``field.finite``.
     """
     g = like.grid
-    return Field(g, np.fft.ifft(_alternating(g.n) * coefficients) / g.dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Field(g, np.fft.ifft(_alternating(g.n) * coefficients) / g.dx)
 
 
 def check_bump(grid: UniformGrid, center: float, radius: float) -> None:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kglab.cli import main
+from kglab.spectral import PreconditionError
 from test_config import plant
 
 REPO = Path(__file__).resolve().parent.parent
@@ -314,8 +315,12 @@ def test_slice_of_one_cell_runs(tmp_path):
     assert not verdicts["multiplier_identity_t1"]["passed"]
 
 
-#: numpy warns as the FFT of a near-maximal float overflows to inf and nan
-FFT_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def run_tree(base, overrides):
+    tree = {"grid": {"n": 2048, "dx": 1 / 32}, "mass": 1.0, "times": [1.0]}
+    if base is not None:
+        tree = json.loads((REPO / "configs" / f"{base}.json").read_text())
+    tree.update(overrides)
+    return tree
 
 
 @pytest.mark.parametrize(
@@ -342,32 +347,76 @@ FFT_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ign
             "field.overflow",
         ),
         # samples of 1.7e308 are finite, their forward transform is not
-        pytest.param(
-            "evolve",
-            None,
-            {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1.7e308}},
-            "field.finite",
-            marks=FFT_OVERFLOW,
-        ),
-        pytest.param(
+        ("evolve", None, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1.7e308}}, "field.finite"),
+        (
             "hegerfeldt",
             "hegerfeldt_default",
             {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1.7e308}},
             "field.finite",
-            marks=FFT_OVERFLOW,
         ),
     ],
 )
 def test_precondition_found_during_the_run_names_a_rule(tmp_path, command, base, overrides, rule):
-    tree = {"grid": {"n": 2048, "dx": 1 / 32}, "mass": 1.0, "times": [1.0]}
-    if base is not None:
-        tree = json.loads((REPO / "configs" / f"{base}.json").read_text())
-    tree.update(overrides)
-    cfg = write_config(tmp_path, "cfg.json", tree)
+    cfg = write_config(tmp_path, "cfg.json", run_tree(base, overrides))
     rc, err = run_main(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert rc == 2
     error = json.loads(err)["error"]
     assert (error["kind"], error["rule"]) == ("config", rule)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "command,base,amplitude",
+    [
+        # samples of 1.7e308 are finite, their forward transform is not
+        ("evolve", None, 1.7e308),
+        ("hegerfeldt", "hegerfeldt_default", 1.7e308),
+        # a finite spectrum whose derivative overflows the inverse transform
+        ("evolve", None, 3e306),
+    ],
+)
+def test_overflowing_transform_leaves_one_json_line_on_stderr(tmp_path, command, base, amplitude, threads):
+    # no numpy warning may reach stderr ahead of the error, from any thread
+    tree = run_tree(base, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": amplitude}})
+    cfg = write_config(tmp_path, "cfg.json", tree)
+    res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"), env_extra={"KGLAB_THREADS": threads})
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr)["error"]["rule"] == "field.finite"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_slice_refused_in_its_worker_writes_no_report(tmp_path, monkeypatch, threads):
+    from kglab import propagator
+
+    real = propagator.pauli_jordan
+
+    def refuse_at_one(t, *args):
+        if t == 1.0:
+            raise PreconditionError("quadrature.cutoff", "refused inside the worker")
+        return real(t, *args)
+
+    monkeypatch.setenv("KGLAB_THREADS", threads)
+    monkeypatch.setattr(propagator, "pauli_jordan", refuse_at_one)
+    cfg = write_config(tmp_path, "prop.json", small_propagator_config())
+    out = tmp_path / "out"
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(out))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"]) == ("config", "quadrature.cutoff")
+    assert not (out / "report.json").exists()
+    assert not (out / "slice_001.csv").exists()
+
+
+def test_unwritable_slice_path_is_an_io_error(tmp_path):
+    cfg = write_config(tmp_path, "prop.json", small_propagator_config())
+    out = tmp_path / "out"
+    (out / "slice_001.csv").mkdir(parents=True)
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(out))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"]) == ("io", "out")
+    assert not (out / "report.json").exists()
 
 
 def test_evolve_never_reaches_the_worker_pool(tmp_path, monkeypatch):

@@ -183,6 +183,25 @@ def test_propagator_slice_edge_values_match_the_reference_writer(tmp_path):
     assert_same_bytes(tmp_path, propagator_slice_to_csv, oracles.reference_slice_csv, sample)
 
 
+def test_slices_on_one_grid_share_their_x_cells(tmp_path):
+    from kglab import io
+
+    grid = UniformGrid(256, 1 / 16)
+    writes = [
+        (propagator_slice_to_csv, oracles.reference_slice_csv, pauli_jordan(1.0, grid, Mass(1.0))),
+        (propagator_slice_to_csv, oracles.reference_slice_csv, pauli_jordan(2.0, grid, Mass(1.0))),
+        (field_to_csv, oracles.reference_field_csv, make_bump(UniformGrid(64, 0.25), 0.0, 2.0, 1.0)),
+    ]
+    io._x_cells.cache_clear()
+    for i, (write, reference, obj) in enumerate(writes):
+        write(obj, tmp_path / f"new{i}.csv")
+        reference(obj, tmp_path / f"ref{i}.csv")
+        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"ref{i}.csv").read_bytes()
+    # the second slice reused the first one's cells; the field's grid replaced them
+    info = io._x_cells.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+
+
 def test_write_csv_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "ragged.csv", ["a", "b"], [[1.0, 2.0], [1.0]])

@@ -324,7 +324,20 @@ class TestHalfLatticeFold:
 
         values, residual = _damped_kernel(grid, mass, res, t, plus)
         ref_values, ref_residual = oracles.full_lattice_kernel(grid, mass, res, t, plus)
-        assert np.array_equal(values, ref_values)
+        # bit for bit: repr writes -0.0, which np.array_equal takes for 0.0
+        assert np.array_equal(values.view(np.uint64), ref_values.view(np.uint64))
+        assert residual == ref_residual
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -1.5])
+    def test_delta_plus_keeps_the_bits_of_its_former_multiplier(self, t):
+        # the propagator-dense grid: n = 2^14, dx = 1/256, 4x the default cutoff
+        grid, mass = UniformGrid(16384, 1 / 256), Mass(1.0)
+        res = QuadratureSpec(cutoff=40960.0).resolve(grid, mass)
+        plus, residual = delta_plus(t, grid, mass, res)
+        ref_values, ref_residual = oracles.full_lattice_kernel(
+            grid, mass, res, t, lambda w: 0.5j * np.exp(-1j * w * t) / w
+        )
+        assert np.array_equal(plus.values.view(np.uint64), ref_values.view(np.uint64))
         assert residual == ref_residual
 
     def test_multiplier_sees_the_half_lattice_once(self, scan_grid):
