@@ -23,7 +23,6 @@ from .spectral import (
     forward_transform,
     inverse_transform,
     make_bump,
-    complex_momentum_transform,
 )
 from .dispersion import Mass, omega
 from .evolution import (
@@ -42,7 +41,6 @@ from .propagator import (
     delta_plus,
     pauli_jordan,
     spacelike_suppression_scan,
-    cauchy_via_propagator,
     bridge_identity_error,
 )
 from .posfreq import evolve_positive, positivity_tail_witness
@@ -63,7 +61,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "make_bump",
-    "complex_momentum_transform",
     "Mass",
     "omega",
     "CauchyData",
@@ -79,7 +76,6 @@ __all__ = [
     "delta_plus",
     "pauli_jordan",
     "spacelike_suppression_scan",
-    "cauchy_via_propagator",
     "bridge_identity_error",
     "evolve_positive",
     "positivity_tail_witness",

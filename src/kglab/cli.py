@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import diagnostics, posfreq, propagator
-from .config import ConfigError, load_config
+from .config import load_config
 from .evolution import (
     CauchyData,
     energy,
@@ -38,7 +38,7 @@ from .evolution import (
 )
 from .io import field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
 from .runtime import parallel_map
-from .spectral import Field, UniformGrid, bump_right_mover, make_bump
+from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, make_bump
 
 __all__ = ["main"]
 
@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.subcommand)
         args.out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[args.subcommand](cfg, args.out)
-    except ConfigError as exc:
+    except PreconditionError as exc:
         print(_error_json("config", exc.message, exc.rule), file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:

@@ -10,8 +10,8 @@ quadrature settings) and runs the domain checks (the bump, the times),
 which own every range and geometry rule, and checks the command's
 cross-key policy.  The initial state stays plain values, built by the
 command that reads it.  So a bad config fails at load time, and
-:class:`ConfigError`, the package's one rule-carrying
-:class:`~kglab.spectral.PreconditionError`, names the rule.
+:class:`~kglab.spectral.PreconditionError`, the package's one
+rule-carrying exception, names the rule.
 """
 
 from __future__ import annotations
@@ -27,14 +27,11 @@ from .evolution import check_margin, ladder_steps
 from .propagator import QuadratureSpec, check_scan
 from .spectral import PreconditionError, UniformGrid, check_bump
 
-__all__ = ["CONE_MARGIN_CELLS", "ConfigError", "KEYS", "REQUIRED", "load_config"]
+__all__ = ["CONE_MARGIN_CELLS", "KEYS", "REQUIRED", "load_config"]
 
 #: geometric slack, in grid cells, added to every light-cone check to
 #: absorb threshold and discretization fuzz
 CONE_MARGIN_CELLS = 5
-
-#: invalid configuration; ``rule`` names the first failing check
-ConfigError = PreconditionError
 
 #: the default of a key that every config must set
 REQUIRED = "required"
@@ -42,7 +39,7 @@ REQUIRED = "required"
 
 def _require(condition: bool, rule: str, message: str) -> None:
     if not condition:
-        raise ConfigError(rule, message)
+        raise PreconditionError(rule, message)
 
 
 def _is_number(value) -> bool:
@@ -242,8 +239,8 @@ def _parse_propagator(values: dict) -> SimpleNamespace:
     for t in cfg.times:
         check_scan(cfg.grid, t, cfg.margin)
     raw = vars(cfg)
-    cfg.quadrature = QuadratureSpec(*(raw.pop(k) for k in ("cutoff", "rungs", "residual_tol", "band_fraction")))
-    cfg.quadrature.resolve(cfg.grid, cfg.mass)
+    spec = QuadratureSpec(*(raw.pop(k) for k in ("cutoff", "rungs", "residual_tol", "band_fraction")))
+    cfg.quadrature = spec.resolve(cfg.grid, cfg.mass)
     return cfg
 
 
@@ -260,9 +257,9 @@ def load_config(path: Path, command: str) -> SimpleNamespace:
         with open(path, encoding="utf-8") as fh:
             tree = json.load(fh)
     except OSError as exc:
-        raise ConfigError("config.path", f"cannot read {path}: {exc}") from exc
+        raise PreconditionError("config.path", f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
-        raise ConfigError("config.json", f"invalid JSON in {path}: {exc}") from exc
+        raise PreconditionError("config.json", f"invalid JSON in {path}: {exc}") from exc
     _require(isinstance(tree, dict), "config", "top level must be an object")
     declared = tree.pop("command", None)
     _require(declared in (None, command), "command", f"config declares command {declared!r}, invoked as {command!r}")

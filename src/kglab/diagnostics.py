@@ -69,9 +69,10 @@ def check_window(window: tuple[float, float]) -> None:
 
 
 def cone_leakage(f: Field, R0: float, t: float, margin: float) -> float:
-    """L2 mass fraction outside the light cone |x| <= R0 + t + margin."""
+    """L2 mass fraction outside the light cone |x| <= R0 + |t| + margin;
+    evolution backward in time is just as causal."""
     grid = f.grid
-    edge = R0 + t + margin
+    edge = R0 + abs(t) + margin
     if not edge < grid.L / 2.0:
         raise PreconditionError("times.cone-edge", f"cone edge {edge} reaches the boundary L/2 = {grid.L / 2.0}")
     with np.errstate(over="ignore"):

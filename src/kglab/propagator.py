@@ -53,23 +53,20 @@ m = 0 on the line, and D is built from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dispersion import Mass, omega
-from .spectral import MAX_SAMPLES, Field, PreconditionError, UniformGrid, _alternating
-from .spectral import forward_transform, inverse_transform
+from .spectral import MAX_SAMPLES, Field, PreconditionError, UniformGrid, _alternating, forward_transform
 
 __all__ = [
     "QuadratureSpec",
-    "ResolvedQuadrature",
     "PropagatorSample",
     "delta_plus",
     "pauli_jordan",
     "spacelike_suppression_scan",
     "check_scan",
-    "cauchy_via_propagator",
     "bridge_identity_error",
 ]
 
@@ -88,8 +85,9 @@ RESIDUAL_COLLAR_CELLS = 4
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tunable quadrature parameters; a ``None`` cutoff uses the default
-    rule, and the damping ladder starts at ``EPS_BASE_FACTOR / cutoff**2``."""
+    """Tunable quadrature parameters; a ``None`` cutoff stands for the
+    default rule until :meth:`resolve` fills it in, and the damping ladder
+    starts at ``EPS_BASE_FACTOR / cutoff**2``."""
 
     cutoff: float | None = None
     rungs: int = 4
@@ -104,7 +102,9 @@ class QuadratureSpec:
         if not 0.0 < self.band_fraction <= 1.0:
             raise PreconditionError("quadrature.band_fraction", f"band_fraction must be in (0, 1], got {self.band_fraction}")
 
-    def resolve(self, grid: UniformGrid, m: Mass) -> "ResolvedQuadrature":
+    def resolve(self, grid: UniformGrid, m: Mass) -> "QuadratureSpec":
+        """This spec with its cutoff filled in and checked against the
+        floor of the grid and mass; resolving it again changes nothing."""
         floor = CUTOFF_FACTOR * max(m.m, 1.0 / grid.dx)
         cutoff = floor if self.cutoff is None else float(self.cutoff)
         if cutoff < floor:
@@ -113,22 +113,13 @@ class QuadratureSpec:
         # of n: fewer than cutoff L / pi + 2 n + 2 samples; eps divides by cutoff^2
         if not (math.isfinite(cutoff * cutoff) and cutoff * grid.L / math.pi + 2 * (grid.n + 1) < MAX_SAMPLES):
             raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} needs more nodes than an array can hold")
-        eps = EPS_BASE_FACTOR / cutoff**2
-        ladder = tuple(eps / 2.0**r for r in range(self.rungs))
-        return ResolvedQuadrature(
-            cutoff=cutoff,
-            eps_ladder=ladder,
-            residual_tol=self.residual_tol,
-            band_fraction=self.band_fraction,
-        )
+        return replace(self, cutoff=cutoff)
 
-
-@dataclass(frozen=True)
-class ResolvedQuadrature:
-    cutoff: float
-    eps_ladder: tuple[float, ...]
-    residual_tol: float
-    band_fraction: float
+    @property
+    def eps_ladder(self) -> tuple[float, ...]:
+        """The damping ladder of a resolved spec, halving eps per rung."""
+        eps = EPS_BASE_FACTOR / self.cutoff**2
+        return tuple(eps / 2.0**r for r in range(self.rungs))
 
     def metadata(self) -> dict:
         return {
@@ -149,7 +140,7 @@ class PropagatorSample:
     delta: Field
     delta_plus: Field
     residual: float
-    quad: ResolvedQuadrature
+    quad: QuadratureSpec
 
     @property
     def converged(self) -> bool:
@@ -215,13 +206,11 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 
-def delta_plus(
-    t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec | ResolvedQuadrature = QuadratureSpec()
-) -> tuple[Field, float]:
+def delta_plus(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = QuadratureSpec()) -> tuple[Field, float]:
     """Positive-frequency kernel Dp(t, .) on the grid (m > 0 only) and its
-    last-rung residual; a spec is resolved here, a resolved one used as is."""
+    last-rung residual."""
     m.require_positive("the positive-frequency kernel (infrared divergent at m = 0 in one dimension)")
-    res = quad if isinstance(quad, ResolvedQuadrature) else quad.resolve(grid, m)
+    res = quad.resolve(grid, m)
 
     def multiplier(w: np.ndarray) -> np.ndarray:  # 0.5j * exp(-1j * w * t) / w, bit for bit
         z = -1j * w
@@ -304,28 +293,3 @@ def bridge_identity_error(sample: PropagatorSample) -> float:
     if sup == 0.0:
         return float(np.max(np.abs(measured[band])))
     return float(np.max(np.abs(measured[band] - target[band])) / sup)
-
-
-def cauchy_via_propagator(data, t: float, quad: QuadratureSpec = QuadratureSpec()) -> Field:
-    """Solve the initial-value problem through the commutator kernel,
-
-        Phi(t, .) = dD/dt(dt, .) * Phi0 + D(dt, .) * Pi0,
-
-    with * the periodic grid convolution dx * sum, which the dx-weighted
-    transform pair turns into a product: Phi(t)^ = cos(w dt) Phi0^ + D^ Pi0^,
-    with D^ = forward_transform(D) as in :func:`bridge_identity_error`.
-    The dD/dt term is applied as the band multiplier cos(w dt) (its kernel
-    is a propagating delta pair that no grid sampling can represent).
-    """
-    grid = data.grid
-    dt = t - data.t0
-    sample = pauli_jordan(dt, grid, data.m, quad)
-    if not sample.converged:
-        raise PreconditionError(
-            "quadrature.converged",
-            f"propagator quadrature did not converge: residual {sample.residual} "
-            f"exceeds {sample.quad.residual_tol}"
-        )
-    w = omega(grid.p, data.m)
-    D = forward_transform(sample.delta)
-    return inverse_transform(data.phi, np.cos(w * dt) * data.phi.spectrum + D * data.pi.spectrum)

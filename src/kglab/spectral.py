@@ -39,11 +39,7 @@ __all__ = [
     "check_bump",
     "make_bump",
     "bump_right_mover",
-    "complex_momentum_transform",
 ]
-
-# log-domain guard for the exponentially weighted transform
-_MAX_LOG_WEIGHT = 700.0
 
 #: most complex128 samples one array can address; numpy refuses larger
 #: arrays with a ValueError before trying to allocate them
@@ -215,36 +211,3 @@ def bump_right_mover(grid: UniformGrid, center: float, radius: float, amplitude:
     derivative; with this time derivative a massless bump travels rigidly
     to the right at unit speed."""
     return _bump(grid, center, radius, amplitude, lambda u, prof: -prof * (-2.0 * u / (1.0 - u**2) ** 2) / radius)
-
-
-def complex_momentum_transform(f: Field, q: float) -> np.ndarray:
-    """log |F(p_k + i q)| for every grid momentum, evaluated overflow-safely.
-
-    Shifting the momentum by i q weights the samples by exp(q x); the
-    weight is accumulated in the log domain (a common factor exp(M) is
-    split off) so the probe works up to |q| L/2 = 700.  For a field
-    supported in |x| <= R the growth bound
-
-        max_k log |F(p_k + i q)|  <=  log C + R |q|
-
-    holds, which is what makes the probe a compact-support detector:
-    slow growth in q certifies analyticity of exponential type R, while
-    fields with tails exp(-m |x|) blow up as soon as |q| > m.
-    """
-    g = f.grid
-    if abs(q) * g.L / 2.0 > _MAX_LOG_WEIGHT:
-        raise PreconditionError(
-            "weight-overflow", f"|q| L/2 = {abs(q) * g.L / 2.0} exceeds {_MAX_LOG_WEIGHT} for q = {q}"
-        )
-    mags = np.abs(f.values)
-    nz = mags > 0.0
-    if not np.any(nz):
-        return np.full(g.n, -np.inf)
-    with np.errstate(divide="ignore"):
-        log_terms = q * g.x + np.log(mags)
-    shift = np.max(log_terms[nz])
-    weighted = np.zeros(g.n, dtype=np.complex128)
-    weighted[nz] = np.exp(log_terms[nz] - shift) * (f.values[nz] / mags[nz])
-    spectrum = forward_transform(Field(g, weighted))
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.abs(spectrum))

@@ -3,19 +3,25 @@
 Everything here avoids the package's FFT path: plain quadrature
 (Gauss-Legendre panels, scipy adaptive rules), closed forms and a plain
 full-grid leapfrog only, so agreement with production is a genuine
-dual-route check.  Two sections are exceptions on purpose: the
-transform-every-call references apply the package's own transform pair
-afresh on every call, the form whose bits the cached ``Field.spectrum``
-must reproduce, and the frequency split of (Phi, Pi) into positive and
-negative branches, which checks the mode algebra against
-``evolve_spectral``.  The former multiplier forms are the package's own
-earlier tail witness and complex-momentum probe, whose bits the single
-``inverse_transform(field, coefficients)`` path and the shared forward
-transform must reproduce.  The full-lattice kernel synthesis is the package's
-own former form of the propagator quadrature, whose bits the half-lattice
-row-sum fold must reproduce.  The reference writers at the end format one cell at
-a time through ``csv.writer`` and ``json.dump``, the forms whose bytes the
-column-at-once writers of ``kglab.io`` must reproduce.
+dual-route check.  Some sections are exceptions on purpose:
+
+* the transform-every-call references apply the package's own transform
+  pair afresh on every call, the form whose bits the cached
+  ``Field.spectrum`` must reproduce;
+* the frequency split of (Phi, Pi) into positive and negative branches
+  checks the mode algebra against ``evolve_spectral``;
+* the former multiplier form is the package's own earlier tail witness,
+  whose bits the single ``inverse_transform(field, coefficients)`` path
+  must reproduce;
+* the full-lattice kernel synthesis is the package's own former form of
+  the propagator quadrature, whose bits the half-lattice row-sum fold must
+  reproduce;
+* the two probes that no command runs, ``cauchy_via_propagator`` and
+  ``complex_momentum_transform``, use the package's kernels and FFT path:
+  they carry acceptance criteria 5 and 8, not a second route;
+* the reference writers at the end format one cell at a time through
+  ``csv.writer`` and ``json.dump``, the forms whose bytes the
+  column-at-once writers of ``kglab.io`` must reproduce.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ import json
 import numpy as np
 from scipy.integrate import quad
 
-from kglab import CauchyData, Field, forward_transform, inverse_transform, omega
+from kglab import CauchyData, Field, QuadratureSpec, forward_transform, inverse_transform, omega, pauli_jordan
 from kglab.propagator import RESIDUAL_COLLAR_CELLS, _extrapolate, _off_cone
-from kglab.spectral import _alternating
+from kglab.spectral import PreconditionError, _alternating
 
 GL200 = np.polynomial.legendre.leggauss(200)
 
@@ -230,7 +236,7 @@ def recombine(psi_plus, psi_minus, m, t: float):
     return CauchyData(phi, pi, m, t0=t)
 
 
-# --- the package's own former multiplier forms, before the one inverse path ---
+# --- the package's own former multiplier form, before the one inverse path ---
 
 
 def former_tail_witness(phi, m):
@@ -238,24 +244,6 @@ def former_tail_witness(phi, m):
     multiplier omega alone, one inverse transform, then -1j on the samples."""
     scaled = forward_transform(phi) * omega(phi.grid.p, m)
     return Field(phi.grid, -1j * inverse_transform(phi, scaled).values)
-
-
-def former_complex_momentum_transform(f, q: float):
-    """``complex_momentum_transform`` as the package once computed it, with
-    the forward transform's weights written out in place."""
-    g = f.grid
-    mags = np.abs(f.values)
-    nz = mags > 0.0
-    if not np.any(nz):
-        return np.full(g.n, -np.inf)
-    with np.errstate(divide="ignore"):
-        log_terms = q * g.x + np.log(mags)
-    shift = np.max(log_terms[nz])
-    weighted = np.zeros(g.n, dtype=np.complex128)
-    weighted[nz] = np.exp(log_terms[nz] - shift) * (f.values[nz] / mags[nz])
-    spectrum = g.dx * _alternating(g.n) * np.fft.fft(weighted)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.abs(spectrum))
 
 
 # --- the package's own former kernel synthesis: full lattice, np.bincount fold ---
@@ -279,6 +267,71 @@ def full_lattice_kernel(grid, m, res, t: float, multiplier):
         )
         levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(_alternating(grid.n) * G) * grid.n)
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
+
+
+# --- probes of the package reached by no command ---
+
+
+def cauchy_via_propagator(data, t: float, spec: QuadratureSpec = QuadratureSpec()) -> Field:
+    """Solve the initial-value problem through the commutator kernel,
+
+        Phi(t, .) = dD/dt(dt, .) * Phi0 + D(dt, .) * Pi0,
+
+    with * the periodic grid convolution dx * sum, which the dx-weighted
+    transform pair turns into a product: Phi(t)^ = cos(w dt) Phi0^ + D^ Pi0^,
+    with D^ = forward_transform(D) as in ``bridge_identity_error``.
+    The dD/dt term is applied as the band multiplier cos(w dt) (its kernel
+    is a propagating delta pair that no grid sampling can represent).
+    """
+    grid = data.grid
+    dt = t - data.t0
+    sample = pauli_jordan(dt, grid, data.m, spec)
+    if not sample.converged:
+        raise PreconditionError(
+            "quadrature.converged",
+            f"propagator quadrature did not converge: residual {sample.residual} "
+            f"exceeds {sample.quad.residual_tol}"
+        )
+    w = omega(grid.p, data.m)
+    D = forward_transform(sample.delta)
+    return inverse_transform(data.phi, np.cos(w * dt) * data.phi.spectrum + D * data.pi.spectrum)
+
+
+# log-domain guard for the exponentially weighted transform
+_MAX_LOG_WEIGHT = 700.0
+
+
+def complex_momentum_transform(f, q: float) -> np.ndarray:
+    """log |F(p_k + i q)| for every grid momentum, evaluated overflow-safely.
+
+    Shifting the momentum by i q weights the samples by exp(q x); the
+    weight is accumulated in the log domain (a common factor exp(M) is
+    split off) so the probe works up to |q| L/2 = 700.  For a field
+    supported in |x| <= R the growth bound
+
+        max_k log |F(p_k + i q)|  <=  log C + R |q|
+
+    holds, which is what makes the probe a compact-support detector:
+    slow growth in q certifies analyticity of exponential type R, while
+    fields with tails exp(-m |x|) blow up as soon as |q| > m.
+    """
+    g = f.grid
+    if abs(q) * g.L / 2.0 > _MAX_LOG_WEIGHT:
+        raise PreconditionError(
+            "weight-overflow", f"|q| L/2 = {abs(q) * g.L / 2.0} exceeds {_MAX_LOG_WEIGHT} for q = {q}"
+        )
+    mags = np.abs(f.values)
+    nz = mags > 0.0
+    if not np.any(nz):
+        return np.full(g.n, -np.inf)
+    with np.errstate(divide="ignore"):
+        log_terms = q * g.x + np.log(mags)
+    shift = np.max(log_terms[nz])
+    weighted = np.zeros(g.n, dtype=np.complex128)
+    weighted[nz] = np.exp(log_terms[nz] - shift) * (f.values[nz] / mags[nz])
+    spectrum = forward_transform(Field(g, weighted))
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.abs(spectrum))
 
 
 # --- reference writers: one cell at a time, bytes fixed by the stdlib ---

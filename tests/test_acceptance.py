@@ -18,8 +18,6 @@ from kglab import (
     QuadratureSpec,
     UniformGrid,
     bridge_identity_error,
-    cauchy_via_propagator,
-    complex_momentum_transform,
     cone_leakage,
     delta_plus,
     energy,
@@ -168,7 +166,7 @@ def test_criterion_5_bridge_identity():
     }
     for name, (data, t) in states.items():
         err = rel_l2(
-            cauchy_via_propagator(data, t).values, evolve_spectral(data, t).phi.values
+            oracles.cauchy_via_propagator(data, t).values, evolve_spectral(data, t).phi.values
         )
         checks[f"cauchy-vs-spectral {name}<1e-3 [{err:.2e}]"] = err < 1e-3
     report("5 bridge identity", checks)
@@ -229,7 +227,7 @@ def test_criterion_8_paley_wiener_probe():
     for center, radius in [(0.0, 1.0), (0.0, 2.0)]:
         b = make_bump(grid, center, radius, 1.0)
         qs = np.linspace(1.0, 6.0, 11)
-        tops = [np.max(complex_momentum_transform(b, q)) for q in qs]
+        tops = [np.max(oracles.complex_momentum_transform(b, q)) for q in qs]
         slope = float(np.polyfit(qs, tops, 1)[0])
         support = abs(center) + radius
         checks[f"slope(R={support})<=1.05R [{slope:.3f}]"] = slope <= 1.05 * support
@@ -237,7 +235,7 @@ def test_criterion_8_paley_wiener_probe():
     for n, L in [(2048, 64.0), (4096, 128.0)]:
         g = UniformGrid(n, L / n)
         f = Field(g, np.exp(-np.abs(g.x)))
-        tops[L] = {q: float(np.max(complex_momentum_transform(f, q))) for q in (0.5, 1.5)}
+        tops[L] = {q: float(np.max(oracles.complex_momentum_transform(f, q))) for q in (0.5, 1.5)}
     grow_above = tops[128.0][1.5] - tops[64.0][1.5]
     grow_below = abs(tops[128.0][0.5] - tops[64.0][0.5])
     checks[f"q=1.5>m diverges with L [{grow_above:.1f} nats]"] = grow_above > 10.0

@@ -72,6 +72,21 @@ def test_rightmover_snapshot_matches_translated_bump(tmp_path):
     assert np.max(np.abs(re - oracles.bump_profile(x - 2.0))) < 1e-10
 
 
+def test_backward_evolution_is_measured_in_its_own_cone(tmp_path):
+    # Phi(-t) = Phi(t) for a datum at rest: the rows of t = -1 and t = 1
+    # agree bit for bit, and a right-mover run backward stays in its cone
+    tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
+    tree.update(times=[-1.0, 1.0], snapshot_times=[])
+    path = write_config(tmp_path, "backward.json", tree)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "rest")]) == 0
+    back, fwd = [row.split(",")[1:] for row in (tmp_path / "rest" / "series.csv").read_text().splitlines()[1:]]
+    assert back == fwd
+    tree = json.loads((REPO / "configs" / "rightmover.json").read_text())
+    tree.update(times=[-2.0], snapshot_times=[])
+    path = write_config(tmp_path, "mover.json", tree)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "mover")]) == 0
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, "prop.json", small_propagator_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"

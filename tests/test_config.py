@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kglab.config import KEYS, REQUIRED, ConfigError, load_config
+from kglab.config import KEYS, REQUIRED, load_config
 from kglab.propagator import QuadratureSpec
+from kglab.spectral import PreconditionError
 
 
 def write(tmp_path, tree):
@@ -53,7 +54,7 @@ def test_valid_evolve_config(tmp_path):
 def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
     tree = evolve_tree()
     mutate(tree)
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "evolve")
     assert err.value.rule == rule
 
@@ -87,7 +88,7 @@ def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
     ],
 )
 def test_evolve_rejects_malformed_values(tmp_path, overrides, rule):
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, evolve_tree(**overrides)), "evolve")
     assert err.value.rule == rule
 
@@ -138,7 +139,7 @@ def hegerfeldt_tree(**overrides):
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
     assert load_config(write(tmp_path, hegerfeldt_tree()), "hegerfeldt").rate_band == 0.15
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, hegerfeldt_tree(**overrides)), "hegerfeldt")
     assert err.value.rule == rule
 
@@ -146,25 +147,25 @@ def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
 def test_local_fd_needs_commensurate_times(tmp_path):
     tree = evolve_tree(method="local-fd", dt=1 / 64)
     tree["times"] = [1.0, 1.37]
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "evolve")
     assert err.value.rule == "times.dt-multiple"
 
 
 def test_local_fd_courant_rule(tmp_path):
     tree = evolve_tree(method="local-fd", dt=1.0)
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "evolve")
     assert err.value.rule == "dt.courant"
 
 
 def test_hegerfeldt_window_rules(tmp_path):
     tree = hegerfeldt_tree(tail_fit={"window": [2.0, 16.0]})
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "hegerfeldt")
     assert err.value.rule == "tail_fit.window.near-field"
     tree["tail_fit"]["window"] = [9.0, 29.0]
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "hegerfeldt")
     assert err.value.rule == "tail_fit.window.wrap"
 
@@ -176,7 +177,7 @@ def test_propagator_cutoff_floor(tmp_path):
         "times": [1.0],
         "quadrature": {"cutoff": 50.0},
     }
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "propagator")
     assert err.value.rule == "quadrature.cutoff"
 
@@ -235,10 +236,11 @@ def propagator_tree(**overrides):
 )
 def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
     cfg = load_config(write(tmp_path, propagator_tree()), "propagator")
-    assert (cfg.margin, cfg.quadrature.rungs, cfg.quadrature.cutoff) == (0.2, 4, None)
-    assert cfg.quadrature == QuadratureSpec()
+    # the config keeps the spec it resolved: the default cutoff 40 / dx
+    assert (cfg.margin, cfg.quadrature.rungs, cfg.quadrature.cutoff) == (0.2, 4, 10240.0)
+    assert cfg.quadrature == QuadratureSpec().resolve(cfg.grid, cfg.mass)
     assert cfg.ratio_ceiling == 1e-4
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, propagator_tree(**overrides)), "propagator")
     assert err.value.rule == rule
 
@@ -246,7 +248,8 @@ def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):
 def test_propagator_null_cutoff_uses_the_default_rule(tmp_path):
     tree = propagator_tree(quadrature={"cutoff": None, "rungs": 3})
     cfg = load_config(write(tmp_path, tree), "propagator")
-    assert (cfg.quadrature.cutoff, cfg.quadrature.rungs) == (None, 3)
+    # the default rule: CUTOFF_FACTOR * max(m, 1/dx) = 40 * 256
+    assert (cfg.quadrature.cutoff, cfg.quadrature.rungs) == (10240.0, 3)
 
 
 _JSON_LEAVES = (
@@ -305,7 +308,7 @@ def parses_or_names_a_rule(tree: dict, command: str) -> None:
         path = write(Path(tmp), tree)
         try:
             load_config(path, command)
-        except ConfigError as exc:
+        except PreconditionError as exc:
             assert exc.rule
 
 
@@ -330,13 +333,13 @@ def test_hegerfeldt_config_fuzz(drawn):
 
 def test_command_mismatch_rejected(tmp_path):
     tree = evolve_tree(command="evolve")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "propagator")
     assert err.value.rule == "command"
 
 
 def test_missing_file_is_config_error(tmp_path):
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(PreconditionError) as err:
         load_config(tmp_path / "nope.json", "evolve")
     assert err.value.rule == "config.path"
 

@@ -11,7 +11,6 @@ from kglab import (
     QuadratureSpec,
     UniformGrid,
     bridge_identity_error,
-    cauchy_via_propagator,
     delta_plus,
     evolve_spectral,
     make_bump,
@@ -19,7 +18,7 @@ from kglab import (
     pauli_jordan,
     spacelike_suppression_scan,
 )
-from kglab.propagator import RESIDUAL_COLLAR_CELLS, _damped_kernel, _off_cone
+from kglab.propagator import EPS_BASE_FACTOR, RESIDUAL_COLLAR_CELLS, _damped_kernel, _off_cone
 from kglab.spectral import PreconditionError
 
 
@@ -73,7 +72,7 @@ class TestDeltaPlus:
         for build in (
             lambda: delta_plus(1.0, scan_grid, Mass(0.0)),
             lambda: pauli_jordan(1.0, scan_grid, Mass(0.0)),
-            lambda: cauchy_via_propagator(CauchyData(zero, zero, Mass(0.0)), 1.0),
+            lambda: oracles.cauchy_via_propagator(CauchyData(zero, zero, Mass(0.0)), 1.0),
         ):
             with pytest.raises(ValueError, match="infrared") as err:
                 build()
@@ -82,6 +81,21 @@ class TestDeltaPlus:
     def test_cutoff_floor_enforced(self, scan_grid):
         with pytest.raises(ValueError, match="floor"):
             delta_plus(1.0, scan_grid, Mass(1.0), QuadratureSpec(cutoff=100.0))
+
+    def test_resolve_is_idempotent(self, scan_grid):
+        m = Mass(1.0)
+        for spec in (QuadratureSpec(), QuadratureSpec(cutoff=2 * 40 * 256.0, rungs=3)):
+            res = spec.resolve(scan_grid, m)
+            assert res.cutoff is not None
+            assert res.resolve(scan_grid, m) == res
+            assert res.eps_ladder == tuple(EPS_BASE_FACTOR / res.cutoff**2 / 2.0**r for r in range(res.rungs))
+
+    def test_resolved_spec_is_checked_against_the_new_floor(self, scan_grid):
+        # a spec resolved on a coarse grid sits below the floor of a finer one
+        coarse = QuadratureSpec().resolve(UniformGrid(1024, 1 / 64), Mass(1.0))
+        with pytest.raises(PreconditionError) as err:
+            delta_plus(1.0, scan_grid, Mass(1.0), coarse)
+        assert err.value.rule == "quadrature.cutoff"
 
 
 class TestPauliJordan:
@@ -129,27 +143,23 @@ class TestPauliJordan:
         assert s.residual == 2.0 * residual
 
     def test_one_resolve_per_slice(self, scan_grid, monkeypatch):
-        # the quadrature is resolved once and handed to the module-level
-        # delta_plus, which the benchmark tracer counts
+        # one kernel per slice through the module-level delta_plus, which
+        # the benchmark tracer counts, and the sample keeps the one resolved
+        # spec that its metadata reports
         from kglab import propagator
 
-        resolves, kernels = [], []
-        resolve, plus = QuadratureSpec.resolve, propagator.delta_plus
-
-        def spy_resolve(spec, grid, m):
-            resolves.append(spec)
-            return resolve(spec, grid, m)
+        kernels, plus = [], propagator.delta_plus
 
         def spy_plus(t, *args):
             kernels.append(t)
             return plus(t, *args)
 
-        monkeypatch.setattr(QuadratureSpec, "resolve", spy_resolve)
         monkeypatch.setattr(propagator, "delta_plus", spy_plus)
-        for t in (0.0, 1.0):
-            pauli_jordan(t, scan_grid, Mass(1.0))
-        assert len(resolves) == 2
+        spec, m = QuadratureSpec(rungs=3), Mass(1.0)
+        samples = [pauli_jordan(t, scan_grid, m, spec) for t in (0.0, 1.0)]
         assert kernels == [0.0, 1.0]
+        for sample in samples:
+            assert sample.quad == spec.resolve(scan_grid, m)
 
     def test_bridge_identity(self, scan_grid):
         s = pauli_jordan(1.0, scan_grid, Mass(1.0))
@@ -216,7 +226,7 @@ class TestCauchyViaPropagator:
         g = UniformGrid(4096, 1 / 64)
         b = make_bump(g, 0.0, 1.0, 1.0)
         data = CauchyData(b, Field(g, np.zeros(g.n)), Mass(1.0))
-        out = cauchy_via_propagator(data, 0.0)
+        out = oracles.cauchy_via_propagator(data, 0.0)
         assert self.rel_l2(out.values, b.values) < 1e-3
 
     def test_matches_spectral_on_pi_data(self):
@@ -225,7 +235,7 @@ class TestCauchyViaPropagator:
         data = CauchyData(
             Field(g, np.zeros(g.n)), make_bump(g, 0.0, 1.0, 1.0), Mass(1.0)
         )
-        out = cauchy_via_propagator(data, 1.5)
+        out = oracles.cauchy_via_propagator(data, 1.5)
         ref = evolve_spectral(data, 1.5)
         assert self.rel_l2(out.values, ref.phi.values) < 1e-3
 
@@ -234,7 +244,7 @@ class TestCauchyViaPropagator:
         data = CauchyData(
             make_bump(g, 0.0, 1.0, 1.0), Field(g, np.zeros(g.n)), Mass(1.0)
         )
-        out = cauchy_via_propagator(data, 2.0)
+        out = oracles.cauchy_via_propagator(data, 2.0)
         ref = evolve_spectral(data, 2.0)
         assert self.rel_l2(out.values, ref.phi.values) < 1e-3
 
@@ -243,7 +253,7 @@ class TestCauchyViaPropagator:
         data = CauchyData(
             make_bump(g, 0.0, 1.0, 1.0), make_bump(g, 0.5, 1.0, 0.5), Mass(1.0)
         )
-        out = cauchy_via_propagator(data, 2.0)
+        out = oracles.cauchy_via_propagator(data, 2.0)
         ref = evolve_spectral(data, 2.0)
         assert self.rel_l2(out.values, ref.phi.values) < 1e-3
 
@@ -254,7 +264,7 @@ class TestCauchyViaPropagator:
         data = CauchyData(
             Field(g, np.zeros(g.n)), make_bump(g, 0.0, 1.0, 1.0), Mass(1.0)
         )
-        out = cauchy_via_propagator(data, -1.5)
+        out = oracles.cauchy_via_propagator(data, -1.5)
         ref = evolve_spectral(data, -1.5)
         assert self.rel_l2(out.values, ref.phi.values) < 1e-3
 
@@ -264,7 +274,7 @@ class TestCauchyViaPropagator:
             make_bump(g, 0.0, 1.0, 1.0), Field(g, np.zeros(g.n)), Mass(1.0)
         )
         with pytest.raises(ValueError, match="converge"):
-            cauchy_via_propagator(data, 1.0, QuadratureSpec(residual_tol=1e-30))
+            oracles.cauchy_via_propagator(data, 1.0, QuadratureSpec(residual_tol=1e-30))
 
 
 def time_derivative_identity_error(t: float, grid: UniformGrid, m: Mass) -> float:
