@@ -14,7 +14,8 @@ and Pi_k(0) are the cached coefficient arrays ``Field.spectrum`` of the
 datum and each combination returns through one ``inverse_transform``, so a
 time ladder costs one forward transform per datum and two inverses per time.
 A datum at rest (Pi = 0) needs only Phi_k(t) = cos(w t) Phi_k(0): one
-inverse per time, see :func:`evolve_from_rest`.
+inverse per time, see :func:`evolve_from_rest`.  The multipliers come
+from :func:`~kglab.dispersion.omega_multiplier`.
 
 Local (finite propagation speed by construction): the first-order system
 Phi' = Pi, Pi' = (D2 - m^2) Phi with the 3-point Laplacian D2, stepped by
@@ -53,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .diagnostics import radius_above
-from .dispersion import Mass, omega
+from .dispersion import Mass, omega_multiplier
 from .spectral import Field, PreconditionError, finite_total, forward_transform, inverse_transform
 
 __all__ = [
@@ -111,10 +112,9 @@ def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
     check_margin(grid, dt)
     if dt == 0.0:
         return CauchyData(data.phi, data.pi, data.m, t0=t)
-    w = omega(grid.p, data.m)
-    c = np.cos(w * dt)
-    s_over_w = dt * np.sinc(w * dt / np.pi)  # sin(w dt)/w, exact at w = 0
-    w_s = w * np.sin(w * dt)
+    c = omega_multiplier(grid, data.m, lambda w: np.cos(w * dt))
+    s_over_w = omega_multiplier(grid, data.m, lambda w: dt * np.sinc(w * dt / np.pi))  # sin(w dt)/w, exact at w = 0
+    w_s = omega_multiplier(grid, data.m, lambda w: w * np.sin(w * dt))
     F = data.phi.spectrum
     P = data.pi.spectrum
     phi_t = inverse_transform(data.phi, c * F + s_over_w * P)
@@ -131,7 +131,7 @@ def evolve_from_rest(phi: Field, m: Mass, t: float) -> Field:
     """
     grid = phi.grid
     check_margin(grid, t)
-    return inverse_transform(phi, np.cos(omega(grid.p, m) * t) * phi.spectrum)
+    return inverse_transform(phi, omega_multiplier(grid, m, lambda w: np.cos(w * t)) * phi.spectrum)
 
 
 def _apply_stencil(ext: np.ndarray, scale: float, msq: float) -> np.ndarray:

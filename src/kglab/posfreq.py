@@ -11,7 +11,8 @@ any t > 0.
 
 Both operations multiply the cached coefficient array ``Field.spectrum``
 of their input and take one inverse transform (of exp(-i w t), and of w in
-the tail witness, which applies its -i to the samples), so a state evolved
+the tail witness, which applies its -i to the samples; both from
+:func:`~kglab.dispersion.omega_multiplier`), so a state evolved
 to a time ladder and fed to the witness is transformed once; take that spectrum
 before the ladder fans out over threads (see :class:`~kglab.spectral.Field`).
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dispersion import Mass, omega
+from .dispersion import Mass, omega_multiplier
 from .evolution import check_margin
 from .spectral import Field, inverse_transform
 
@@ -31,7 +32,7 @@ def evolve_positive(psi: Field, m: Mass, t: float) -> Field:
     """First-order flow psi_k(t) = exp(-i w t) psi_k(0); unitary per mode."""
     grid = psi.grid
     check_margin(grid, t)
-    return inverse_transform(psi, psi.spectrum * np.exp(-1j * omega(grid.p, m) * t))
+    return inverse_transform(psi, psi.spectrum * omega_multiplier(grid, m, lambda w: np.exp(-1j * w * t)))
 
 
 def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
@@ -43,6 +44,6 @@ def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
     module notes on fit windows).
     """
     m.require_positive("the tail witness")
-    derivative = inverse_transform(phi_compact, phi_compact.spectrum * omega(phi_compact.grid.p, m))
+    derivative = inverse_transform(phi_compact, phi_compact.spectrum * omega_multiplier(phi_compact.grid, m, lambda w: w))
     # -1j goes on the samples: inside the inverse FFT it flips the sign of some exact zeros
     return Field(phi_compact.grid, -1j * derivative.values)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import Mass, omega
+from .dispersion import Mass, omega, omega_multiplier
 from .spectral import MAX_SAMPLES, Field, PreconditionError, UniformGrid, _alternating, forward_transform
 
 __all__ = [
@@ -286,8 +286,7 @@ def bridge_identity_error(sample: PropagatorSample) -> float:
     """
     grid = sample.grid
     measured = forward_transform(sample.delta)
-    w = omega(grid.p, sample.m)
-    target = sample.t * np.sinc(w * sample.t / np.pi)
+    target = omega_multiplier(grid, sample.m, lambda w: sample.t * np.sinc(w * sample.t / np.pi))
     band = _band_mask(grid, sample.quad.band_fraction)
     sup = float(np.max(np.abs(target[band])))
     if sup == 0.0:

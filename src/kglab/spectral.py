@@ -164,7 +164,9 @@ def inverse_transform(like: Field, coefficients) -> Field:
     """
     g = like.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        return Field(g, np.fft.ifft(_alternating(g.n) * coefficients) / g.dx)
+        samples = np.fft.ifft(_alternating(g.n) * coefficients)
+        samples /= g.dx
+    return Field(g, samples)
 
 
 def check_bump(grid: UniformGrid, center: float, radius: float) -> None:

@@ -13,6 +13,8 @@ from kglab import (
 )
 
 import oracles
+from kglab import dispersion
+from kglab.dispersion import omega_multiplier
 
 
 def test_omega_rest_energy():
@@ -121,3 +123,49 @@ def test_rate_doubles_with_mass():
     fit1 = fit_exponential_tail(positivity_tail_witness(b, Mass(1.0)), (9.0, 16.0))
     fit2 = fit_exponential_tail(positivity_tail_witness(b, Mass(2.0)), (4.0, 9.0))
     assert 1.8 <= fit2.rate / fit1.rate <= 2.2
+
+
+# every omega multiplier of the package, as fn(omega) at time t
+MULTIPLIER_FORMS = {
+    "exp(-i w t)": lambda t: lambda w: np.exp(-1j * w * t),
+    "cos(w t)": lambda t: lambda w: np.cos(w * t),
+    "t sinc(w t / pi)": lambda t: lambda w: t * np.sinc(w * t / np.pi),
+    "w sin(w t)": lambda t: lambda w: w * np.sin(w * t),
+    "w": lambda t: lambda w: w,
+}
+
+
+@pytest.mark.parametrize("form", sorted(MULTIPLIER_FORMS))
+@pytest.mark.parametrize("m", [0.0, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("n, dx", [(16, 0.25), (2048, 0.03), (2**16, 1 / 128), (2**17, 1 / 256)])
+def test_half_lattice_multiplier_is_the_full_lattice_one_bit_for_bit(form, m, n, dx):
+    # m = 0 puts the sinc at w = 0; the half lattice ends on the Nyquist bin
+    grid = UniformGrid(n, dx)
+    mass = Mass(m)
+    for t in (1e-3, 0.1, 1.7, -0.3):
+        fn = MULTIPLIER_FORMS[form](t)
+        full = np.asarray(fn(omega(grid.p, mass)))
+        mirrored = omega_multiplier(grid, mass, fn)
+        assert mirrored.dtype == full.dtype and mirrored.shape == (n,)
+        assert np.array_equal(mirrored.view(np.uint64), full.view(np.uint64)), t
+
+
+def test_half_lattice_ends_on_the_nyquist_bin():
+    grid = UniformGrid(16, 0.25)
+    half = dispersion._half_omega(grid.n, grid.dx, Mass(0.0))
+    assert half.shape == (9,) and grid.p[8] < 0 and half[-1] == -grid.p[8] == np.pi / 0.25
+
+
+def test_cached_omega_is_read_only_and_keyed_on_grid_and_mass():
+    # grids no other test uses, so the first call of each key computes it
+    grid, wide = UniformGrid(64, 0.1), UniformGrid(128, 0.1)
+    first = dispersion._half_omega(64, 0.1, Mass(1.0))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    heavy = dispersion._half_omega(64, 0.1, Mass(2.0))
+    assert (first[0], heavy[0]) == (1.0, 2.0)
+    assert dispersion._half_omega(128, 0.1, Mass(1.0)).shape == (65,)
+    assert dispersion._half_omega(64, 0.1, Mass(1.0)) is first
+    for g, m in [(grid, 1.0), (wide, 2.0), (grid, 2.0), (wide, 1.0), (grid, 1.0)]:
+        assert np.array_equal(omega_multiplier(g, Mass(m), lambda w: w), omega(g.p, Mass(m)))
