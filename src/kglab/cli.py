@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -137,7 +138,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     psi0 = make_bump(grid, cfg.center, cfg.radius, cfg.amplitude)
     r0 = diagnostics.support_radius(psi0, cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
-    psi0.spectrum  # transformed once, before the map shares it
+    psi0.spectrum  # transformed once, before the pool shares it
 
     def one_time(t: float):
         psi_t = posfreq.evolve_positive(psi0, mass, t)
@@ -148,7 +149,29 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
             diagnostics.cone_leakage(evolve_from_rest(psi0, mass, t), r0, t, margin),
         )
 
-    leaks, tails, contrasts = zip(*parallel_map(one_time, cfg.times))
+    def witness():
+        field = posfreq.positivity_tail_witness(psi0, mass)
+        return diagnostics.support_report(field, threshold=cfg.support, window=cfg.window)
+
+    # one pool pass over every job, reduced in this order: the base-grid
+    # times, the witness, then the doubled-grid leakages
+    jobs = [partial(one_time, t) for t in cfg.times] + [witness]
+    if cfg.grid_doubling_check:
+        # same cone edge (base-grid support radius and margin) isolates
+        # the resolution dependence, which is what rules out aliasing; the
+        # verdict reads only the leakage, so only the leakage is computed
+        psi2 = make_bump(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0), cfg.center, cfg.radius, cfg.amplitude)
+        psi2.spectrum  # transformed once, before the pool shares it
+
+        def leak2(t: float):
+            return diagnostics.cone_leakage(posfreq.evolve_positive(psi2, mass, t), r0, t, margin)
+
+        jobs += [partial(leak2, t) for t in cfg.times]
+    results = parallel_map(lambda job: job(), jobs)
+    k = len(cfg.times)
+    leaks, tails, contrasts = zip(*results[:k])
+    witness_report = results[k]
+
     write_csv(
         out / "leakage.csv",
         ["t", "leakage_fraction", "fitted_rate", "fit_r2", "window_lo", "window_hi"],
@@ -166,11 +189,6 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
         ["t", "positive_frequency_leakage", "spectral_leakage"],
         [cfg.times, leaks, contrasts],
     )
-
-    witness = posfreq.positivity_tail_witness(psi0, mass)
-    witness_report = diagnostics.support_report(
-        witness, threshold=cfg.support, window=cfg.window
-    )
     write_json(out / "witness_report.json", witness_report)
 
     def rate(value: float, r2: float) -> dict:
@@ -186,16 +204,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
         "snapshot_rate": rate(snap_tail.rate, snap_tail.r2),
     }
     if cfg.grid_doubling_check:
-        # same cone edge (base-grid support radius and margin) isolates
-        # the resolution dependence, which is what rules out aliasing; the
-        # verdict reads only the leakage, so only the leakage is computed
-        psi2 = make_bump(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0), cfg.center, cfg.radius, cfg.amplitude)
-        psi2.spectrum  # transformed once, before the map shares it
-
-        def leak2(t: float):
-            return diagnostics.cone_leakage(posfreq.evolve_positive(psi2, mass, t), r0, t, margin)
-
-        rel = max(abs(b / a - 1.0) for a, b in zip(leaks, parallel_map(leak2, cfg.times)))
+        rel = max(abs(b / a - 1.0) for a, b in zip(leaks, results[k + 1 :]))
         verdicts["grid_doubling_stability"] = _below(rel, cfg.doubling_tolerance)
     return _write_report(
         out, "hegerfeldt", cfg, verdicts,

@@ -12,11 +12,14 @@ The dx and 1/L weights make the discrete pair a Riemann sum for the
 continuum transform, so discrete quantities converge to continuum
 integrals without stray constants.  With the half-domain offset the
 kernel splits as exp(-i p_k x_j) = (-1)^k exp(-2 pi i k j / n); the
-alternating sign is applied exactly instead of through exp(i pi k).
+alternating sign is applied exactly instead of through exp(i pi k), from
+one read-only array per n.
 
 Coefficients are plain complex128 arrays in FFT order (``Field.spectrum``
 caches a field's own); every mode multiplier returns to the grid through
-one ``inverse_transform(like, multiplier * coefficients)``.
+one ``inverse_transform(like, multiplier * coefficients)``, which allocates
+one n-sample buffer: the signed coefficients, transformed and scaled in
+place, become the new field's samples without a copy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,9 +59,12 @@ class PreconditionError(ValueError):
         self.message = message
 
 
+@lru_cache(maxsize=4)
 def _alternating(n: int) -> np.ndarray:
+    """(-1)^k for k = 0 .. n-1 as float64, read-only, cached a few sizes deep."""
     alt = np.ones(n)
     alt[1::2] = -1.0
+    alt.flags.writeable = False
     return alt
 
 
@@ -92,13 +98,15 @@ class UniformGrid:
         return mom
 
 
-def _validated_samples(grid: UniformGrid, values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
+def _validated_samples(grid: UniformGrid, values, copy: bool = True) -> np.ndarray:
+    """``values`` as n read-only complex128 samples, all finite; a copy
+    unless ``copy`` is False, which requires an owned complex128 array."""
+    arr = np.array(values, dtype=np.complex128, copy=copy).reshape(-1)
     if arr.shape != (grid.n,):
         raise PreconditionError("field.size", f"field needs {grid.n} samples, got {arr.shape[0]}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise PreconditionError("field.finite", f"non-finite field sample at index {bad[0]}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise PreconditionError("field.finite", f"non-finite field sample at index {np.argmin(finite)}")
     arr.flags.writeable = False
     return arr
 
@@ -122,6 +130,10 @@ def finite_total(total, what: str) -> float:
 class Field:
     """Complex samples on the grid, immutable after construction.
 
+    ``Field(grid, values)`` validates a copy of ``values``, so the caller
+    keeps its array; only :func:`inverse_transform` hands over the buffer
+    it allocated, validated the same way but not copied.
+
     ``spectrum`` is :func:`forward_transform` of the field, a read-only
     coefficient array computed on first access and kept, so a datum evolved
     to many times is transformed once.  Take it before sharing the field
@@ -136,6 +148,14 @@ class Field:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _validated_samples(self.grid, self.values))
+
+    @classmethod
+    def _adopt(cls, grid: UniformGrid, samples: np.ndarray) -> Field:
+        """A field over ``samples``, a complex128 array that no one else holds."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", _validated_samples(grid, samples, copy=False))
+        return field
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -161,12 +181,15 @@ def inverse_transform(like: Field, coefficients) -> Field:
 
     The coefficients are checked only as the new field's samples: a
     non-finite coefficient or an overflowing sum fails rule ``field.finite``.
+    The signed coefficients are cast into one new complex128 buffer, which
+    the inverse FFT and the 1/dx weight overwrite in place.
     """
     g = like.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.fft.ifft(_alternating(g.n) * coefficients)
+        samples = np.multiply(_alternating(g.n), coefficients, out=np.empty(g.n, dtype=np.complex128))
+        np.fft.ifft(samples, out=samples)
         samples /= g.dx
-    return Field(g, samples)
+    return Field._adopt(g, samples)
 
 
 def check_bump(grid: UniformGrid, center: float, radius: float) -> None:

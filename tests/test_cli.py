@@ -274,11 +274,41 @@ def test_each_datum_is_transformed_once(tmp_path, monkeypatch, config, expected,
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "kglab" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    # and numpy's own transforms, so no path goes around the pair: the
+    # README's totals are hegerfeldt_default 12 and causal_default 16
+    for name, kind in (("fft", "np.forward"), ("ifft", "np.inverse")):
+
+        def counted_np(*args, _kind=kind, _original=getattr(np.fft, name), **kwargs):
+            with lock:
+                calls[_kind] = calls.get(_kind, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted_np)
     monkeypatch.setenv("KGLAB_THREADS", threads)
     path = REPO / "configs" / f"{config}.json"
     command = json.loads(path.read_text())["command"]
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    for kind in ("forward", "inverse"):
+        assert calls.pop(f"np.{kind}") == sum(count for (k, _), count in expected.items() if k == kind)
     assert calls == expected
+
+
+@pytest.mark.parametrize("config, jobs", [("hegerfeldt_default", 7), ("hegerfeldt_m2", 4)])
+def test_hegerfeldt_makes_one_pool_pass(tmp_path, monkeypatch, config, jobs):
+    # every time, the witness and every doubled-grid time share one map
+    from kglab import cli
+
+    sizes = []
+    real = cli.parallel_map
+
+    def counted(fn, items):
+        items = list(items)
+        sizes.append(len(items))
+        return real(fn, items)
+
+    monkeypatch.setattr(cli, "parallel_map", counted)
+    assert main(["hegerfeldt", "--config", str(REPO / "configs" / f"{config}.json"), "--out", str(tmp_path)]) == 0
+    assert sizes == [jobs]
 
 
 def run_main(*argv) -> tuple[int, str]:
@@ -421,6 +451,50 @@ def test_slice_refused_in_its_worker_writes_no_report(tmp_path, monkeypatch, thr
     assert (error["kind"], error["rule"]) == ("config", "quadrature.cutoff")
     assert not (out / "report.json").exists()
     assert not (out / "slice_001.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_hegerfeldt_cone_edge_refusal_under_the_single_pass(tmp_path, threads):
+    # support edge 18 plus t = 15 passes L/2 = 32 with the doubled grid on
+    tree = run_tree(
+        "hegerfeldt_default",
+        {
+            "initial_state": {"factory": "bump", "center": 17.0, "radius": 1.0, "amplitude": 1.0},
+            "times": [0.001, 0.01, 0.1, 15.0],
+            "tail_fit": {"window": [21.0, 25.0], "snapshot_time": 0.1, "rate_band": 0.15, "min_r2": 0.99},
+        },
+    )
+    assert tree["grid_doubling_check"] is True
+    cfg = write_config(tmp_path, "cfg.json", tree)
+    out = tmp_path / "out"
+    res = run_cli("hegerfeldt", "--config", str(cfg), "--out", str(out), env_extra={"KGLAB_THREADS": threads})
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1
+    error = json.loads(res.stderr)["error"]
+    assert (error["kind"], error["rule"]) == ("config", "times.cone-edge")
+    assert error["message"] == "cone edge 33.015625 reaches the boundary L/2 = 32.0"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_hegerfeldt_refused_on_the_doubled_grid_writes_nothing(tmp_path, monkeypatch, threads):
+    # every job runs before any file is written
+    from kglab import posfreq
+
+    real = posfreq.evolve_positive
+
+    def refuse_doubled(psi, m, t):
+        if psi.grid.n == 2 * 8192:
+            raise PreconditionError("times.cone-edge", "refused on the doubled grid")
+        return real(psi, m, t)
+
+    monkeypatch.setenv("KGLAB_THREADS", threads)
+    monkeypatch.setattr(posfreq, "evolve_positive", refuse_doubled)
+    out = tmp_path / "out"
+    rc, err = run_main("hegerfeldt", "--config", str(REPO / "configs" / "hegerfeldt_default.json"), "--out", str(out))
+    assert rc == 2
+    assert json.loads(err)["error"]["message"] == "refused on the doubled grid"
+    assert list(out.iterdir()) == []
 
 
 def test_unwritable_slice_path_is_an_io_error(tmp_path):

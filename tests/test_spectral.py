@@ -42,7 +42,8 @@ def test_field_rejects_non_finite_with_index(grid):
 
 
 def test_values_are_immutable_and_decoupled(grid):
-    # thread-safety contract: values are frozen copies of the input
+    # thread-safety contract: values are frozen copies of the input; the
+    # inverse transform hands over its own buffer, frozen the same way
     source = np.ones(grid.n, dtype=complex)
     f = Field(grid, source)
     source[0] = 5.0
@@ -50,6 +51,12 @@ def test_values_are_immutable_and_decoupled(grid):
     with pytest.raises(ValueError):
         f.values[0] = 2.0
     assert not grid.x.flags.writeable and not grid.p.flags.writeable
+    coeffs = forward_transform(f)
+    back = inverse_transform(f, coeffs)
+    assert not back.values.flags.writeable
+    assert not np.shares_memory(back.values, coeffs)
+    with pytest.raises(ValueError):
+        back.values[0] = 2.0
 
 
 def test_constant_field_transform(grid):
@@ -82,8 +89,10 @@ def test_inverse_of_dc_coefficient(grid):
 
 
 def test_inverse_of_zero_is_zero(grid):
+    # real float64 coefficients are cast into the complex128 buffer
     f = inverse_transform(Field(grid, np.ones(grid.n)), np.zeros(grid.n))
     assert np.all(f.values == 0)
+    assert f.values.dtype == np.complex128 and not f.values.flags.writeable
 
 
 def test_forward_of_inverse_identity(grid):
@@ -156,6 +165,51 @@ def test_tail_witness_keeps_the_former_bits(n, dx, m):
         got = positivity_tail_witness(bump, Mass(m)).values
         ref = oracles.former_tail_witness(bump, Mass(m)).values
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+# SHA-256 of the float64 words of each output, captured before the inverse
+# transform wrote into one buffer.  Numpy elides temporaries of >= 256 KiB
+# (n >= 16384 complex samples) by multiplying in place with the operands
+# swapped, and complex products are not bitwise commutative on every build,
+# so the two sizes pin the operand order on both sides of that threshold.
+TRANSFORM_DIGESTS = {
+    2**13: {
+        "evolve_positive": "dbef64c3711dbeb87a26b2f306a0a63c325d023377b6acc6f6db97e8820dae8c",
+        "evolve_from_rest": "db01af18826017dbf64bcc50c795718104ebcf6bb0b56409b3f5b66ca88d6012",
+        "positivity_tail_witness": "98768055024bc91932fa86bc581eb54c05824a33845dd9496bd0dbf1765b57a7",
+        "evolve_spectral.phi": "4bd4734578980b9bdb3eacaf8ff6efc1c587f51c4d4841c5936ba4ecaf7111f5",
+        "evolve_spectral.pi": "7da7d4e9668b01b2b62a6b09142ffbd9744f51833eed539a9f6ca03fc9d54b92",
+    },
+    2**16: {
+        "evolve_positive": "3d893fbe9b05e8fc318cc2dd992678967918a507808c2a262a8bb87dc0a1d7c8",
+        "evolve_from_rest": "18e29731c66c7957a86d150a55df251b09d8a9ef5b352e18eb446282ee853947",
+        "positivity_tail_witness": "5e0420dfa3707af5b48829599e79fc5e3282cb5493c02f3a45fe812bd9cae62f",
+        "evolve_spectral.phi": "89b6dbade4519b7e70b5f2e5d62f46aca11e055bc88c7f41a233bc52364289d9",
+        "evolve_spectral.pi": "98018d24b30e1825523c18b0c8b0d02803ef28d0cfb9f8b46d5ba74d49440042",
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(TRANSFORM_DIGESTS))
+def test_transform_outputs_keep_their_bits_across_the_elision_threshold(n):
+    import hashlib
+
+    from kglab import CauchyData, Mass, evolve_from_rest, evolve_positive, evolve_spectral, positivity_tail_witness
+    from kglab.spectral import bump_right_mover
+
+    grid = UniformGrid(n, 64.0 / n)
+    m = Mass(1.0)
+    phi = make_bump(grid, 0.3, 2.0, 1.0)
+    state = evolve_spectral(CauchyData(phi, bump_right_mover(grid, 0.3, 2.0, 1.0), m), 0.7)
+    outputs = {
+        "evolve_positive": evolve_positive(phi, m, 0.7),
+        "evolve_from_rest": evolve_from_rest(phi, m, 0.7),
+        "positivity_tail_witness": positivity_tail_witness(phi, m),
+        "evolve_spectral.phi": state.phi,
+        "evolve_spectral.pi": state.pi,
+    }
+    digests = {name: hashlib.sha256(f.values.view(np.uint64).tobytes()).hexdigest() for name, f in outputs.items()}
+    assert digests == TRANSFORM_DIGESTS[n]
 
 
 class TestBump:
