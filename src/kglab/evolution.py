@@ -34,12 +34,15 @@ second-order accurate and exactly conserves the mode-wise quadratic form
 
 W^2 the stencil eigenvalue of (-D2 + m^2); see :func:`leapfrog_energy`.
 
-The same bound makes the stepper cheap: step k updates only the window
-[lo - k, hi + k] around the initial support [lo, hi], in place, in float64
-for real data, and switches to the full periodic grid once the window
-reaches its edge.  Every cell sees the arithmetic of the full-grid scheme,
-so the results are bit-identical to it.  :func:`evolve_local_fd_ladder`
-reaches a whole time ladder in one pass of max(t) / dt steps.
+The same bound makes the stepper cheap: step k updates only a window
+around [lo - k, hi + k], the initial support [lo, hi] widened by the
+stencil bound, in place, in float64 for real data.  Steps run in blocks
+that share one window (the reach of the block's last step), its views and
+two scratch buffers, so a step allocates nothing; once a block's window
+reaches the grid edge the steps update the full periodic grid.  Every cell
+sees the arithmetic of the full-grid scheme, so the results are
+bit-identical to it.  :func:`evolve_local_fd_ladder` reaches a whole time
+ladder in one pass of max(t) / dt steps.
 
 Choosing between the two is the caller's business (the CLI reads it from
 the config's ``method``); the leapfrog takes its step ``dt`` as a plain
@@ -134,36 +137,33 @@ def evolve_from_rest(phi: Field, m: Mass, t: float) -> Field:
     return inverse_transform(phi, omega_multiplier(grid, m, lambda w: np.cos(w * t)) * phi.spectrum)
 
 
-def _apply_stencil(ext: np.ndarray, scale: float, msq: float) -> np.ndarray:
-    """(-D2 + m^2) at ext[1:-1]; ext carries one neighbour cell at each end.
-
-    The Laplacian is scaled by the reciprocal ``scale = 1/dx^2``: complex128
-    division by a real scalar multiplies by its reciprocal, so real and
-    complex data round identically.
-    """
-    mid = ext[1:-1]
-    lap = ((ext[2:] - 2.0 * mid) + ext[:-2]) * scale
-    return msq * mid - lap
-
-
-def _periodic_pad(values: np.ndarray) -> np.ndarray:
-    return np.concatenate((values[-1:], values, values[:1]))
-
-
 def _stencil(values: np.ndarray, dx: float, msq: float) -> np.ndarray:
-    """(-D2 + m^2) with the periodic 3-point Laplacian."""
-    return _apply_stencil(_periodic_pad(values), 1.0 / (dx * dx), msq)
+    """(-D2 + m^2) with the periodic 3-point Laplacian, scaled by the
+    reciprocal 1/dx^2: complex128 division by a real scalar multiplies by
+    its reciprocal, so real and complex data round identically."""
+    ext = np.concatenate((values[-1:], values, values[:1]))
+    mid = ext[1:-1]
+    return msq * mid - ((ext[2:] - 2.0 * mid) + ext[:-2]) * (1.0 / (dx * dx))
+
+
+#: leapfrog steps that share one window, one set of views and two scratch buffers
+_BLOCK = 64
 
 
 def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (step, phi, pi) after each drift-kick-drift leapfrog step.
 
     Step k can only change the window [lo - k, hi + k] around the initial
-    joint support [lo, hi], so only that window is updated, in place; once
-    it reaches the grid edge every step updates the full periodic grid.
-    The arithmetic per cell is that of the full-grid scheme, so zeros stay
-    bit-exact zeros and the result does not depend on the window.  The
-    arrays are float64 for real data and complex128 otherwise.
+    joint support [lo, hi].  The steps run in blocks of ``_BLOCK``: each
+    block updates, in place, the window its last step can reach, or the
+    full periodic grid once that window reaches the grid edge.  Cells of
+    the window that a step cannot reach yet hold Phi = +0.0, which every
+    operation of the step keeps, so each cell sees the arithmetic of the
+    full-grid scheme: zeros stay bit-exact zeros and the result does not
+    depend on the window.  The arrays are float64 for real data and
+    complex128 otherwise.  Phi lives inside a buffer with one periodic
+    ghost cell per side, so the stencil reads it without a copy, and a
+    step allocates nothing.
 
     No L/4 guard: the support bound is exact arithmetic on the periodic
     grid for any number of steps, and the energy acceptance check steps
@@ -173,25 +173,42 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
     """
     grid = data.grid
     check_step(grid, dt)
-    phi, pi = data.phi.values, data.pi.values
-    if not (phi.imag.any() or pi.imag.any()):
-        phi, pi = phi.real, pi.real
-    phi, pi = np.array(phi), np.array(pi)
-    support = np.flatnonzero((phi != 0) | (pi != 0))
+    n = grid.n
+    phi0, pi0 = data.phi.values, data.pi.values
+    if not (phi0.imag.any() or pi0.imag.any()):
+        phi0, pi0 = phi0.real, pi0.real
+    padded = np.empty(n + 2, dtype=phi0.dtype)
+    phi, pi = padded[1:-1], np.array(pi0)
+    phi[...] = phi0
+    # beyond its reach a step keeps a +0.0 of phi but not a -0.0, so a -0.0 joins the support
+    support = np.flatnonzero((phi != 0) | (pi != 0) | np.signbit(phi.real) | np.signbit(phi.imag))
     # zero data stays zero; any window then reproduces it
-    lo, hi = (support[0], support[-1]) if support.size else (grid.n // 2, grid.n // 2)
+    lo, hi = (support[0], support[-1]) if support.size else (n // 2, n // 2)
     msq = data.m.m**2
     half = 0.5 * dt
     scale = 1.0 / (grid.dx * grid.dx)
-    for k in range(1, n_steps + 1):
-        a, b = lo - k, hi + k + 1
-        inside = a >= 1 and b < grid.n
-        w = slice(a, b) if inside else slice(None)
-        phi[w] += half * pi[w]
-        ext = phi[a - 1 : b + 1] if inside else _periodic_pad(phi)
-        pi[w] -= dt * _apply_stencil(ext, scale, msq)
-        phi[w] += half * pi[w]
-        yield k, phi, pi
+    lap_buf, tmp_buf = np.empty(n, dtype=phi.dtype), np.empty(n, dtype=phi.dtype)
+    for first in range(1, n_steps + 1, _BLOCK):
+        last = min(first + _BLOCK - 1, n_steps)
+        a, b = lo - last, hi + last + 1
+        wrapped = a < 1 or b >= n
+        if wrapped:
+            a, b = 0, n
+        p, q, ext = phi[a:b], pi[a:b], padded[a : b + 2]
+        right, mid, left = ext[2:], ext[1:-1], ext[:-2]
+        lap, tmp = lap_buf[: b - a], tmp_buf[: b - a]
+        for k in range(first, last + 1):
+            np.add(p, np.multiply(half, q, out=tmp), out=p)
+            if wrapped:
+                padded[0], padded[-1] = phi[-1], phi[0]
+            np.multiply(2.0, mid, out=lap)
+            np.subtract(right, lap, out=lap)
+            np.add(lap, left, out=lap)
+            np.multiply(lap, scale, out=lap)
+            np.subtract(np.multiply(msq, mid, out=tmp), lap, out=tmp)
+            np.subtract(q, np.multiply(dt, tmp, out=tmp), out=q)
+            np.add(p, np.multiply(half, q, out=tmp), out=p)
+            yield k, phi, pi
 
 
 def check_step(grid, dt: float) -> None:

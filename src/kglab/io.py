@@ -7,11 +7,13 @@ bit-exactly.
 
 Bulk writers format whole columns at once: each column is converted to
 Python floats by one ``ndarray.tolist()`` and formatted by one pass of
-``repr``; rows are joined in C and written in one call.  A grid's ``x``
-column is formatted once and reused by every field or slice written on
-that grid, until a file on another grid replaces it.  The field
-envelope encodes its ``re``/``im`` arrays with the C JSON encoder.  The
-bytes are exactly those of a row-at-a-time ``csv.writer`` over
+``repr`` over its cells other than +0.0, which all share one ``"0.0"``
+(a -0.0 still writes ``-0.0``); rows are joined in C and written in one
+call.  A grid's ``x`` column is formatted once and reused by every field
+or slice written on that grid, until a file on another grid replaces it.
+The field envelope joins the same cells for its ``re``/``im`` arrays:
+``json.dump`` formats a float with ``float.__repr__`` too.  The bytes are
+exactly those of a row-at-a-time ``csv.writer`` over
 ``repr(float(cell))`` and of ``json.dump(..., indent=2, sort_keys=True)``;
 ``tests/test_io.py`` checks this against such reference writers.
 """
@@ -19,6 +21,7 @@ bytes are exactly those of a row-at-a-time ``csv.writer`` over
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from pathlib import Path
 from typing import Sequence
@@ -39,13 +42,20 @@ __all__ = [
 
 FIELD_SCHEMA = "kglab.field/1"
 
-# one array element per line at the envelope's nesting depth, as json.dump
-# with indent=2 lays out a list under a top-level key
-_ELEMENTS = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
-
 
 def _cells(column):
-    return map(repr, np.asarray(column, dtype=float).tolist())
+    """The repr of each cell, lazily; every +0.0 cell shares one ``"0.0"``.
+
+    A column with such zeros pulls each cell's string from one of two
+    streams, the shared zero or the reprs of the other cells in order, so
+    only the other cells go through ``repr`` and no Python loop runs per cell.
+    """
+    values = np.asarray(column, dtype=float)
+    zero = (values == 0) & ~np.signbit(values)
+    if not zero.any():
+        return map(repr, values.tolist())
+    streams = np.where(zero, itertools.repeat("0.0"), map(repr, values[~zero].tolist()))
+    return map(next, streams.tolist())
 
 
 @functools.lru_cache(maxsize=1)
@@ -82,7 +92,7 @@ def field_to_json(f: Field, path: Path) -> None:
         fh.write(json.dumps(grid, indent=2, sort_keys=True).replace("\n", "\n  "))
         for key, column in (("im", f.values.imag), ("re", f.values.real)):
             fh.write(f',\n  "{key}": [\n    ')
-            fh.write(_ELEMENTS.encode(column.tolist())[1:-1])
+            fh.write(",\n    ".join(_cells(column)))
             fh.write("\n  ]")
         fh.write(f',\n  "schema": {json.dumps(FIELD_SCHEMA)}\n}}\n')
 

@@ -45,5 +45,6 @@ def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
     """
     m.require_positive("the tail witness")
     derivative = inverse_transform(phi_compact, phi_compact.spectrum * omega_multiplier(phi_compact.grid, m, lambda w: w))
-    # -1j goes on the samples: inside the inverse FFT it flips the sign of some exact zeros
-    return Field(phi_compact.grid, -1j * derivative.values)
+    # -1j goes on the samples: inside the inverse FFT it flips the sign of some exact zeros;
+    # the product is fresh, so the Field takes it without a copy
+    return Field._adopt(phi_compact.grid, -1j * derivative.values)

@@ -15,6 +15,7 @@ from kglab import (
     local_fd_steps,
     make_bump,
 )
+from kglab.evolution import _BLOCK
 
 import oracles
 
@@ -214,14 +215,92 @@ class TestLocalFd:
             assert phi.tobytes() == want_phi.tobytes() and pi.tobytes() == want_pi.tobytes(), k
         assert k == n_steps
 
+    @staticmethod
+    def edge_step(data):
+        """First step whose window [lo - k, hi + k] keeps no neighbour cell inside the grid."""
+        nz = np.flatnonzero((data.phi.values != 0) | (data.pi.values != 0))
+        return min(nz[0], data.grid.n - 1 - nz[-1])
+
     @pytest.mark.parametrize("dx", [1 / 64, 0.1])
     def test_window_crossing_the_periodic_edge(self, dx):
-        # the window [lo - k, hi + k] reaches the edge after ~190 steps at
-        # dx = 1/64 and ~250 at dx = 0.1; the rest run on the full grid
+        # the window reaches the edge at step 172 at dx = 1/64 and 243 at
+        # dx = 0.1, both in the middle of a block, which therefore runs on the
+        # full grid from its first step; the remaining blocks run there too
         g = UniformGrid(512, dx)
         data = CauchyData(make_bump(g, 0.0, 1.0, 1.0), make_bump(g, 0.3, 1.0, 0.5), Mass(1.3))
+        assert self.edge_step(data) == {1 / 64: 172, 0.1: 243}[dx]
+        assert (self.edge_step(data) - 1) % _BLOCK != 0
         phi0, pi0 = data.phi.values.real, data.pi.values.real
         self.assert_matches_reference(data, dx / 2, 600, phi0, pi0)
+
+    def test_window_reaching_the_edge_at_a_block_start(self):
+        g = UniformGrid(512, 1 / 64)
+        center = 43 / 64
+        data = CauchyData(make_bump(g, center, 1.0, 1.0), make_bump(g, center + 0.3, 1.0, 0.5), Mass(1.3))
+        assert self.edge_step(data) == 2 * _BLOCK + 1
+        self.assert_matches_reference(data, g.dx / 2, 600, data.phi.values.real, data.pi.values.real)
+
+    @pytest.mark.parametrize("n_steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1])
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero"])
+    def test_steps_around_a_block_boundary(self, n_steps, kind):
+        g = UniformGrid(512, 1 / 64)
+        phi = make_bump(g, 0.0, 1.0, 1.0).values
+        pi = make_bump(g, 0.3, 1.0, 0.5).values
+        if kind == "complex":
+            pi = pi + 1j * make_bump(g, -0.2, 1.0, 0.7).values
+        elif kind == "zero":
+            phi, pi = np.zeros(g.n), np.zeros(g.n)
+        data = CauchyData(Field(g, phi), Field(g, pi), Mass(1.0))
+        ref_phi, ref_pi = data.phi.values, data.pi.values
+        if kind != "complex":
+            ref_phi, ref_pi = ref_phi.real, ref_pi.real
+        self.assert_matches_reference(data, g.dx / 2, n_steps, ref_phi, ref_pi)
+
+    @pytest.mark.parametrize("n,skip", [(4096, 1), (512, 4 * _BLOCK + 1)], ids=["windowed", "full-grid"])
+    def test_a_step_allocates_nothing(self, n, skip):
+        # after the first step of a block, a step only writes into buffers it holds:
+        # tracemalloc sees the yielded tuple, never a window-sized temporary
+        # (the smallest window here holds over 100 float64 cells)
+        import tracemalloc
+
+        g = UniformGrid(n, 1 / 64)
+        data = CauchyData(make_bump(g, 0.0, 1.0, 1.0), make_bump(g, 0.3, 1.0, 0.5), Mass(1.0))
+        steps = local_fd_steps(data, g.dx / 2, skip + _BLOCK)
+        for _ in range(skip):
+            next(steps)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(_BLOCK - 2):
+                next(steps)
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert growth < 512
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signed_zeros_step_as_on_the_full_grid(self, seed):
+        # exact zeros of either sign everywhere, a short random support and
+        # complex data in odd seeds: a -0.0 of phi beyond the support is not
+        # a fixed point of the step, so only a window that holds it matches
+        rng = np.random.default_rng(seed)
+        n = 256
+
+        def datum():
+            values = np.zeros(n, dtype=complex)
+            values.real = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            values.imag = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            values.real[120:126] = rng.standard_normal(6)
+            if seed % 2:
+                values.imag[122:130] = rng.standard_normal(8)
+            return values
+
+        g = UniformGrid(n, 0.1)
+        data = CauchyData(Field(g, datum()), Field(g, datum()), Mass(1.3 * (seed % 3 > 0)))
+        ref_phi, ref_pi = data.phi.values, data.pi.values
+        if seed % 2 == 0:
+            ref_phi, ref_pi = ref_phi.real, ref_pi.real
+        self.assert_matches_reference(data, g.dx / 2, 3 * _BLOCK + 5, ref_phi, ref_pi)
 
     def test_real_data_rounds_as_complex(self):
         # the complex128 scheme on real data: real parts bit-equal, imaginary

@@ -210,3 +210,93 @@ def test_write_csv_refuses_ragged_columns(tmp_path):
 def test_write_json_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="JSON compliant"):
         write_json(tmp_path / "report.json", {"value": math.nan})
+
+
+def sparse_columns(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Two columns of mostly exact zeros: long +0.0 runs, an isolated -0.0,
+    a -0.0 run, the smallest subnormal between zeros, and nonzero runs."""
+    rng = np.random.default_rng(7)
+    sparse = np.zeros(n)
+    sparse[8:16] = rng.standard_normal(8)
+    sparse[20] = -0.0
+    sparse[24:30] = -0.0
+    sparse[33] = 5e-324
+    sparse[35] = -5e-324
+    sparse[40:44] = [1e16, -1e-5, 0.1, -7.0]
+    # a single zero in an otherwise nonzero column
+    dense = rng.standard_normal(n)
+    dense[n // 3] = 0.0
+    return sparse, dense
+
+
+def sparse_fields(n: int = 64) -> tuple[Field, Field]:
+    sparse, dense = sparse_columns(n)
+    grid = UniformGrid(n, 0.1)
+    # set parts directly: re + 1j * im would turn a -0.0 into 0.0
+    a = np.zeros(n, dtype=complex)  # an all-zero imaginary column
+    a.real = sparse
+    b = np.empty(n, dtype=complex)
+    b.real, b.imag = dense, sparse[::-1]
+    return Field(grid, a), Field(grid, b)
+
+
+def leapfrog_snapshot() -> Field:
+    from kglab import CauchyData, evolve_local_fd_ladder
+
+    grid = UniformGrid(4096, 1 / 64)
+    data = CauchyData(make_bump(grid, 0.0, 1.0, 1.0), Field(grid, np.zeros(grid.n)), Mass(1.0))
+    return evolve_local_fd_ladder(data, [8.0], grid.dx / 2)[0].phi
+
+
+@pytest.mark.parametrize("field", [*sparse_fields(), leapfrog_snapshot()], ids=["sparse", "single-zero", "local-fd-snapshot"])
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_field_writers_match_the_reference_writers_on_exact_zeros(tmp_path, field, kind):
+    assert (field.values.view(float) == 0).any()
+    if kind == "csv":
+        assert_same_bytes(tmp_path, field_to_csv, oracles.reference_field_csv, field)
+    else:
+        assert_same_bytes(tmp_path, field_to_json, oracles.reference_field_json, field)
+
+
+@pytest.mark.parametrize("fields", [sparse_fields(), (leapfrog_snapshot(),) * 2], ids=["sparse", "local-fd-snapshot"])
+def test_propagator_slice_matches_the_reference_writer_on_exact_zeros(tmp_path, fields):
+    sample = SimpleNamespace(grid=fields[0].grid, delta=fields[0], delta_plus=fields[1])
+    assert_same_bytes(tmp_path, propagator_slice_to_csv, oracles.reference_slice_csv, sample)
+
+
+def test_write_csv_matches_the_csv_module_on_exact_zeros(tmp_path):
+    sparse, dense = sparse_columns()
+    columns = [sparse, dense, np.zeros(sparse.size), -sparse]
+
+    def write(path):
+        write_csv(path, ["a", "b", "c", "d"], columns)
+
+    def reference(path):
+        oracles.reference_csv(path, ["a", "b", "c", "d"], zip(*columns))
+
+    assert_same_bytes(tmp_path, write, reference)
+
+
+#: cells drawn three times in four from the signed zeros
+ZERO_HEAVY = st.one_of(*[st.sampled_from([0.0, -0.0])] * 3, st.floats(width=64))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(ZERO_HEAVY, ZERO_HEAVY), max_size=30))
+def test_write_csv_matches_the_csv_module_on_mostly_zero_cells(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("csv")
+    columns = [list(col) for col in zip(*rows)] or [[], []]
+    write_csv(tmp / "new.csv", ["a", "b"], columns)
+    oracles.reference_csv(tmp / "ref.csv", ["a", "b"], rows)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def test_positive_zero_cells_share_one_string():
+    from kglab import io
+
+    sparse, _ = sparse_columns()
+    cells = list(io._cells(sparse))
+    assert cells == [repr(float(v)) for v in sparse]
+    positive_zero = (sparse == 0) & ~np.signbit(sparse)
+    assert len({id(c) for c, z in zip(cells, positive_zero) if z}) == 1
+    assert [c for c, v in zip(cells, sparse) if v == 0 and np.signbit(v)] == ["-0.0"] * 7
