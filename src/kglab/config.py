@@ -21,7 +21,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
-from .diagnostics import check_threshold, check_window
+from .diagnostics import _floor_strip_edge, check_threshold, check_window
 from .dispersion import Mass
 from .evolution import check_margin, ladder_steps
 from .propagator import QuadratureSpec, check_scan
@@ -224,7 +224,7 @@ def _parse_hegerfeldt(values: dict) -> SimpleNamespace:
         f"window must start >= 3 Compton lengths beyond the support edge {edge}",
     )
     _require(
-        cfg.window[1] <= cfg.grid.L / 2 - cfg.grid.L / 16 - 2.0 * compton,
+        cfg.window[1] <= _floor_strip_edge(cfg.grid) - 2.0 * compton,
         "tail_fit.window.wrap",
         "window must end >= 2 Compton lengths before the boundary-floor strip",
     )

@@ -113,18 +113,11 @@ def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
     log_r = np.log(mag_r)
     log_l = np.log(mag_l)
     slope, intercept, r2 = _side_fit(radii, 0.5 * (log_r + log_l))
-    flags: list[str] = []
     rate_r = -_side_fit(radii, log_r)[0]
     rate_l = -_side_fit(radii, log_l)[0]
     scale = max(abs(rate_r), abs(rate_l), 1e-30)
-    if abs(rate_r - rate_l) > _ASYMMETRY_LIMIT * scale:
-        flags.append("asymmetric-tails")
-    return TailFit(
-        rate=-slope,
-        intercept=intercept,
-        r2=r2,
-        flags=tuple(flags),
-    )
+    flags = ("asymmetric-tails",) if abs(rate_r - rate_l) > _ASYMMETRY_LIMIT * scale else ()
+    return TailFit(rate=-slope, intercept=intercept, r2=r2, flags=flags)
 
 
 def radius_above(grid, mags: np.ndarray, threshold: float) -> float:
@@ -141,6 +134,11 @@ def support_radius(f: Field, threshold: float) -> float:
     return radius_above(f.grid, np.abs(f.values), threshold)
 
 
+def _floor_strip_edge(grid) -> float:
+    """|x| where the outer L/16 strips read by :func:`boundary_floor` begin."""
+    return grid.L / 2.0 - grid.L / 16.0
+
+
 def boundary_floor(f: Field) -> float:
     """max |f| over the outer L/16 strips of the domain.
 
@@ -148,7 +146,7 @@ def boundary_floor(f: Field) -> float:
     values mean periodic wrap-around has contaminated the run.
     """
     grid = f.grid
-    strip = np.abs(grid.x) >= grid.L / 2.0 - grid.L / 16.0
+    strip = np.abs(grid.x) >= _floor_strip_edge(grid)
     return float(np.max(np.abs(f.values[strip])))
 
 

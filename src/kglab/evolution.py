@@ -1,12 +1,12 @@
-"""Two evolutions for the Klein-Gordon Cauchy problem
+"""Two evolutions of a Klein-Gordon Cauchy datum by the elapsed time t,
 (d^2/dt^2 - d^2/dx^2 + m^2) Phi = 0 on the periodic grid.
 
 Spectral (ground truth): every mode rotates exactly,
 
-    Phi_k(t) = cos(w dt) Phi_k(0) + sin(w dt)/w Pi_k(0)
-    Pi_k(t)  = -w sin(w dt) Phi_k(0) + cos(w dt) Pi_k(0)
+    Phi_k(t) = cos(w t) Phi_k(0) + sin(w t)/w Pi_k(0)
+    Pi_k(t)  = -w sin(w t) Phi_k(0) + cos(w t) Pi_k(0)
 
-with w = sqrt(p_k^2 + m^2) and sin(w dt)/w -> dt on the massless zero
+with w = sqrt(p_k^2 + m^2) and sin(w t)/w -> t on the massless zero
 mode.  This solves the discrete equation exactly per mode, conserves the
 quadratic energy to rounding, and is causal only up to the (spectrally
 small) tails of the trigonometric interpolant.  The coefficients Phi_k(0)
@@ -77,12 +77,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CauchyData:
-    """Initial-value payload: Phi(t0, .), dPhi/dt(t0, .) and the mass."""
+    """Initial-value payload: Phi(0, .), dPhi/dt(0, .) and the mass."""
 
     phi: Field
     pi: Field
     m: Mass
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.phi.grid != self.pi.grid:
@@ -93,40 +92,39 @@ class CauchyData:
         return self.phi.grid
 
 
-def check_margin(grid, dt: float) -> None:
-    """The periodic safety margin |dt| <= L/4 of every evolution."""
-    if abs(dt) > grid.L / 4.0:
+def check_margin(grid, t: float) -> None:
+    """The periodic safety margin |t| <= L/4 of every evolution."""
+    if abs(t) > grid.L / 4.0:
         raise PreconditionError(
             "times.margin",
-            f"evolution time {dt} exceeds the periodic safety margin L/4 = {grid.L / 4.0}; "
+            f"evolution time {t} exceeds the periodic safety margin L/4 = {grid.L / 4.0}; "
             "wrap-around would contaminate causality measurements"
         )
 
 
 def evolve_spectral(data: CauchyData, t: float) -> CauchyData:
-    """Exact mode-wise evolution to time t (|t - t0| <= L/4).
+    """The datum evolved by the elapsed time t (|t| <= L/4); ``data`` itself at t = 0.
 
     Reads the cached ``spectrum`` of Phi and Pi, so one datum evolved to a
     whole time ladder is transformed once; take both spectra before the
     ladder fans out over threads (see :class:`~kglab.spectral.Field`).
     """
-    dt = t - data.t0
     grid = data.grid
-    check_margin(grid, dt)
-    if dt == 0.0:
-        return CauchyData(data.phi, data.pi, data.m, t0=t)
-    c = omega_multiplier(grid, data.m, lambda w: np.cos(w * dt))
-    s_over_w = omega_multiplier(grid, data.m, lambda w: dt * np.sinc(w * dt / np.pi))  # sin(w dt)/w, exact at w = 0
-    w_s = omega_multiplier(grid, data.m, lambda w: w * np.sin(w * dt))
+    check_margin(grid, t)
+    if t == 0.0:
+        return data
+    c = omega_multiplier(grid, data.m, lambda w: np.cos(w * t))
+    s_over_w = omega_multiplier(grid, data.m, lambda w: t * np.sinc(w * t / np.pi))  # sin(w t)/w, exact at w = 0
+    w_s = omega_multiplier(grid, data.m, lambda w: w * np.sin(w * t))
     F = data.phi.spectrum
     P = data.pi.spectrum
     phi_t = inverse_transform(data.phi, c * F + s_over_w * P)
     pi_t = inverse_transform(data.pi, -w_s * F + c * P)
-    return CauchyData(phi_t, pi_t, data.m, t0=t)
+    return CauchyData(phi_t, pi_t, data.m)
 
 
 def evolve_from_rest(phi: Field, m: Mass, t: float) -> Field:
-    """Phi(t) of the Cauchy data (phi, Pi = 0) at t0 = 0 (|t| <= L/4).
+    """Phi(t) of the Cauchy data (phi, Pi = 0), t elapsed from the datum (|t| <= L/4).
 
     Equal to ``evolve_spectral(CauchyData(phi, 0, m), t).phi`` for t != 0,
     since c F + s 0 == c F, but reads only the cached ``spectrum`` of phi
@@ -220,18 +218,17 @@ def check_step(grid, dt: float) -> None:
         raise PreconditionError("dt.courant", f"unstable step: courant dt/dx = {courant} exceeds 1")
 
 
-def ladder_steps(grid, times: Sequence[float], dt: float, t0: float = 0.0) -> list[int]:
+def ladder_steps(grid, times: Sequence[float], dt: float) -> list[int]:
     """Leapfrog step count to each of ``times``, after :func:`check_step`; each
-    t - t0 must be a positive integer multiple of dt within the L/4 margin."""
+    elapsed time t must be a positive integer multiple of dt within the L/4 margin."""
     check_step(grid, dt)
     counts = []
     for t in times:
-        span = t - t0
-        ratio = span / dt
+        ratio = t / dt
         n_steps = round(ratio) if np.isfinite(ratio) else 0
-        if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), dt):
-            raise PreconditionError("times.dt-multiple", f"t - t0 = {span} is not a positive multiple of dt = {dt}")
-        check_margin(grid, span)
+        if n_steps < 1 or abs(n_steps * dt - t) > 1e-9 * max(abs(t), dt):
+            raise PreconditionError("times.dt-multiple", f"t = {t} is not a positive multiple of dt = {dt}")
+        check_margin(grid, t)
         counts.append(n_steps)
     return counts
 
@@ -241,15 +238,15 @@ def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], dt: float) 
 
     Steps once to the largest step count and captures every requested
     time on the way; times may repeat and need not be sorted.  Each
-    t - t0 must be a positive multiple of dt within the L/4 margin.
+    elapsed time must be a positive multiple of dt within the L/4 margin.
     """
     wanted: dict[int, list[int]] = {}
-    for i, n_steps in enumerate(ladder_steps(data.grid, times, dt, data.t0)):
+    for i, n_steps in enumerate(ladder_steps(data.grid, times, dt)):
         wanted.setdefault(n_steps, []).append(i)
     states: list[CauchyData] = [None] * len(times)
     for k, phi, pi in local_fd_steps(data, dt, max(wanted, default=0)):
         for i in wanted.get(k, ()):
-            states[i] = CauchyData(Field(data.grid, phi), Field(data.grid, pi), data.m, t0=times[i])
+            states[i] = CauchyData(Field(data.grid, phi), Field(data.grid, pi), data.m)
     return states
 
 

@@ -185,19 +185,18 @@ def _with_multiplier(f, mult):
 
 def evolve_spectral_uncached(data, t: float):
     """evolve_spectral with both data transformed afresh."""
-    dt = t - data.t0
-    if dt == 0.0:
-        return CauchyData(data.phi, data.pi, data.m, t0=t)
+    if t == 0.0:
+        return data
     grid = data.grid
     w = omega(grid.p, data.m)
-    c = np.cos(w * dt)
-    s_over_w = dt * np.sinc(w * dt / np.pi)
-    w_s = w * np.sin(w * dt)
+    c = np.cos(w * t)
+    s_over_w = t * np.sinc(w * t / np.pi)
+    w_s = w * np.sin(w * t)
     F = forward_transform(data.phi)
     P = forward_transform(data.pi)
     phi_t = inverse_transform(data.phi, c * F + s_over_w * P)
     pi_t = inverse_transform(data.pi, -w_s * F + c * P)
-    return CauchyData(phi_t, pi_t, data.m, t0=t)
+    return CauchyData(phi_t, pi_t, data.m)
 
 
 def evolve_positive_uncached(psi, m, t: float):
@@ -233,7 +232,7 @@ def recombine(psi_plus, psi_minus, m, t: float):
     minus = forward_transform(psi_minus) * np.exp(1j * w * t)
     phi = inverse_transform(psi_plus, plus + minus)
     pi = inverse_transform(psi_plus, -1j * w * (plus - minus))
-    return CauchyData(phi, pi, m, t0=t)
+    return CauchyData(phi, pi, m)
 
 
 # --- the package's own former multiplier form, before the one inverse path ---
@@ -275,17 +274,16 @@ def full_lattice_kernel(grid, m, res, t: float, multiplier):
 def cauchy_via_propagator(data, t: float, spec: QuadratureSpec = QuadratureSpec()) -> Field:
     """Solve the initial-value problem through the commutator kernel,
 
-        Phi(t, .) = dD/dt(dt, .) * Phi0 + D(dt, .) * Pi0,
+        Phi(t, .) = dD/dt(t, .) * Phi0 + D(t, .) * Pi0,
 
     with * the periodic grid convolution dx * sum, which the dx-weighted
-    transform pair turns into a product: Phi(t)^ = cos(w dt) Phi0^ + D^ Pi0^,
+    transform pair turns into a product: Phi(t)^ = cos(w t) Phi0^ + D^ Pi0^,
     with D^ = forward_transform(D) as in ``bridge_identity_error``.
-    The dD/dt term is applied as the band multiplier cos(w dt) (its kernel
+    The dD/dt term is applied as the band multiplier cos(w t) (its kernel
     is a propagating delta pair that no grid sampling can represent).
     """
     grid = data.grid
-    dt = t - data.t0
-    sample = pauli_jordan(dt, grid, data.m, spec)
+    sample = pauli_jordan(t, grid, data.m, spec)
     if not sample.converged:
         raise PreconditionError(
             "quadrature.converged",
@@ -294,7 +292,7 @@ def cauchy_via_propagator(data, t: float, spec: QuadratureSpec = QuadratureSpec(
         )
     w = omega(grid.p, data.m)
     D = forward_transform(sample.delta)
-    return inverse_transform(data.phi, np.cos(w * dt) * data.phi.spectrum + D * data.pi.spectrum)
+    return inverse_transform(data.phi, np.cos(w * t) * data.phi.spectrum + D * data.pi.spectrum)
 
 
 # log-domain guard for the exponentially weighted transform

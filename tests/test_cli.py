@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import oracles
 from kglab.cli import main
+from kglab.config import KEYS
 from kglab.spectral import PreconditionError
-from test_config import plant
+from test_config import dotted, plant
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -577,21 +578,16 @@ _FUZZ_BASES = {
         "margin": 0.2,
     },
 }
+#: every leaf the command's key table declares, less the bump's factory and
+#: radius, and for the propagator a retired key
 _FUZZ_FIELDS = {
-    "evolve": (
-        "grid.n", "grid.dx", "mass", "times", "method", "dt", "initial_state.center",
-        "initial_state.amplitude", "initial_state.pi", "thresholds.support", "cone_margin_cells",
-        "output.format",
-    ),
-    "hegerfeldt": (
-        "grid.dx", "mass", "times", "initial_state.center", "initial_state.amplitude",
-        "tail_fit.window", "tail_fit.snapshot_time", "thresholds.support", "cone_margin_cells",
-        "grid_doubling_check",
-    ),
-    "propagator": (
-        "grid.n", "grid.dx", "mass", "times", "margin", "quadrature.cutoff", "quadrature.eps_base",
-        "quadrature.rungs", "quadrature.residual_tol", "quadrature.band_fraction",
-    ),
+    command: tuple(
+        path
+        for path, entry in dotted(table)
+        if not isinstance(entry, dict) and path not in ("initial_state.factory", "initial_state.radius")
+    )
+    + (("quadrature.eps_base",) if command == "propagator" else ())
+    for command, table in KEYS.items()
 }
 #: no value makes a slow run: sizes are tiny or beyond the address space
 _FUZZ_VALUES = st.sampled_from(
@@ -668,6 +664,38 @@ def test_local_fd_evolve_command(tmp_path):
     assert report["verdicts"]["cone_leakage"]["passed"]
     # energy verdict uses the leapfrog invariant for the local scheme
     assert report["verdicts"]["energy_drift"]["value"] < 1e-6
+
+
+def test_local_fd_refuses_an_evolve_time_of_zero(tmp_path):
+    tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
+    tree.update(method="local-fd", dt=1 / 128, times=[0.0, 1.0], snapshot_times=[])
+    cfg = write_config(tmp_path, "fd.json", tree)
+    rc, err = run_main("evolve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["rule"] == "times.dt-multiple"
+    assert error["message"] == "t = 0.0 is not a positive multiple of dt = 0.0078125"
+
+
+def test_spectral_evolve_time_of_zero_is_the_datum(tmp_path):
+    from kglab import UniformGrid, make_bump
+
+    tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
+    tree.update(times=[0.0, 1.0], snapshot_times=[0.0])
+    cfg = write_config(tmp_path, "t0.json", tree)
+    out = tmp_path / "out"
+    assert run_main("evolve", "--config", str(cfg), "--out", str(out))[0] == 0
+    state = tree["initial_state"]
+    bump = make_bump(UniformGrid(**tree["grid"]), state["center"], state["radius"], state["amplitude"]).values
+    columns = np.loadtxt(out / "snapshot_000.csv", delimiter=",", skiprows=1, unpack=True)
+    assert columns[1].tobytes() == bump.real.tobytes()
+    assert columns[2].tobytes() == bump.imag.tobytes()
+    header, first = (out / "series.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    report = json.loads((out / "report.json").read_text())
+    assert float(row["t"]) == 0.0
+    assert float(row["cone_leakage"]) == 0.0
+    assert float(row["energy"]) == report["initial_energy"]
 
 
 def test_cli_format_flag_switches_snapshots(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -165,6 +166,14 @@ def test_hegerfeldt_window_rules(tmp_path):
         load_config(write(tmp_path, tree), "hegerfeldt")
     assert err.value.rule == "tail_fit.window.near-field"
     tree["tail_fit"]["window"] = [9.0, 29.0]
+    with pytest.raises(PreconditionError) as err:
+        load_config(write(tmp_path, tree), "hegerfeldt")
+    assert err.value.rule == "tail_fit.window.wrap"
+    # L = 64: the boundary-floor strip starts at 32 - 4 = 28, and at m = 1
+    # the window must end 2 Compton lengths before it
+    tree["tail_fit"]["window"] = [9.0, 26.0]
+    assert load_config(write(tmp_path, tree), "hegerfeldt").window == (9.0, 26.0)
+    tree["tail_fit"]["window"] = [9.0, math.nextafter(26.0, math.inf)]
     with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "hegerfeldt")
     assert err.value.rule == "tail_fit.window.wrap"

