@@ -33,7 +33,6 @@ from .evolution import (
     local_fd_steps,
     energy,
     leapfrog_energy,
-    joint_support_radius,
 )
 from .propagator import (
     QuadratureSpec,
@@ -70,7 +69,6 @@ __all__ = [
     "local_fd_steps",
     "energy",
     "leapfrog_energy",
-    "joint_support_radius",
     "QuadratureSpec",
     "PropagatorSample",
     "delta_plus",

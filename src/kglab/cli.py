@@ -34,7 +34,6 @@ from .evolution import (
     evolve_from_rest,
     evolve_local_fd_ladder,
     evolve_spectral,
-    joint_support_radius,
     leapfrog_energy,
 )
 from .io import field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
@@ -84,7 +83,7 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
     phi = make_bump(*bump)
     pi = bump_right_mover(*bump) if cfg.pi == "right-mover" else Field(grid, np.zeros(grid.n, dtype=np.complex128))
     data = CauchyData(phi, pi, cfg.mass)
-    r0 = joint_support_radius(data, cfg.support)
+    r0 = diagnostics.support_radius(phi, pi, threshold=cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
     # the leapfrog reaches every ladder time in one pass; spectral states
@@ -97,7 +96,7 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
         (
             state,
             energy(state),
-            joint_support_radius(state, cfg.support),
+            diagnostics.support_radius(state.phi, state.pi, threshold=cfg.support),
             diagnostics.cone_leakage(state.phi, r0, t, margin),
             diagnostics.boundary_floor(state.phi),
         )
@@ -136,7 +135,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
     mass = cfg.mass
     psi0 = make_bump(grid, cfg.center, cfg.radius, cfg.amplitude)
-    r0 = diagnostics.support_radius(psi0, cfg.support)
+    r0 = diagnostics.support_radius(psi0, threshold=cfg.support)
     margin = cfg.cone_margin_cells * grid.dx
     psi0.spectrum  # transformed once, before the pool shares it
 

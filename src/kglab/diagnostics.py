@@ -2,11 +2,12 @@
 
 Support is thresholded everywhere except the stencil bound of the local
 evolution, which is asserted at exact zero; floating point makes exact
-zero-sets meaningful only for stencil schemes.  Tail fits symmetrize the
-left and right tails by averaging log-magnitudes; a left/right rate
-mismatch above 10% is flagged.  :func:`support_report` returns the
-``witness_report.json`` payload: the support radius and the tail fit
-under one ``schema``.
+zero-sets meaningful only for stencil schemes.  :func:`support_radius`
+measures one field, or the joint support of several on one grid, such as
+a Cauchy datum (Phi, Pi).  Tail fits symmetrize the left and right tails
+by averaging log-magnitudes; a left/right rate mismatch above 10% is
+flagged.  :func:`support_report` returns the ``witness_report.json``
+payload: the support radius and the tail fit under one ``schema``.
 
 A practical note on fit windows: multiplier kernels built from
 sqrt(p^2 + m^2) produce tails |f| ~ exp(-m |x|) |x|^(-3/2), so a pure
@@ -33,7 +34,6 @@ __all__ = [
     "support_report",
     "check_threshold",
     "check_window",
-    "radius_above",
 ]
 
 REPORT_SCHEMA = "kglab.support-report/2"
@@ -120,18 +120,23 @@ def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
     return TailFit(rate=-slope, intercept=intercept, r2=r2, flags=flags)
 
 
-def radius_above(grid, mags: np.ndarray, threshold: float) -> float:
-    """Smallest R with mags < threshold beyond |x| > R (0 if nowhere above)."""
+def support_radius(f: Field, *more: Field, threshold: float) -> float:
+    """Smallest R with max(|f|, |g|, ...) < threshold beyond |x| > R: the
+    thresholded joint support of one or more fields on one grid.
+
+    Returns 0 for fields below threshold everywhere and L/2 when even the
+    outermost grid point is above it.
+    """
     check_threshold(threshold)
+    mags = np.abs(f.values)
+    for g in more:
+        if g.grid != f.grid:
+            raise PreconditionError("field.grid", "fields of one support must share one grid")
+        mags = np.maximum(mags, np.abs(g.values))
     above = mags >= threshold
     if not np.any(above):
         return 0.0
-    return float(np.max(np.abs(grid.x[above])))
-
-
-def support_radius(f: Field, threshold: float) -> float:
-    """Smallest R with max |f| < threshold beyond |x| > R (thresholded support)."""
-    return radius_above(f.grid, np.abs(f.values), threshold)
+    return float(np.max(np.abs(f.grid.x[above])))
 
 
 def _floor_strip_edge(grid) -> float:
@@ -153,7 +158,7 @@ def boundary_floor(f: Field) -> float:
 def support_report(f: Field, *, threshold: float, window: tuple[float, float]) -> dict:
     """The thresholded support radius and the tail fit as one JSON payload,
     for ``kglab.io.write_json``."""
-    radius = support_radius(f, threshold)
+    radius = support_radius(f, threshold=threshold)
     flags: list[str] = []
     if radius >= f.grid.L / 2.0:
         flags.append("nowhere-below-threshold")

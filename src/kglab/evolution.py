@@ -42,7 +42,8 @@ two scratch buffers, so a step allocates nothing; once a block's window
 reaches the grid edge the steps update the full periodic grid.  Every cell
 sees the arithmetic of the full-grid scheme, so the results are
 bit-identical to it.  :func:`evolve_local_fd_ladder` reaches a whole time
-ladder in one pass of max(t) / dt steps.
+ladder in one pass of max(t) / dt steps, and :func:`ladder_steps` refuses a
+ladder whose steps would cost more than a fixed budget of cell updates.
 
 Choosing between the two is the caller's business (the CLI reads it from
 the config's ``method``); the leapfrog takes its step ``dt`` as a plain
@@ -56,7 +57,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .diagnostics import radius_above
 from .dispersion import Mass, omega_multiplier
 from .spectral import Field, PreconditionError, finite_total, forward_transform, inverse_transform
 
@@ -71,7 +71,6 @@ __all__ = [
     "ladder_steps",
     "energy",
     "leapfrog_energy",
-    "joint_support_radius",
 ]
 
 
@@ -218,9 +217,18 @@ def check_step(grid, dt: float) -> None:
         raise PreconditionError("dt.courant", f"unstable step: courant dt/dx = {courant} exceeds 1")
 
 
+#: cell updates a leapfrog ladder may cost, about 2.5 s at ~4.5 ns per update
+_STEP_BUDGET = 2**29
+
+#: the fixed cost of one leapfrog step, counted in cell updates
+_STEP_OVERHEAD_CELLS = 2048
+
+
 def ladder_steps(grid, times: Sequence[float], dt: float) -> list[int]:
     """Leapfrog step count to each of ``times``, after :func:`check_step`; each
-    elapsed time t must be a positive integer multiple of dt within the L/4 margin."""
+    elapsed time t must be a positive integer multiple of dt within the L/4
+    margin, and max(steps) * (n + ``_STEP_OVERHEAD_CELLS``) must stay within
+    ``_STEP_BUDGET``."""
     check_step(grid, dt)
     counts = []
     for t in times:
@@ -230,6 +238,13 @@ def ladder_steps(grid, times: Sequence[float], dt: float) -> list[int]:
             raise PreconditionError("times.dt-multiple", f"t = {t} is not a positive multiple of dt = {dt}")
         check_margin(grid, t)
         counts.append(n_steps)
+    most = max(counts, default=0)
+    if most * (grid.n + _STEP_OVERHEAD_CELLS) > _STEP_BUDGET:
+        raise PreconditionError(
+            "budget",
+            f"{most} leapfrog steps on n = {grid.n} cells exceed the budget "
+            f"steps * (n + {_STEP_OVERHEAD_CELLS}) <= {_STEP_BUDGET}; raise dt or shorten the ladder",
+        )
     return counts
 
 
@@ -288,11 +303,3 @@ def leapfrog_energy(data: CauchyData, dt: float) -> float:
         )
         return finite_total(0.5 * grid.dx * q, "leapfrog energy")
 
-
-def joint_support_radius(data: CauchyData, threshold: float) -> float:
-    """Smallest R with max(|Phi|, |Pi|) < threshold everywhere beyond |x| > R.
-
-    Returns 0 for data below threshold everywhere and L/2 when even the
-    outermost grid point is above it.
-    """
-    return radius_above(data.grid, np.maximum(np.abs(data.phi.values), np.abs(data.pi.values)), threshold)

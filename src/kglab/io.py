@@ -1,9 +1,9 @@
-"""Deterministic serialization: CSV for bulk series, JSON envelopes for
-exact reconstruction and reports.
+"""Deterministic serialization, writers only: CSV for bulk series, JSON
+envelopes for exact reconstruction and reports.
 
 Floats are written with repr (shortest round-trip form), so identical
-inputs produce byte-identical files and JSON envelopes reconstruct fields
-bit-exactly.
+inputs produce byte-identical files, and a field's envelope or CSV file
+read back with ``json.load`` or ``float`` per cell rebuilds it bit for bit.
 
 Bulk writers format whole columns at once: each column is converted to
 Python floats by one ``ndarray.tolist()`` and formatted by one pass of
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import Field, PreconditionError, UniformGrid
+from .spectral import Field, UniformGrid
 
 __all__ = [
     "FIELD_SCHEMA",
@@ -36,7 +36,6 @@ __all__ = [
     "write_json",
     "field_to_csv",
     "field_to_json",
-    "field_from_json",
     "propagator_slice_to_csv",
 ]
 
@@ -95,19 +94,6 @@ def field_to_json(f: Field, path: Path) -> None:
             fh.write(",\n    ".join(_cells(column)))
             fh.write("\n  ]")
         fh.write(f',\n  "schema": {json.dumps(FIELD_SCHEMA)}\n}}\n')
-
-
-def field_from_json(path: Path) -> Field:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("schema") != FIELD_SCHEMA:
-        raise PreconditionError("field.schema", f"not a field envelope: {path}")
-    try:
-        n, dx = int(payload["grid"]["n"]), float(payload["grid"]["dx"])
-        re, im = np.array([payload["re"], payload["im"]], dtype=float)  # ragged rows raise
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise PreconditionError("field.schema", f"malformed field envelope {path}: {exc!r}") from exc
-    return Field(UniformGrid(n=n, dx=dx), re + 1j * im)
 
 
 def propagator_slice_to_csv(sample, path: Path) -> None:

@@ -24,7 +24,6 @@ from kglab import (
     evolve_positive,
     evolve_spectral,
     fit_exponential_tail,
-    joint_support_radius,
     leapfrog_energy,
     local_fd_steps,
     make_bump,
@@ -49,7 +48,7 @@ def test_criterion_1_causal_cone():
     start = time.perf_counter()
     grid = UniformGrid(4096, 1 / 64)
     data = CauchyData(make_bump(grid, 0.0, 1.0, 1.0), Field(grid, np.zeros(grid.n)), Mass(1.0))
-    r0 = joint_support_radius(data, 1e-12)
+    r0 = support_radius(data.phi, data.pi, threshold=1e-12)
     margin = 5 * grid.dx
     leaks = {
         t: cone_leakage(evolve_spectral(data, t).phi, r0, t, margin) for t in (1.0, 2.0, 4.0)
@@ -178,7 +177,7 @@ def test_criterion_6_hegerfeldt_leakage():
     m = Mass(1.0)
     psi_base = make_bump(base, 0.0, 1.0, 1.0)
     psi_fine = make_bump(doubled, 0.0, 1.0, 1.0)
-    r0 = support_radius(psi_base, 1e-12)
+    r0 = support_radius(psi_base, threshold=1e-12)
     margin = 5 * base.dx
     ladder = (1e-3, 1e-2, 1e-1)
     leaks = [cone_leakage(evolve_positive(psi_base, m, t), r0, t, margin) for t in ladder]
@@ -247,6 +246,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     def run(cmd, cfg, out, threads=None):
         env = dict(os.environ)
         env.pop("KGLAB_THREADS", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
         if threads is not None:
             env["KGLAB_THREADS"] = threads
         res = subprocess.run(

@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 import oracles
 from kglab.cli import main
 from kglab.config import KEYS
-from kglab.spectral import PreconditionError
+from kglab.spectral import PreconditionError, UniformGrid
 from test_config import dotted, plant
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("KGLAB_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -33,6 +34,7 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
         cwd=REPO,
+        timeout=timeout,
     )
 
 
@@ -124,7 +126,7 @@ def test_spectral_contrast_is_the_full_datum_at_rest(tmp_path, config):
     state = tree["initial_state"]
     psi0 = make_bump(grid, state["center"], state["radius"], state["amplitude"])
     data = CauchyData(psi0, Field(grid, np.zeros(grid.n, dtype=np.complex128)), Mass(tree["mass"]))
-    r0 = support_radius(psi0, tree["thresholds"]["support"])
+    r0 = support_radius(psi0, threshold=tree["thresholds"]["support"])
     margin = tree["cone_margin_cells"] * grid.dx
     expected = [repr(cone_leakage(evolve_spectral(data, t).phi, r0, t, margin)) for t in tree["times"]]
     rows = (tmp_path / "contrast.csv").read_text().splitlines()
@@ -677,6 +679,18 @@ def test_local_fd_refuses_an_evolve_time_of_zero(tmp_path):
     assert error["message"] == "t = 0.0 is not a positive multiple of dt = 0.0078125"
 
 
+def test_local_fd_refuses_a_ladder_over_the_step_budget(tmp_path):
+    # 10^9 steps would run for hours; the refusal comes at load time
+    tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
+    tree.update(grid={"n": 256, "dx": 1 / 8}, method="local-fd", dt=1e-9, times=[1.0], snapshot_times=[])
+    cfg = write_config(tmp_path, "fd.json", tree)
+    res = run_cli("evolve", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=10)
+    assert res.returncode == 2
+    error = json.loads(res.stderr)["error"]
+    assert error["rule"] == "budget"
+    assert "1000000000 leapfrog steps on n = 256 cells" in error["message"]
+
+
 def test_spectral_evolve_time_of_zero_is_the_datum(tmp_path):
     from kglab import UniformGrid, make_bump
 
@@ -704,11 +718,28 @@ def test_cli_format_flag_switches_snapshots(tmp_path):
     out = tmp_path / "out"
     res = run_cli("evolve", "--config", str(write_config(tmp_path, "json.json", tree)), "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert (out / "snapshot_000.json").exists()
-    from kglab.io import field_from_json
+    payload = json.loads((out / "snapshot_000.json").read_text())
+    x = UniformGrid(payload["grid"]["n"], payload["grid"]["dx"]).x
+    assert np.max(np.abs(np.array(payload["re"]) - oracles.bump_profile(x - 2.0))) < 1e-10
 
-    f = field_from_json(out / "snapshot_000.json")
-    assert np.max(np.abs(f.values.real - oracles.bump_profile(f.grid.x - 2.0))) < 1e-10
+
+def test_local_fd_snapshot_is_the_same_words_in_csv_and_json(tmp_path):
+    tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
+    tree.update(method="local-fd", dt=1 / 128)
+    words = {}
+    for fmt in ("csv", "json"):
+        tree["output"] = {"format": fmt}
+        out = tmp_path / fmt
+        assert main(["evolve", "--config", str(write_config(tmp_path, f"{fmt}.json", tree)), "--out", str(out)]) == 0
+        path = out / f"snapshot_002.{fmt}"  # t = 4.0, the third ladder time
+        if fmt == "csv":
+            _, re, im = zip(*(map(float, line.split(",")) for line in path.read_text().splitlines()[1:]))
+        else:
+            payload = json.loads(path.read_text())
+            re, im = payload["re"], payload["im"]
+        words[fmt] = np.array([re, im]).view(np.uint64)
+    assert (words["csv"] == 0).any()  # the leapfrog leaves exact zeros
+    assert np.array_equal(words["csv"], words["json"])
 
 
 class TestGoldenDefaults:

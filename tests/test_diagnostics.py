@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kglab import (
     CauchyData,
@@ -97,23 +99,73 @@ class TestTailFit:
 class TestSupportRadius:
     def test_bump(self, grid):
         b = make_bump(grid, 0.0, 1.0, 1.0)
-        assert support_radius(b, 1e-12) == pytest.approx(1.0, abs=0.02 + grid.dx)
+        assert support_radius(b, threshold=1e-12) == pytest.approx(1.0, abs=0.02 + grid.dx)
 
     def test_zero_field(self, grid):
-        assert support_radius(Field(grid, np.zeros(grid.n)), 1e-12) == 0.0
+        assert support_radius(Field(grid, np.zeros(grid.n)), threshold=1e-12) == 0.0
 
     def test_exponential_closed_form(self, grid):
         f = Field(grid, np.exp(-np.abs(grid.x)))
-        assert support_radius(f, np.exp(-5.0)) == pytest.approx(5.0, abs=grid.dx)
+        assert support_radius(f, threshold=np.exp(-5.0)) == pytest.approx(5.0, abs=grid.dx)
 
     def test_monotone_in_threshold(self, grid):
         f = Field(grid, np.exp(-np.abs(grid.x)))
-        radii = [support_radius(f, thr) for thr in (1e-10, 1e-8, 1e-6, 1e-4)]
+        radii = [support_radius(f, threshold=thr) for thr in (1e-10, 1e-8, 1e-6, 1e-4)]
         assert all(a >= b for a, b in zip(radii, radii[1:]))
 
     def test_threshold_validation(self, grid):
         with pytest.raises(ValueError):
-            support_radius(Field(grid, np.zeros(grid.n)), 0.0)
+            support_radius(Field(grid, np.zeros(grid.n)), threshold=0.0)
+
+
+class TestJointSupportRadius:
+    def test_bump(self, grid):
+        phi, pi = make_bump(grid, 0.0, 1.0, 1.0), Field(grid, np.zeros(grid.n))
+        assert support_radius(phi, pi, threshold=1e-12) == pytest.approx(1.0, abs=grid.dx)
+
+    def test_zero(self, grid):
+        z = Field(grid, np.zeros(grid.n))
+        assert support_radius(z, z, threshold=1e-12) == 0.0
+
+    def test_max_of_supports(self, grid):
+        # the bump rolls off double-exponentially, crossing 1e-12 about
+        # 0.018 R inside the nominal radius
+        phi, pi = make_bump(grid, 0.0, 1.0, 1.0), make_bump(grid, 0.0, 2.0, 1.0)
+        assert support_radius(phi, pi, threshold=1e-12) == pytest.approx(2.0, abs=0.04 + grid.dx)
+
+    def test_fields_on_different_grids_refused(self):
+        a, b = UniformGrid(16, 0.5), UniformGrid(16, 0.25)
+        for grids in [(a, b), (a, a, b), (a, UniformGrid(32, 0.5))]:
+            fields = [Field(g, np.ones(g.n)) for g in grids]
+            with pytest.raises(PreconditionError) as err:
+                support_radius(*fields, threshold=1e-12)
+            assert err.value.rule == "field.grid"
+
+
+THRESHOLD = 1e-3
+SMALL_GRID = UniformGrid(16, 0.5)
+#: cells at, just below and just above the threshold, signed zeros, and
+#: anything in between
+CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, THRESHOLD, -THRESHOLD, np.nextafter(THRESHOLD, 0.0), np.nextafter(THRESHOLD, 1.0)]),
+    st.floats(-2 * THRESHOLD, 2 * THRESHOLD),
+)
+SMALL_FIELDS = st.tuples(
+    st.lists(CELLS, min_size=SMALL_GRID.n, max_size=SMALL_GRID.n),
+    st.lists(st.one_of(st.just(0.0), CELLS), min_size=SMALL_GRID.n, max_size=SMALL_GRID.n),
+).map(lambda parts: Field(SMALL_GRID, np.array(parts[0]) + 1j * np.array(parts[1])))
+ZERO = Field(SMALL_GRID, np.zeros(SMALL_GRID.n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(SMALL_FIELDS, min_size=1, max_size=3))
+@example([ZERO, ZERO])
+@example([ZERO, Field(SMALL_GRID, np.full(SMALL_GRID.n, THRESHOLD))])
+def test_joint_support_is_the_largest_single_support(fields):
+    # an independent statement of a joint support: the union of the
+    # thresholded supports of the components
+    joint = support_radius(*fields, threshold=THRESHOLD)
+    assert joint == max(support_radius(f, threshold=THRESHOLD) for f in fields)
 
 
 class TestBoundaryFloor:

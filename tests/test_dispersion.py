@@ -87,7 +87,7 @@ def test_linearity(grid):
 def test_nonlocality_witness_support_grows(grid):
     b = make_bump(grid, 0.0, 1.0, 1.0)
     out = positivity_tail_witness(b, Mass(1.0))
-    assert support_radius(out, 1e-12) > support_radius(b, 1e-12)
+    assert support_radius(out, threshold=1e-12) > support_radius(b, threshold=1e-12)
 
 
 def test_compton_tail_rate_matches_cut_oracle():

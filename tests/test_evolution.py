@@ -10,12 +10,12 @@ from kglab import (
     evolve_from_rest,
     evolve_local_fd_ladder,
     evolve_spectral,
-    joint_support_radius,
     leapfrog_energy,
     local_fd_steps,
     make_bump,
 )
-from kglab.evolution import _BLOCK
+from kglab.evolution import _BLOCK, _STEP_BUDGET, _STEP_OVERHEAD_CELLS, ladder_steps
+from kglab.spectral import PreconditionError
 
 import oracles
 
@@ -146,10 +146,10 @@ def test_margin_rejected(grid):
 
 
 def test_spectral_causality(grid):
-    from kglab import cone_leakage
+    from kglab import cone_leakage, support_radius
 
     data = bump_data(grid)
-    r0 = joint_support_radius(data, 1e-12)
+    r0 = support_radius(data.phi, data.pi, threshold=1e-12)
     for t in (1.0, 4.0):
         out = evolve_spectral(data, t)
         assert cone_leakage(out.phi, r0, t, 5 * grid.dx) < 1e-8
@@ -339,20 +339,14 @@ class TestLocalFd:
         with pytest.raises(ValueError, match="margin"):
             evolve_local_fd_ladder(data, [1.0, grid.L / 4 + 1.0], dt)
 
+    def test_step_budget(self):
+        # 2^17 steps on 2048 cells cost exactly the budget; one more is refused
+        grid = UniformGrid(2048, 0.25)
+        dt = 2.0**-11
+        assert 2**17 * (grid.n + _STEP_OVERHEAD_CELLS) == _STEP_BUDGET
+        assert ladder_steps(grid, [1.0, 64.0], dt) == [2**11, 2**17]
+        with pytest.raises(PreconditionError) as err:
+            ladder_steps(grid, [64.0 + dt, 1.0], dt)
+        assert err.value.rule == "budget"
+        assert "131073 leapfrog steps on n = 2048 cells" in err.value.message
 
-class TestJointSupportRadius:
-    def test_bump(self, grid):
-        data = bump_data(grid)
-        assert joint_support_radius(data, 1e-12) == pytest.approx(1.0, abs=grid.dx)
-
-    def test_zero(self, grid):
-        z = Field(grid, np.zeros(grid.n))
-        assert joint_support_radius(CauchyData(z, z, Mass(1.0)), 1e-12) == 0.0
-
-    def test_max_of_supports(self, grid):
-        # the bump rolls off double-exponentially, crossing 1e-12 about
-        # 0.018 R inside the nominal radius
-        data = CauchyData(
-            make_bump(grid, 0.0, 1.0, 1.0), make_bump(grid, 0.0, 2.0, 1.0), Mass(1.0)
-        )
-        assert joint_support_radius(data, 1e-12) == pytest.approx(2.0, abs=0.04 + grid.dx)

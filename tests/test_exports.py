@@ -5,9 +5,7 @@ import pytest
 
 import kglab
 
-MODULES = ["kglab"] + [
-    f"kglab.{info.name}" for info in pkgutil.iter_modules(kglab.__path__) if info.name != "__main__"
-]
+MODULES = ["kglab"] + [f"kglab.{info.name}" for info in pkgutil.iter_modules(kglab.__path__)]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,22 +17,27 @@ def test_every_exported_name_resolves(name):
 
 
 def test_every_exported_function_is_run_by_a_command(tmp_path, monkeypatch):
-    # a public function that no command calls carries no verdict: it
-    # reaches a command or leaves the package
+    # a public function of any module that no command calls carries no
+    # verdict: it reaches a command or leaves the package
     import inspect
     import json
     import sys
     from pathlib import Path
 
-    from kglab.cli import main
+    import kglab.cli
 
-    functions = [name for name in kglab.__all__ if inspect.isfunction(getattr(kglab, name))]
+    functions = {}
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            function = getattr(module, name)
+            if inspect.isfunction(function):
+                functions[f"{function.__module__}.{name}"] = (name, function)
     called = set()
-    for name in functions:
-        original = getattr(kglab, name)
+    for key, (name, original) in functions.items():
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            called.add(_name)
+        def spy(*args, _key=key, _original=original, **kwargs):
+            called.add(_key)
             return _original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
@@ -42,12 +45,12 @@ def test_every_exported_function_is_run_by_a_command(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, spy)
     configs = Path(__file__).resolve().parent.parent / "configs"
     runs = [(json.loads(path.read_text())["command"], path) for path in sorted(configs.glob("*.json"))]
-    # no shipped config runs the leapfrog
+    # no shipped config runs the leapfrog or writes a JSON field
     tree = json.loads((configs / "causal_default.json").read_text())
-    tree.update(method="local-fd", dt=1 / 128)
+    tree.update(method="local-fd", dt=1 / 128, output={"format": "json"})
     leapfrog = tmp_path / "leapfrog.json"
     leapfrog.write_text(json.dumps(tree))
     runs.append(("evolve", leapfrog))
     for idx, (command, path) in enumerate(runs):
-        assert main([command, "--config", str(path), "--out", str(tmp_path / f"out{idx}")]) == 0, path.name
-    assert [name for name in functions if name not in called] == []
+        assert kglab.cli.main([command, "--config", str(path), "--out", str(tmp_path / f"out{idx}")]) == 0, path.name
+    assert [key for key in functions if key not in called] == []

@@ -123,7 +123,7 @@ class TestHegerfeldtLeakage:
         g = UniformGrid(8192, 1 / 128)
         psi0 = make_bump(g, 0.0, 1.0, 1.0)
         m = Mass(1.0)
-        r0 = support_radius(psi0, 1e-12)
+        r0 = support_radius(psi0, threshold=1e-12)
         leak = cone_leakage(evolve_positive(psi0, m, 0.01), r0, 0.01, 5 * g.dx)
         assert leak > 1e-10
 
@@ -131,7 +131,7 @@ class TestHegerfeldtLeakage:
         g = UniformGrid(8192, 1 / 128)
         psi0 = make_bump(g, 0.0, 1.0, 1.0)
         m = Mass(1.0)
-        r0 = support_radius(psi0, 1e-12)
+        r0 = support_radius(psi0, threshold=1e-12)
         leaks = [
             cone_leakage(evolve_positive(psi0, m, t), r0, t, 5 * g.dx)
             for t in (1e-3, 1e-2, 1e-1)
@@ -145,7 +145,7 @@ class TestHegerfeldtLeakage:
         m = Mass(1.0)
         psi1 = make_bump(g1, 0.0, 1.0, 1.0)
         psi2 = make_bump(g2, 0.0, 1.0, 1.0)
-        r0 = support_radius(psi1, 1e-12)
+        r0 = support_radius(psi1, threshold=1e-12)
         margin = 5 * g1.dx
         for t in (1e-2, 1e-1):
             l1 = cone_leakage(evolve_positive(psi1, m, t), r0, t, margin)
@@ -159,7 +159,7 @@ class TestHegerfeldtLeakage:
         g = UniformGrid(8192, 1 / 128)
         psi0 = make_bump(g, 0.0, 1.0, 1.0)
         m = Mass(1.0)
-        r0 = support_radius(psi0, 1e-12)
+        r0 = support_radius(psi0, threshold=1e-12)
         data = CauchyData(psi0, Field(g, np.zeros(g.n)), m)
         for t in (0.01, 0.1, 1.0):
             positive = cone_leakage(evolve_positive(psi0, m, t), r0, t, 5 * g.dx)
@@ -172,7 +172,7 @@ class TestTailWitness:
     def test_support_strictly_grows(self, grid):
         b = make_bump(grid, 0.0, 1.0, 1.0)
         w = positivity_tail_witness(b, Mass(1.0))
-        assert support_radius(w, 1e-12) > support_radius(b, 1e-12)
+        assert support_radius(w, threshold=1e-12) > support_radius(b, threshold=1e-12)
 
     def test_linearity(self, grid):
         b1 = make_bump(grid, 0.0, 1.0, 1.0)
