@@ -742,6 +742,34 @@ def test_local_fd_snapshot_is_the_same_words_in_csv_and_json(tmp_path):
     assert np.array_equal(words["csv"], words["json"])
 
 
+def test_local_fd_series_support_is_the_joint_support_of_each_state(tmp_path):
+    # a right-moving datum has Pi != 0, so the joint support is not Phi's alone
+    from kglab import CauchyData, Mass, evolve_local_fd_ladder, make_bump, support_radius
+    from kglab.spectral import bump_right_mover
+
+    tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
+    state = tree["initial_state"]
+    state["pi"] = "right-mover"
+    tree.update(method="local-fd", dt=1 / 128, snapshot_times=[])
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(write_config(tmp_path, "fd.json", tree)), "--out", str(out)]) in (0, 1)
+    grid = UniformGrid(**tree["grid"])
+    bump = (grid, state["center"], state["radius"], state["amplitude"])
+    data = CauchyData(make_bump(*bump), bump_right_mover(*bump), Mass(tree["mass"]))
+    threshold = tree["thresholds"]["support"]
+    expected = [
+        repr(max(support_radius(s.phi, threshold=threshold), support_radius(s.pi, threshold=threshold)))
+        for s in evolve_local_fd_ladder(data, tree["times"], tree["dt"])
+    ]
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[0].split(",")[2] == "joint_support_radius"
+    assert [row.split(",")[2] for row in rows[1:]] == expected
+    report = json.loads((out / "report.json").read_text())
+    assert report["initial_support_radius"] == max(
+        support_radius(data.phi, threshold=threshold), support_radius(data.pi, threshold=threshold)
+    )
+
+
 class TestGoldenDefaults:
     """Value-level regression against the committed golden outputs."""
 

@@ -350,3 +350,10 @@ class TestLocalFd:
         assert err.value.rule == "budget"
         assert "131073 leapfrog steps on n = 2048 cells" in err.value.message
 
+    def test_ladder_refuses_a_run_over_the_step_budget(self, grid):
+        # the library entry shares the refusal: 10^9 steps never start
+        with pytest.raises(PreconditionError) as err:
+            evolve_local_fd_ladder(bump_data(grid), [1.0], 1e-9)
+        assert err.value.rule == "budget"
+        assert "1000000000 leapfrog steps on n = 2048 cells" in err.value.message
+

@@ -234,6 +234,21 @@ def test_field_csv_roundtrip_is_exact(tmp_path, field):
     assert np.array_equal(words(im), words(field.values.imag))
 
 
+@pytest.mark.parametrize(
+    "field", [random_field(), leapfrog_snapshot(), edge_field()], ids=["random", "local-fd-snapshot", "edge-values"]
+)
+def test_field_envelope_and_csv_hold_the_same_words(tmp_path, field):
+    # either file rebuilds the field, so either can stand in for the other
+    field_to_json(field, tmp_path / "field.json")
+    field_to_csv(field, tmp_path / "field.csv")
+    payload = json.loads((tmp_path / "field.json").read_text())
+    _, re, im = zip(*(map(float, line.split(",")) for line in (tmp_path / "field.csv").read_text().splitlines()[1:]))
+    assert np.array_equal(words(payload["re"]), words(re))
+    assert np.array_equal(words(payload["im"]), words(im))
+    assert np.array_equal(words(payload["re"]), words(field.values.real))
+    assert np.array_equal(words(payload["im"]), words(field.values.imag))
+
+
 @pytest.mark.parametrize("field", [*sparse_fields(), leapfrog_snapshot()], ids=["sparse", "single-zero", "local-fd-snapshot"])
 @pytest.mark.parametrize("kind", ["csv", "json"])
 def test_field_writers_match_the_reference_writers_on_exact_zeros(tmp_path, field, kind):
