@@ -14,73 +14,10 @@ The package puts two facts side by side, each as an executable check:
   tails on the Compton scale 1/m.
 
 All operations are pure functions of immutable values and use no
-randomness; see the README for the CLI experiment runner.
+randomness; see the README for the CLI experiment runner.  Each public
+name is imported from its module (``from kglab.spectral import Field``),
+whose ``__all__`` is its one export list; the package itself exports
+only ``__version__``.
 """
 
-from .spectral import (
-    UniformGrid,
-    Field,
-    forward_transform,
-    inverse_transform,
-    make_bump,
-)
-from .dispersion import Mass, omega
-from .evolution import (
-    CauchyData,
-    evolve_spectral,
-    evolve_from_rest,
-    evolve_local_fd_ladder,
-    local_fd_steps,
-    energy,
-    leapfrog_energy,
-)
-from .propagator import (
-    QuadratureSpec,
-    PropagatorSample,
-    delta_plus,
-    pauli_jordan,
-    spacelike_suppression_scan,
-    bridge_identity_error,
-)
-from .posfreq import evolve_positive, positivity_tail_witness
-from .diagnostics import (
-    TailFit,
-    cone_leakage,
-    fit_exponential_tail,
-    support_radius,
-    boundary_floor,
-    support_report,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "UniformGrid",
-    "Field",
-    "forward_transform",
-    "inverse_transform",
-    "make_bump",
-    "Mass",
-    "omega",
-    "CauchyData",
-    "evolve_spectral",
-    "evolve_from_rest",
-    "evolve_local_fd_ladder",
-    "local_fd_steps",
-    "energy",
-    "leapfrog_energy",
-    "QuadratureSpec",
-    "PropagatorSample",
-    "delta_plus",
-    "pauli_jordan",
-    "spacelike_suppression_scan",
-    "bridge_identity_error",
-    "evolve_positive",
-    "positivity_tail_witness",
-    "TailFit",
-    "cone_leakage",
-    "fit_exponential_tail",
-    "support_radius",
-    "boundary_floor",
-    "support_report",
-]

@@ -27,11 +27,7 @@ from .evolution import check_margin, ladder_steps
 from .propagator import QuadratureSpec, check_scan
 from .spectral import PreconditionError, UniformGrid, check_bump
 
-__all__ = ["CONE_MARGIN_CELLS", "KEYS", "REQUIRED", "load_config"]
-
-#: geometric slack, in grid cells, added to every light-cone check to
-#: absorb threshold and discretization fuzz
-CONE_MARGIN_CELLS = 5
+__all__ = ["KEYS", "REQUIRED", "load_config"]
 
 #: the default of a key that every config must set
 REQUIRED = "required"
@@ -58,7 +54,6 @@ def _floats(value) -> tuple[float, ...]:
 # A kind reads one JSON value: (what it must be, test, conversion).
 _NUMBER = ("a finite number", _is_number, float)
 _BOUND = ("a finite, positive number", lambda v: _is_number(v) and v > 0, float)
-_OPTIONAL = ("a finite number or null", lambda v: v is None or _is_number(v), float)
 _INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)
 _CELLS = ("a non-negative integer", lambda v: _is_number(v) and isinstance(v, int) and v >= 0, int)
 _FLAG = ("true or false", lambda v: isinstance(v, bool), bool)
@@ -102,14 +97,16 @@ _STATE = {
 }
 _TIME_LADDER = (REQUIRED, _LADDER)
 _SUPPORT = {"support": (1e-12, _NUMBER)}
-_CONE_MARGIN = (CONE_MARGIN_CELLS, _CELLS)
+#: geometric slack, in grid cells, added to every light-cone check to
+#: absorb threshold and discretization fuzz
+_CONE_MARGIN = (5, _CELLS)
 
 #: every key of every command: ``key: (default, kind)``, a dict for a section
 KEYS = {
     "evolve": _keys(
         initial_state={**_STATE, "pi": ("zero", _one_of("zero", "right-mover"))},
         times=_TIME_LADDER,
-        dt=(None, _OPTIONAL),
+        dt=(None, _NUMBER),
         method=("spectral-exact", _one_of("spectral-exact", "local-fd")),
         snapshot_times=([], _TIMES),
         thresholds={**_SUPPORT, "cone_leakage": (1e-8, _BOUND)},
@@ -124,7 +121,7 @@ KEYS = {
         contrast_ceiling=(1e-8, _BOUND),
         tail_fit={
             "window": (REQUIRED, _PAIR),
-            "snapshot_time": (None, _NUMBER),  # absent: the last time
+            "snapshot_time": (None, _NUMBER),  # absent or null: the last time
             "rate_band": (0.15, _RATE_BAND),
             "min_r2": (0.99, _MIN_R2),
         },
@@ -137,7 +134,7 @@ KEYS = {
         times=_TIME_LADDER,
         margin=(0.2, _NUMBER),
         quadrature={
-            "cutoff": (QuadratureSpec.cutoff, _OPTIONAL),
+            "cutoff": (QuadratureSpec.cutoff, _NUMBER),
             "rungs": (QuadratureSpec.rungs, _INTEGER),
             "residual_tol": (QuadratureSpec.residual_tol, _NUMBER),
             "band_fraction": (QuadratureSpec.band_fraction, _NUMBER),
@@ -166,7 +163,7 @@ def _read(tree: dict, table: dict, values: dict, path: str = "") -> dict:
             _read(section, entry, values, rule + ".")
             continue
         default, (what, test, convert) = entry
-        if key in tree:
+        if key in tree and not (tree[key] is None and default is None):  # null reads as a None default
             _require(test(tree[key]), rule, f"{rule} must be {what}, got {tree[key]!r}")
         else:
             _require(default != REQUIRED, rule, f"missing required key {rule!r}")

@@ -47,7 +47,7 @@ ladder whose steps would cost more than a fixed budget of cell updates.
 
 Choosing between the two is the caller's business (the CLI reads it from
 the config's ``method``); the leapfrog takes its step ``dt`` as a plain
-argument, checked by :func:`check_step`.
+argument, checked against dt > 0 and the Courant bound dt/dx <= 1.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "evolve_local_fd_ladder",
     "local_fd_steps",
     "check_margin",
-    "check_step",
     "ladder_steps",
     "energy",
     "leapfrog_energy",
@@ -169,7 +168,7 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
     The yielded arrays are live working buffers; copy them to retain.
     """
     grid = data.grid
-    check_step(grid, dt)
+    _check_step(grid, dt)
     n = grid.n
     phi0, pi0 = data.phi.values, data.pi.values
     if not (phi0.imag.any() or pi0.imag.any()):
@@ -208,7 +207,7 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
             yield k, phi, pi
 
 
-def check_step(grid, dt: float) -> None:
+def _check_step(grid, dt: float) -> None:
     """The leapfrog step rules: dt > 0 and the Courant bound dt/dx <= 1."""
     if not dt > 0:
         raise PreconditionError("dt", "time step must be positive")
@@ -225,11 +224,11 @@ _STEP_OVERHEAD_CELLS = 2048
 
 
 def ladder_steps(grid, times: Sequence[float], dt: float) -> list[int]:
-    """Leapfrog step count to each of ``times``, after :func:`check_step`; each
+    """Leapfrog step count to each of ``times``, after :func:`_check_step`; each
     elapsed time t must be a positive integer multiple of dt within the L/4
     margin, and max(steps) * (n + ``_STEP_OVERHEAD_CELLS``) must stay within
     ``_STEP_BUDGET``."""
-    check_step(grid, dt)
+    _check_step(grid, dt)
     counts = []
     for t in times:
         ratio = t / dt

@@ -52,6 +52,7 @@ m = 0 on the line, and D is built from it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -76,8 +77,10 @@ CUTOFF_FACTOR = 40.0
 #: default damping ladder base: eps = EPS_BASE_FACTOR / P^2
 EPS_BASE_FACTOR = 80.0
 
-#: most Richardson rungs: the weights 2^k overflow a float beyond k = 1023
-MAX_RUNGS = 1024
+#: most Richardson rungs: the last rung damps the cutoff node by
+#: exp(-EPS_BASE_FACTOR / 2^(rungs - 1)), which rounds to exactly 1 (no
+#: damping, and a residual of 0 by construction) for every rung beyond these
+MAX_RUNGS = next(r for r in itertools.count(1) if math.exp(-EPS_BASE_FACTOR / 2.0**r) == 1.0)
 
 #: cells on each side of the cone left out of the residual
 RESIDUAL_COLLAR_CELLS = 4

@@ -101,9 +101,9 @@ class UniformGrid:
 def _validated_samples(grid: UniformGrid, values, copy: bool = True) -> np.ndarray:
     """``values`` as n read-only complex128 samples, all finite; a copy
     unless ``copy`` is False, which requires an owned complex128 array."""
-    arr = np.array(values, dtype=np.complex128, copy=copy).reshape(-1)
+    arr = np.array(values, dtype=np.complex128, copy=copy)
     if arr.shape != (grid.n,):
-        raise PreconditionError("field.size", f"field needs {grid.n} samples, got {arr.shape[0]}")
+        raise PreconditionError("field.size", f"field needs {grid.n} samples in one dimension, got shape {arr.shape}")
     finite = np.isfinite(arr)
     if not finite.all():
         raise PreconditionError("field.finite", f"non-finite field sample at index {np.argmin(finite)}")

@@ -32,9 +32,10 @@ import json
 import numpy as np
 from scipy.integrate import quad
 
-from kglab import CauchyData, Field, QuadratureSpec, forward_transform, inverse_transform, omega, pauli_jordan
-from kglab.propagator import RESIDUAL_COLLAR_CELLS, _extrapolate, _off_cone
-from kglab.spectral import PreconditionError, _alternating
+from kglab.dispersion import omega
+from kglab.evolution import CauchyData
+from kglab.propagator import QuadratureSpec, RESIDUAL_COLLAR_CELLS, _extrapolate, _off_cone, pauli_jordan
+from kglab.spectral import Field, PreconditionError, _alternating, forward_transform, inverse_transform
 
 GL200 = np.polynomial.legendre.leggauss(200)
 

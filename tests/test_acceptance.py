@@ -11,26 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kglab import (
-    CauchyData,
-    Field,
-    Mass,
-    QuadratureSpec,
-    UniformGrid,
-    bridge_identity_error,
-    cone_leakage,
-    delta_plus,
-    energy,
-    evolve_positive,
-    evolve_spectral,
-    fit_exponential_tail,
-    leapfrog_energy,
-    local_fd_steps,
-    make_bump,
-    pauli_jordan,
-    spacelike_suppression_scan,
-    support_radius,
-)
+from kglab.diagnostics import cone_leakage, fit_exponential_tail, support_radius
+from kglab.dispersion import Mass
+from kglab.evolution import CauchyData, energy, evolve_spectral, leapfrog_energy, local_fd_steps
+from kglab.posfreq import evolve_positive
+from kglab.propagator import QuadratureSpec, bridge_identity_error, delta_plus, pauli_jordan, spacelike_suppression_scan
+from kglab.spectral import Field, UniformGrid, make_bump
 
 import oracles
 
@@ -199,7 +185,7 @@ def test_criterion_6_hegerfeldt_leakage():
 
 
 def test_criterion_7_compton_tails():
-    from kglab import positivity_tail_witness
+    from kglab.posfreq import positivity_tail_witness
 
     grid = UniformGrid(8192, 1 / 128)
     bump = make_bump(grid, 0.0, 1.0, 1.0)

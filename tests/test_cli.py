@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,10 @@ def test_thread_count_does_not_change_bytes(tmp_path):
 @pytest.mark.parametrize("config", ["hegerfeldt_default", "hegerfeldt_m2"])
 def test_spectral_contrast_is_the_full_datum_at_rest(tmp_path, config):
     # compare_csv's atol cannot see a move in cells near 1e-27: compare reprs
-    from kglab import CauchyData, Field, Mass, UniformGrid, cone_leakage, evolve_spectral, make_bump, support_radius
+    from kglab.diagnostics import cone_leakage, support_radius
+    from kglab.dispersion import Mass
+    from kglab.evolution import CauchyData, evolve_spectral
+    from kglab.spectral import Field, UniformGrid, make_bump
 
     path = REPO / "configs" / f"{config}.json"
     tree = json.loads(path.read_text())
@@ -691,8 +695,20 @@ def test_local_fd_refuses_a_ladder_over_the_step_budget(tmp_path):
     assert "1000000000 leapfrog steps on n = 256 cells" in error["message"]
 
 
+def test_propagator_refuses_rungs_that_no_longer_damp(tmp_path):
+    # 1024 rungs would take seconds per kernel; the refusal comes at load time
+    tree = json.loads((REPO / "configs" / "propagator_default.json").read_text())
+    tree["quadrature"]["rungs"] = 1024
+    cfg = write_config(tmp_path, "rungs.json", tree)
+    start = time.perf_counter()
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert json.loads(err)["error"]["rule"] == "quadrature.rungs"
+
+
 def test_spectral_evolve_time_of_zero_is_the_datum(tmp_path):
-    from kglab import UniformGrid, make_bump
+    from kglab.spectral import UniformGrid, make_bump
 
     tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
     tree.update(times=[0.0, 1.0], snapshot_times=[0.0])
@@ -744,8 +760,10 @@ def test_local_fd_snapshot_is_the_same_words_in_csv_and_json(tmp_path):
 
 def test_local_fd_series_support_is_the_joint_support_of_each_state(tmp_path):
     # a right-moving datum has Pi != 0, so the joint support is not Phi's alone
-    from kglab import CauchyData, Mass, evolve_local_fd_ladder, make_bump, support_radius
-    from kglab.spectral import bump_right_mover
+    from kglab.diagnostics import support_radius
+    from kglab.dispersion import Mass
+    from kglab.evolution import CauchyData, evolve_local_fd_ladder
+    from kglab.spectral import bump_right_mover, make_bump
 
     tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
     state = tree["initial_state"]

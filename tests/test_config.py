@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kglab.config import KEYS, REQUIRED, load_config
-from kglab.propagator import QuadratureSpec
+from kglab.propagator import MAX_RUNGS, QuadratureSpec
 from kglab.spectral import PreconditionError
 
 
@@ -259,6 +260,42 @@ def test_propagator_null_cutoff_uses_the_default_rule(tmp_path):
     cfg = load_config(write(tmp_path, tree), "propagator")
     # the default rule: CUTOFF_FACTOR * max(m, 1/dx) = 40 * 256
     assert (cfg.quadrature.cutoff, cfg.quadrature.rungs) == (10240.0, 3)
+
+
+def test_rungs_stop_where_the_last_rung_still_damps(tmp_path):
+    # one rung more and the last rung's damping of the cutoff node rounds to
+    # exactly 1, so its residual would read 0 by construction
+    assert MAX_RUNGS == 61  # the README's range
+    quad = load_config(write(tmp_path, propagator_tree(quadrature={"rungs": MAX_RUNGS})), "propagator").quadrature
+    assert quad.rungs == MAX_RUNGS
+    assert math.exp(-quad.eps_ladder[-1] * quad.cutoff**2) < 1.0
+    assert math.exp(-quad.eps_ladder[-1] / 2 * quad.cutoff**2) == 1.0
+    with pytest.raises(PreconditionError) as err:
+        load_config(write(tmp_path, propagator_tree(quadrature={"rungs": MAX_RUNGS + 1})), "propagator")
+    assert err.value.rule == "quadrature.rungs"
+
+
+def loaded(tmp_path, tree, command):
+    """The loaded config's values, or the rule that refused it."""
+    try:
+        return vars(load_config(write(tmp_path, tree), command))
+    except PreconditionError as exc:
+        return exc.rule
+
+
+@pytest.mark.parametrize(
+    "command,tree,key",
+    [
+        ("evolve", evolve_tree(), "dt"),
+        ("evolve", evolve_tree(method="local-fd"), "dt"),
+        ("hegerfeldt", hegerfeldt_tree(), "tail_fit.snapshot_time"),
+        ("propagator", propagator_tree(), "quadrature.cutoff"),
+    ],
+)
+def test_null_loads_like_a_missing_key(tmp_path, command, tree, key):
+    # a key whose default is None reads null as that default
+    absent = loaded(tmp_path, tree, command)
+    assert loaded(tmp_path, plant(copy.deepcopy(tree), {key: None}), command) == absent
 
 
 _JSON_LEAVES = (

@@ -5,22 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kglab import (
-    CauchyData,
-    Field,
-    Mass,
-    UniformGrid,
-    boundary_floor,
-    cone_leakage,
-    evolve_spectral,
-    fit_exponential_tail,
-    make_bump,
-    positivity_tail_witness,
-    support_radius,
-    support_report,
-)
+from kglab.diagnostics import boundary_floor, cone_leakage, fit_exponential_tail, support_radius, support_report
+from kglab.dispersion import Mass
+from kglab.evolution import CauchyData, evolve_spectral
 from kglab.io import write_json
-from kglab.spectral import PreconditionError
+from kglab.posfreq import positivity_tail_witness
+from kglab.spectral import Field, PreconditionError, UniformGrid, make_bump
 
 import oracles
 

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from kglab import (
-    Field,
-    Mass,
-    UniformGrid,
-    fit_exponential_tail,
-    make_bump,
-    omega,
-    positivity_tail_witness,
-    support_radius,
-)
+from kglab.diagnostics import fit_exponential_tail, support_radius
+from kglab.dispersion import Mass, omega
+from kglab.posfreq import positivity_tail_witness
+from kglab.spectral import Field, UniformGrid, make_bump
 
 import oracles
 from kglab import dispersion

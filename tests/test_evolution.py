@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from kglab import (
+from kglab.dispersion import Mass
+from kglab.evolution import (
     CauchyData,
-    Field,
-    Mass,
-    UniformGrid,
+    _BLOCK,
+    _STEP_BUDGET,
+    _STEP_OVERHEAD_CELLS,
     energy,
     evolve_from_rest,
     evolve_local_fd_ladder,
     evolve_spectral,
+    ladder_steps,
     leapfrog_energy,
     local_fd_steps,
-    make_bump,
 )
-from kglab.evolution import _BLOCK, _STEP_BUDGET, _STEP_OVERHEAD_CELLS, ladder_steps
-from kglab.spectral import PreconditionError
+from kglab.spectral import Field, PreconditionError, UniformGrid, make_bump
 
 import oracles
 
@@ -146,7 +146,7 @@ def test_margin_rejected(grid):
 
 
 def test_spectral_causality(grid):
-    from kglab import cone_leakage, support_radius
+    from kglab.diagnostics import cone_leakage, support_radius
 
     data = bump_data(grid)
     r0 = support_radius(data.phi, data.pi, threshold=1e-12)

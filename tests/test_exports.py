@@ -1,28 +1,52 @@
 import importlib
+import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import kglab
 
-MODULES = ["kglab"] + [f"kglab.{info.name}" for info in pkgutil.iter_modules(kglab.__path__)]
+MODULES = [f"kglab.{info.name}" for info in pkgutil.iter_modules(kglab.__path__)]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     # a stale export of a deleted name would otherwise surface only on
-    # `from kglab import *`
+    # `from kglab.<module> import *`
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_the_package_reexports_nothing():
+    # each public name has one import path, its module's: the package holds
+    # its submodules, dunder names and __version__, and no export list
+    for name in MODULES:
+        importlib.import_module(name)
+    stray = [
+        name
+        for name, value in vars(kglab).items()
+        if not (name.startswith("__") or inspect.ismodule(value) and value.__name__ == f"kglab.{name}")
+    ]
+    assert stray == []
+    assert "__all__" not in vars(kglab)
+    assert isinstance(kglab.__version__, str)
+
+
+def test_readme_layout_names_every_module():
+    # the README's Layout table is the map of the API: one row per module
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Layout\n")[1].split("\n## ")[0]
+    listed = re.findall(r"`(kglab\.\w+)`", "\n".join(re.findall(r"^\| (.+?) \|", section, re.M)))
+    assert sorted(listed) == sorted(MODULES)
 
 
 def test_every_exported_function_is_run_by_a_command(tmp_path, monkeypatch):
     # a public function of any module that no command calls carries no
     # verdict: it reaches a command or leaves the package
-    import inspect
     import json
     import sys
-    from pathlib import Path
 
     import kglab.cli
 

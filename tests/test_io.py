@@ -8,15 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kglab import Field, Mass, UniformGrid, make_bump, pauli_jordan
-from kglab.io import (
-    FIELD_SCHEMA,
-    field_to_csv,
-    field_to_json,
-    propagator_slice_to_csv,
-    write_csv,
-    write_json,
-)
+from kglab.dispersion import Mass
+from kglab.io import FIELD_SCHEMA, field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
+from kglab.propagator import pauli_jordan
+from kglab.spectral import Field, UniformGrid, make_bump
 
 #: cells whose repr is easy to get wrong: signed zero, the smallest
 #: subnormal, the switch to exponent form at 1e16 and below 1e-4, and a
@@ -215,7 +210,7 @@ def sparse_fields(n: int = 64) -> tuple[Field, Field]:
 
 
 def leapfrog_snapshot() -> Field:
-    from kglab import CauchyData, evolve_local_fd_ladder
+    from kglab.evolution import CauchyData, evolve_local_fd_ladder
 
     grid = UniformGrid(4096, 1 / 64)
     data = CauchyData(make_bump(grid, 0.0, 1.0, 1.0), Field(grid, np.zeros(grid.n)), Mass(1.0))

@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 
-from kglab import (
-    CauchyData,
-    Field,
-    Mass,
-    UniformGrid,
-    cone_leakage,
-    evolve_positive,
-    evolve_spectral,
-    fit_exponential_tail,
-    make_bump,
-    positivity_tail_witness,
-    support_radius,
-)
+from kglab.diagnostics import cone_leakage, fit_exponential_tail, support_radius
+from kglab.dispersion import Mass
+from kglab.evolution import CauchyData, evolve_spectral
+from kglab.posfreq import evolve_positive, positivity_tail_witness
+from kglab.spectral import Field, UniformGrid, make_bump
 
 import oracles
 
@@ -71,7 +63,7 @@ class TestEvolvePositive:
             assert nt == pytest.approx(n0, rel=1e-12)
 
     def test_per_mode_unitarity(self, grid):
-        from kglab import forward_transform
+        from kglab.spectral import forward_transform
 
         b = make_bump(grid, 0.0, 1.0, 1.0)
         before = np.abs(forward_transform(b))

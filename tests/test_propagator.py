@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 import oracles
-from kglab import (
-    CauchyData,
-    Field,
-    Mass,
+from kglab.dispersion import Mass, omega
+from kglab.evolution import CauchyData, evolve_spectral
+from kglab.propagator import (
+    EPS_BASE_FACTOR,
     QuadratureSpec,
-    UniformGrid,
+    RESIDUAL_COLLAR_CELLS,
+    _damped_kernel,
+    _off_cone,
     bridge_identity_error,
     delta_plus,
-    evolve_spectral,
-    make_bump,
-    omega,
     pauli_jordan,
     spacelike_suppression_scan,
 )
-from kglab.propagator import EPS_BASE_FACTOR, RESIDUAL_COLLAR_CELLS, _damped_kernel, _off_cone
-from kglab.spectral import PreconditionError
+from kglab.spectral import Field, PreconditionError, UniformGrid, make_bump
 
 
 # committed golden value for Dp(t=1.5, x=0.5, m=1), regenerated by

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from kglab import (
-    Field,
-    UniformGrid,
-    forward_transform,
-    inverse_transform,
-    make_bump,
-)
-from kglab.spectral import PreconditionError
+from kglab.spectral import Field, PreconditionError, UniformGrid, forward_transform, inverse_transform, make_bump
 
 import oracles
 
@@ -39,6 +32,17 @@ def test_field_rejects_non_finite_with_index(grid):
     vals[17] = np.nan
     with pytest.raises(ValueError, match="index 17"):
         Field(grid, vals)
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (16, 1), (1, 16), (), (8,), (17,)])
+def test_field_refuses_every_shape_but_n_samples(shape):
+    # a (2, 8) array holds 16 numbers but is not 16 samples of one line
+    grid = UniformGrid(16, 0.5)
+    with pytest.raises(PreconditionError) as err:
+        Field(grid, np.zeros(shape))
+    assert err.value.rule == "field.size"
+    assert f"got shape {shape}" in err.value.message
+    assert Field(grid, np.zeros(16)).values.shape == (16,)
 
 
 def test_values_are_immutable_and_decoupled(grid):
@@ -158,7 +162,8 @@ def test_parseval(grid):
     "n, dx, m", [(8192, 1 / 128, 1.0), (8192, 1 / 128, 2.0), (2**16, 1 / 128, 1.0), (1024, 1 / 16, 0.7)]
 )
 def test_tail_witness_keeps_the_former_bits(n, dx, m):
-    from kglab import Mass, positivity_tail_witness
+    from kglab.dispersion import Mass
+    from kglab.posfreq import positivity_tail_witness
 
     grid = UniformGrid(n, dx)
     for bump in (make_bump(grid, 0.0, 1.0, 1.0), make_bump(grid, 0.13, 1.0, 1.7)):
@@ -194,7 +199,9 @@ TRANSFORM_DIGESTS = {
 def test_transform_outputs_keep_their_bits_across_the_elision_threshold(n):
     import hashlib
 
-    from kglab import CauchyData, Mass, evolve_from_rest, evolve_positive, evolve_spectral, positivity_tail_witness
+    from kglab.dispersion import Mass
+    from kglab.evolution import CauchyData, evolve_from_rest, evolve_spectral
+    from kglab.posfreq import evolve_positive, positivity_tail_witness
     from kglab.spectral import bump_right_mover
 
     grid = UniformGrid(n, 64.0 / n)
