@@ -21,7 +21,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
-from .diagnostics import _floor_strip_edge, check_threshold, check_window
+from .diagnostics import check_threshold, check_window
 from .dispersion import Mass
 from .evolution import check_margin, ladder_steps
 from .propagator import QuadratureSpec, check_scan
@@ -173,14 +173,14 @@ def _read(tree: dict, table: dict, values: dict, path: str = "") -> dict:
 
 
 def _build(values: dict, positive_mass: bool) -> SimpleNamespace:
-    """The config with its grid and mass built, its bump (if any) checked,
-    in that order, and every time checked against the periodic margin."""
+    """The config with its grid and mass built, its bump (if any) checked and
+    its ``reach`` kept, in that order, and every time checked against the periodic margin."""
     grid = values["grid"] = UniformGrid(n=values.pop("n"), dx=values.pop("dx"))
     mass = values["mass"] = Mass(values["mass"])
     if positive_mass:
         mass.require_positive("this command (1/omega is singular at m = 0)")
     if "factory" in values:  # the command reads an initial state
-        check_bump(grid, values["center"], values["radius"])
+        values["reach"] = check_bump(grid, values["center"], values["radius"])
     for t in values["times"]:
         check_margin(grid, t)
     return SimpleNamespace(**values)
@@ -191,7 +191,7 @@ def _parse_evolve(values: dict) -> SimpleNamespace:
     _require(len(set(cfg.times)) == len(cfg.times), "times.unique", f"a ladder time is listed twice in {list(cfg.times)}")
     if cfg.method == "local-fd":
         _require(cfg.dt is not None, "dt", "local-fd needs a time step dt")
-        ladder_steps(cfg.grid, cfg.times, cfg.dt)
+        ladder_steps(cfg.grid, cfg.times, cfg.dt, cfg.mass)
     else:
         _require(cfg.dt is None, "dt", f"{cfg.method} reads no time step, got dt = {cfg.dt}")
     for t in cfg.snapshot_times:
@@ -212,19 +212,7 @@ def _parse_hegerfeldt(values: dict) -> SimpleNamespace:
     )
     _require(len(times) > 1, "times.count", "leakage_monotone needs at least two leakage times to compare")
     check_threshold(cfg.support)
-    check_window(cfg.window)
-    compton = cfg.mass.compton_wavelength
-    edge = cfg.center + cfg.radius
-    _require(
-        cfg.window[0] >= edge + 3.0 * compton,
-        "tail_fit.window.near-field",
-        f"window must start >= 3 Compton lengths beyond the support edge {edge}",
-    )
-    _require(
-        cfg.window[1] <= _floor_strip_edge(cfg.grid) - 2.0 * compton,
-        "tail_fit.window.wrap",
-        "window must end >= 2 Compton lengths before the boundary-floor strip",
-    )
+    check_window(cfg.grid, cfg.window, cfg.reach, cfg.mass)
     if cfg.snapshot_time is None:
         cfg.snapshot_time = times[-1]
     _require(cfg.snapshot_time in times, "tail_fit.snapshot_time", f"snapshot time {cfg.snapshot_time} is not a ladder time")

@@ -11,10 +11,10 @@ payload: the support radius and the tail fit under one ``schema``.
 
 A practical note on fit windows: multiplier kernels built from
 sqrt(p^2 + m^2) produce tails |f| ~ exp(-m |x|) |x|^(-3/2), so a pure
-log-linear fit reads high by roughly 1.5 <1/|x|> over the window.  Fits
-meant to resolve the Compton rate m should therefore start several
-Compton lengths beyond the support edge and use windows centered far
-enough out that the algebraic correction is inside the stated band.
+log-linear fit reads high by roughly 1.5 <1/|x|> over the window.  So
+:func:`check_window`, home of every window rule that reads no field,
+wants lo at least 3 Compton lengths beyond the support, and a window
+must also sit far enough out for the correction to fit the stated band.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, PreconditionError, finite_total
+from .dispersion import Mass
+from .spectral import Field, PreconditionError, UniformGrid, finite_total
 
 __all__ = [
     "TailFit",
@@ -61,11 +62,29 @@ def check_threshold(threshold: float) -> None:
         raise PreconditionError("thresholds.support", f"threshold must be positive, got {threshold}")
 
 
-def check_window(window: tuple[float, float]) -> None:
-    """A tail-fit window [lo, hi] must satisfy 0 < lo < hi."""
+def _window_points(grid: UniformGrid, window: tuple[float, float]) -> np.ndarray:
+    """The grid indices of the window's right side, x in [lo, hi], after its rules 0 < lo < hi and 16 points."""
     lo, hi = window
     if not 0.0 < lo < hi:
         raise PreconditionError("tail_fit.window", f"window {window} must satisfy 0 < lo < hi")
+    right = np.flatnonzero((grid.x >= lo) & (grid.x <= hi))
+    if right.size < 16:
+        raise PreconditionError("tail_fit.window.points", f"window {window} holds {right.size} grid points per side, need >= 16")
+    return right
+
+
+def check_window(grid: UniformGrid, window: tuple[float, float], reach: float, m: Mass) -> None:
+    """The window rules that read no field, in order: 0 < lo < hi; lo at least
+    3/m beyond ``reach``, the largest |x| of the support (near-field); hi at
+    least 2/m inside the :func:`boundary_floor` strip (wrap); 16 points per side."""
+    lo, hi = window
+    compton = m.compton_wavelength
+    if 0.0 < lo < hi:  # else _window_points names rule tail_fit.window
+        if lo < reach + 3.0 * compton:
+            raise PreconditionError("tail_fit.window.near-field", f"window must start >= 3 Compton lengths beyond |x| = {reach}")
+        if hi > _floor_strip_edge(grid) - 2.0 * compton:
+            raise PreconditionError("tail_fit.window.wrap", "window must end >= 2 Compton lengths before the boundary-floor strip")
+    _window_points(grid, window)
 
 
 def cone_leakage(f: Field, R0: float, t: float, margin: float) -> float:
@@ -95,21 +114,14 @@ def _side_fit(radii: np.ndarray, logmags: np.ndarray) -> tuple[float, float, flo
 
 def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
     """Fit log|f| against |x| over the window, symmetrized over both sides."""
-    check_window(window)
-    lo, hi = window
     grid = f.grid
-    x = grid.x
-    right = np.flatnonzero((x >= lo) & (x <= hi))
-    if right.size < 16:
-        raise PreconditionError(
-            "tail_fit.window.points", f"window {window} holds {right.size} grid points per side, need >= 16"
-        )
+    right = _window_points(grid, window)
     left = (grid.n - right) % grid.n
     mag_r = np.abs(f.values[right])
     mag_l = np.abs(f.values[left])
     if np.any(mag_r <= _TAIL_FLOOR) or np.any(mag_l <= _TAIL_FLOOR):
         raise PreconditionError("tail_fit.window.zero", "zero magnitude inside the fit window; tail fit rejected")
-    radii = x[right]
+    radii = grid.x[right]
     log_r = np.log(mag_r)
     log_l = np.log(mag_l)
     slope, intercept, r2 = _side_fit(radii, 0.5 * (log_r + log_l))

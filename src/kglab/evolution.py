@@ -45,9 +45,9 @@ bit-identical to it.  :func:`evolve_local_fd_ladder` reaches a whole time
 ladder in one pass of max(t) / dt steps, and :func:`ladder_steps` refuses a
 ladder whose steps would cost more than a fixed budget of cell updates.
 
-Choosing between the two is the caller's business (the CLI reads it from
-the config's ``method``); the leapfrog takes its step ``dt`` as a plain
-argument, checked against dt > 0 and the Courant bound dt/dx <= 1.
+The caller chooses between the two (the CLI reads the config's ``method``).
+The leapfrog's step ``dt`` must be positive and meet the exact stability bound
+dt^2 W^2 / 4 <= 1 at the top stencil eigenvalue W^2 = 4/dx^2 + m^2 (Courant's at m = 0).
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
     The yielded arrays are live working buffers; copy them to retain.
     """
     grid = data.grid
-    _check_step(grid, dt)
+    _check_step(grid, dt, data.m)
     n = grid.n
     phi0, pi0 = data.phi.values, data.pi.values
     if not (phi0.imag.any() or pi0.imag.any()):
@@ -207,13 +207,13 @@ def local_fd_steps(data: CauchyData, dt: float, n_steps: int) -> Iterator[tuple[
             yield k, phi, pi
 
 
-def _check_step(grid, dt: float) -> None:
-    """The leapfrog step rules: dt > 0 and the Courant bound dt/dx <= 1."""
+def _check_step(grid, dt: float, m: Mass) -> None:
+    """The leapfrog step rules: dt > 0 and (dt/dx)^2 + (m dt/2)^2 <= 1."""
     if not dt > 0:
         raise PreconditionError("dt", "time step must be positive")
-    courant = dt / grid.dx
-    if courant > 1.0:
-        raise PreconditionError("dt.courant", f"unstable step: courant dt/dx = {courant} exceeds 1")
+    bound = (dt / grid.dx) ** 2 + (m.m * dt / 2.0) ** 2
+    if bound > 1.0:
+        raise PreconditionError("dt.courant", f"unstable step: courant (dt/dx)^2 + (m dt/2)^2 = {bound} exceeds 1")
 
 
 #: cell updates a leapfrog ladder may cost, about 2.5 s at ~4.5 ns per update
@@ -223,12 +223,12 @@ _STEP_BUDGET = 2**29
 _STEP_OVERHEAD_CELLS = 2048
 
 
-def ladder_steps(grid, times: Sequence[float], dt: float) -> list[int]:
+def ladder_steps(grid, times: Sequence[float], dt: float, m: Mass) -> list[int]:
     """Leapfrog step count to each of ``times``, after :func:`_check_step`; each
     elapsed time t must be a positive integer multiple of dt within the L/4
     margin, and max(steps) * (n + ``_STEP_OVERHEAD_CELLS``) must stay within
     ``_STEP_BUDGET``."""
-    _check_step(grid, dt)
+    _check_step(grid, dt, m)
     counts = []
     for t in times:
         ratio = t / dt
@@ -255,7 +255,7 @@ def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], dt: float) 
     elapsed time must be a positive multiple of dt within the L/4 margin.
     """
     wanted: dict[int, list[int]] = {}
-    for i, n_steps in enumerate(ladder_steps(data.grid, times, dt)):
+    for i, n_steps in enumerate(ladder_steps(data.grid, times, dt, data.m)):
         wanted.setdefault(n_steps, []).append(i)
     states: list[CauchyData] = [None] * len(times)
     for k, phi, pi in local_fd_steps(data, dt, max(wanted, default=0)):

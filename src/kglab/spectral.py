@@ -13,7 +13,7 @@ continuum transform, so discrete quantities converge to continuum
 integrals without stray constants.  With the half-domain offset the
 kernel splits as exp(-i p_k x_j) = (-1)^k exp(-2 pi i k j / n); the
 alternating sign is applied exactly instead of through exp(i pi k), from
-one read-only array per n.
+a read-only array built per transform.
 
 Coefficients are plain complex128 arrays in FFT order (``Field.spectrum``
 caches a field's own); every mode multiplier returns to the grid through
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +59,8 @@ class PreconditionError(ValueError):
         self.message = message
 
 
-@lru_cache(maxsize=4)
 def _alternating(n: int) -> np.ndarray:
-    """(-1)^k for k = 0 .. n-1 as float64, read-only, cached a few sizes deep."""
+    """(-1)^k for k = 0 .. n-1 as float64, read-only so that numpy never elides a product into it."""
     alt = np.ones(n)
     alt[1::2] = -1.0
     alt.flags.writeable = False
@@ -192,22 +191,23 @@ def inverse_transform(like: Field, coefficients) -> Field:
     return Field._adopt(g, samples)
 
 
-def check_bump(grid: UniformGrid, center: float, radius: float) -> None:
+def check_bump(grid: UniformGrid, center: float, radius: float) -> float:
     """The bump rules: radius > 4 dx (resolution) and at least L/8 of
     clearance between the support and the domain edge, so that periodic
-    wrap-around stays below the numerical floor over the simulated times."""
+    wrap-around stays below the numerical floor over the simulated times.
+    Returns the bump's reach |center| + radius, the largest |x| of its support."""
     if not (radius > 4.0 * grid.dx):
         raise PreconditionError(
             "initial_state.radius", f"under-resolved bump: radius {radius} must exceed 4*dx = {4.0 * grid.dx}"
         )
     margin = grid.L / 8.0
-    half = grid.L / 2.0
-    if center - radius < -half + margin or center + radius > half - margin:
+    reach = abs(center) + radius
+    if reach > grid.L / 2.0 - margin:
         raise PreconditionError(
             "initial_state.margin",
-            f"bump support [{center - radius}, {center + radius}] leaves less than "
-            f"L/8 = {margin} of edge clearance",
+            f"bump support [{center - radius}, {center + radius}] leaves less than L/8 = {margin} of edge clearance",
         )
+    return reach
 
 
 def _bump(grid: UniformGrid, center: float, radius: float, amplitude: float, shape) -> Field:

@@ -683,6 +683,22 @@ def test_local_fd_refuses_an_evolve_time_of_zero(tmp_path):
     assert error["message"] == "t = 0.0 is not a positive multiple of dt = 0.0078125"
 
 
+@pytest.mark.parametrize("mass,bound", [(2.0, "1.000244140625"), (4.0, "1.0009765625")])
+def test_local_fd_refuses_a_step_beyond_the_stability_bound(tmp_path, mass, bound):
+    # dt = dx passes the massless Courant bound; with the mass term the
+    # ladder to t = 16 once ran and failed energy_drift (2874 at m = 2)
+    tree = json.loads((REPO / "configs" / "causal_default.json").read_text())
+    tree.update(mass=mass, method="local-fd", dt=1 / 64, times=[4.0, 8.0, 16.0], snapshot_times=[])
+    cfg = write_config(tmp_path, "fd.json", tree)
+    out = tmp_path / "out"
+    rc, err = run_main("evolve", "--config", str(cfg), "--out", str(out))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["rule"] == "dt.courant"
+    assert error["message"] == f"unstable step: courant (dt/dx)^2 + (m dt/2)^2 = {bound} exceeds 1"
+    assert not out.exists()
+
+
 def test_local_fd_refuses_a_ladder_over_the_step_budget(tmp_path):
     # 10^9 steps would run for hours; the refusal comes at load time
     tree = json.loads((REPO / "configs" / "causal_default.json").read_text())

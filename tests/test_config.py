@@ -13,6 +13,8 @@ from kglab.config import KEYS, REQUIRED, load_config
 from kglab.propagator import MAX_RUNGS, QuadratureSpec
 from kglab.spectral import PreconditionError
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 def write(tmp_path, tree):
     path = tmp_path / "cfg.json"
@@ -159,6 +161,58 @@ def test_local_fd_courant_rule(tmp_path):
     with pytest.raises(PreconditionError) as err:
         load_config(write(tmp_path, tree), "evolve")
     assert err.value.rule == "dt.courant"
+
+
+@pytest.mark.parametrize(
+    "window,rule",
+    [
+        # each window also breaks a later rule: the first one names the refusal
+        ([-1.0, 16.0], "tail_fit.window"),
+        ([2.0, 1.0], "tail_fit.window"),
+        ([2.0, 2.05], "tail_fit.window.near-field"),
+        ([27.0, 27.05], "tail_fit.window.wrap"),
+        ([9.0, 9.05], "tail_fit.window.points"),
+    ],
+)
+def test_hegerfeldt_window_rules_apply_in_order(tmp_path, window, rule):
+    with pytest.raises(PreconditionError) as err:
+        load_config(write(tmp_path, hegerfeldt_tree(tail_fit={"window": window})), "hegerfeldt")
+    assert err.value.rule == rule
+
+
+def load_outcome(path, command):
+    """The rule and message of a refused config, or "loaded"."""
+    try:
+        load_config(path, command)
+    except PreconditionError as err:
+        return err.rule, err.message
+    return "loaded"
+
+
+@pytest.mark.parametrize(
+    "name,center,outcome",
+    [
+        ("hegerfeldt_default", 5.5, ("tail_fit.window.near-field", "window must start >= 3 Compton lengths beyond |x| = 6.5")),
+        ("hegerfeldt_m2", 2.0, ("tail_fit.window.near-field", "window must start >= 3 Compton lengths beyond |x| = 3.0")),
+        ("hegerfeldt_default", 0.25, "loaded"),
+    ],
+)
+def test_mirror_image_bumps_get_one_window_answer(tmp_path, name, center, outcome):
+    # the fit mirrors its window onto x < 0, so lo counts from |center| + radius
+    tree = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    for c in (center, -center):
+        tree["initial_state"]["center"] = c
+        assert load_outcome(write(tmp_path, tree), "hegerfeldt") == outcome, c
+
+
+def test_window_with_too_few_grid_points_is_refused_at_load(tmp_path):
+    # dx = 1/128 puts 13 grid points into [9.0, 9.1]
+    tree = json.loads((REPO / "configs" / "hegerfeldt_default.json").read_text())
+    tree["tail_fit"]["window"] = [9.0, 9.1]
+    assert load_outcome(write(tmp_path, tree), "hegerfeldt") == (
+        "tail_fit.window.points",
+        "window (9.0, 9.1) holds 13 grid points per side, need >= 16",
+    )
 
 
 def test_hegerfeldt_window_rules(tmp_path):
@@ -319,6 +373,27 @@ def dotted(table: dict, path: str = ""):
         yield path + key, entry
         if isinstance(entry, dict):
             yield from dotted(entry, path + key + ".")
+
+
+def shared_leaf_names(table: dict) -> list[str]:
+    """Leaf names that ``_read`` would gather twice, or that a parser
+    overwrites with a value it builds (``grid``, ``reach``, ``quadrature``)."""
+    names = [path.rsplit(".", 1)[-1] for path, entry in dotted(table) if not isinstance(entry, dict)]
+    names += ["grid", "reach", "quadrature"]
+    return sorted({name for name in names if names.count(name) > 1})
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_leaf_names_are_distinct(command):
+    # a command's leaves share one namespace, keyed by leaf name
+    assert shared_leaf_names(KEYS[command]) == []
+
+
+def test_leaf_name_check_sees_a_collision():
+    table = copy.deepcopy(KEYS["hegerfeldt"])
+    table["tail_fit"]["support"] = (1e-12, None)
+    table["initial_state"]["reach"] = (1.0, None)
+    assert shared_leaf_names(table) == ["reach", "support"]
 
 
 def fields(command: str) -> tuple[str, ...]:

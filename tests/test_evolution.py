@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ def bump_data(grid, m=1.0, pi="zero"):
 @pytest.fixture
 def grid():
     return UniformGrid(2048, 1 / 32)
+
+
+def largest_stable_step(grid, m):
+    """1 / hypot(1/dx, m/2), where (dt/dx)^2 + (m dt/2)^2 rounds to exactly 1
+    on the grids used here; dt = dx at m = 0."""
+    return 1.0 / math.hypot(1.0 / grid.dx, m / 2.0)
 
 
 def test_zero_time_is_identity(grid):
@@ -157,15 +165,15 @@ def test_spectral_causality(grid):
 
 class TestLocalFd:
     def test_exact_support_bound_64_steps(self):
-        # joint support in [-1, 1], dx = 1/64, 64 steps at courant 1:
-        # support stays inside [-2, 2] bit-exactly
+        # joint support in [-1, 1], dx = 1/64, 64 steps at the largest stable
+        # dt of m = 1: support stays inside [-2, 2] bit-exactly
         g = UniformGrid(512, 1 / 64)
         data = CauchyData(
             make_bump(g, 0.0, 1.0, 1.0), make_bump(g, 0.0, 1.0, 0.5), Mass(1.0)
         )
         nz0 = np.flatnonzero(np.abs(data.phi.values) + np.abs(data.pi.values))
         lo, hi = nz0[0], nz0[-1]
-        for k, phi, pi in local_fd_steps(data, g.dx, 64):
+        for k, phi, pi in local_fd_steps(data, largest_stable_step(g, 1.0), 64):
             nz = np.flatnonzero(np.abs(phi) + np.abs(pi))
             assert nz[0] >= lo - k and nz[-1] <= hi + k
         assert np.max(np.abs(g.x[np.flatnonzero(np.abs(phi) + np.abs(pi))])) <= 2.0
@@ -195,10 +203,36 @@ class TestLocalFd:
         with pytest.raises(ValueError, match="courant"):
             evolve_local_fd_ladder(data, [1.0], 2 * grid.dx)
 
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
+    def test_step_rule_is_the_exact_stability_bound(self, grid, m):
+        # the largest stable dt runs, the next float up is refused
+        data = bump_data(grid, m)
+        dt = largest_stable_step(grid, m)
+        assert (dt == grid.dx) == (m == 0.0)
+        evolve_local_fd_ladder(data, [dt], dt)
+        up = math.nextafter(dt, math.inf)
+        with pytest.raises(PreconditionError) as err:
+            evolve_local_fd_ladder(data, [up], up)
+        assert err.value.rule == "dt.courant"
+        bound = (up / grid.dx) ** 2 + (m * up / 2.0) ** 2
+        assert err.value.message == f"unstable step: courant (dt/dx)^2 + (m dt/2)^2 = {bound} exceeds 1"
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_largest_stable_step_conserves_the_leapfrog_form(self, grid, m):
+        # 10^4 steps at the edge of the bound; over the same steps dt = dx
+        # grows Phi to ~1e128 at m = 1 and overflows float64 at m = 2
+        data = bump_data(grid, m)
+        dt = largest_stable_step(grid, m)
+        q0 = leapfrog_energy(data, dt)
+        for k, phi, pi in local_fd_steps(data, dt, 10_000):
+            pass
+        q1 = leapfrog_energy(CauchyData(Field(grid, phi), Field(grid, pi), data.m), dt)
+        assert k == 10_000 and abs(q1 / q0 - 1.0) < 1e-12
+
     def test_non_multiple_time_rejected(self, grid):
         data = bump_data(grid)
         with pytest.raises(ValueError, match="multiple"):
-            evolve_local_fd_ladder(data, [1.0 + grid.dx / 3], grid.dx)
+            evolve_local_fd_ladder(data, [1.0 + grid.dx / 3], grid.dx / 2)
 
     def test_leapfrog_invariant_conserved(self, grid):
         data = bump_data(grid)
@@ -344,9 +378,9 @@ class TestLocalFd:
         grid = UniformGrid(2048, 0.25)
         dt = 2.0**-11
         assert 2**17 * (grid.n + _STEP_OVERHEAD_CELLS) == _STEP_BUDGET
-        assert ladder_steps(grid, [1.0, 64.0], dt) == [2**11, 2**17]
+        assert ladder_steps(grid, [1.0, 64.0], dt, Mass(1.0)) == [2**11, 2**17]
         with pytest.raises(PreconditionError) as err:
-            ladder_steps(grid, [64.0 + dt, 1.0], dt)
+            ladder_steps(grid, [64.0 + dt, 1.0], dt, Mass(1.0))
         assert err.value.rule == "budget"
         assert "131073 leapfrog steps on n = 2048 cells" in err.value.message
 
