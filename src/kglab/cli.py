@@ -62,6 +62,13 @@ def _below(value, bound) -> dict:
     return _verdict(value, value < bound)
 
 
+def _support_threshold(cfg: SimpleNamespace, datum: Field) -> float:
+    """``thresholds.support`` relative to the datum's peak max|Phi(0)|, the
+    one threshold of every support measurement of a run, so that no
+    support radius depends on the amplitude."""
+    return cfg.support * float(np.max(np.abs(datum.values)))
+
+
 def _write_report(out: Path, command: str, cfg, verdicts: dict, **fields) -> int:
     """Write ``report.json``: the command, its grid, mass and verdicts, and
     the command's own ``fields``.  The exit code follows the verdicts."""
@@ -83,7 +90,8 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
     phi = make_bump(*bump)
     pi = bump_right_mover(*bump) if cfg.pi == "right-mover" else Field(grid, np.zeros(grid.n, dtype=np.complex128))
     data = CauchyData(phi, pi, cfg.mass)
-    r0 = diagnostics.support_radius(phi, pi, threshold=cfg.support)
+    threshold = _support_threshold(cfg, phi)
+    r0 = diagnostics.support_radius(phi, pi, threshold=threshold)
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
     # the leapfrog reaches every ladder time in one pass; spectral states
@@ -96,7 +104,7 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
         (
             state,
             energy(state),
-            diagnostics.support_radius(state.phi, state.pi, threshold=cfg.support),
+            diagnostics.support_radius(state.phi, state.pi, threshold=threshold),
             diagnostics.cone_leakage(state.phi, r0, t, margin),
             diagnostics.boundary_floor(state.phi),
         )
@@ -135,7 +143,8 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
     mass = cfg.mass
     psi0 = make_bump(grid, cfg.center, cfg.radius, cfg.amplitude)
-    r0 = diagnostics.support_radius(psi0, threshold=cfg.support)
+    threshold = _support_threshold(cfg, psi0)
+    r0 = diagnostics.support_radius(psi0, threshold=threshold)
     margin = cfg.cone_margin_cells * grid.dx
     psi0.spectrum  # transformed once, before the pool shares it
 
@@ -150,7 +159,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
 
     def witness():
         field = posfreq.positivity_tail_witness(psi0, mass)
-        return diagnostics.support_report(field, threshold=cfg.support, window=cfg.window)
+        return diagnostics.support_report(field, threshold=threshold, window=cfg.window)
 
     # one pool pass over every job, reduced in this order: the base-grid
     # times, the witness, then the doubled-grid leakages

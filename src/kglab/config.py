@@ -180,7 +180,7 @@ def _build(values: dict, positive_mass: bool) -> SimpleNamespace:
     if positive_mass:
         mass.require_positive("this command (1/omega is singular at m = 0)")
     if "factory" in values:  # the command reads an initial state
-        values["reach"] = check_bump(grid, values["center"], values["radius"])
+        values["reach"] = check_bump(grid, values["center"], values["radius"], values["amplitude"])
     for t in values["times"]:
         check_margin(grid, t)
     return SimpleNamespace(**values)

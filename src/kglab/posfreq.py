@@ -11,7 +11,7 @@ any t > 0.
 
 Both operations multiply the cached coefficient array ``Field.spectrum``
 of their input and take one inverse transform (of exp(-i w t), and of w in
-the tail witness, which applies its -i to the samples; both from
+the tail witness, which applies its -i to a copy of the samples; both from
 :func:`~kglab.dispersion.omega_multiplier`), so a state evolved
 to a time ladder and fed to the witness is transformed once; take that spectrum
 before the ladder fans out over threads (see :class:`~kglab.spectral.Field`).
@@ -45,6 +45,5 @@ def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
     """
     m.require_positive("the tail witness")
     derivative = inverse_transform(phi_compact, phi_compact.spectrum * omega_multiplier(phi_compact.grid, m, lambda w: w))
-    # -1j goes on the samples: inside the inverse FFT it flips the sign of some exact zeros;
-    # the product is fresh, so the Field takes it without a copy
-    return Field._adopt(phi_compact.grid, -1j * derivative.values)
+    # -1j goes on the samples: inside the inverse FFT it flips the sign of some exact zeros
+    return Field(phi_compact.grid, -1j * derivative.values)

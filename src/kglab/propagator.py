@@ -27,9 +27,10 @@ i/(4 pi) the one-dimensional analog of the conventional constant.
 
 Quadrature nodes sit on the lattice dp = 2 pi / L of the target grid, so
 a kernel sample equals the periodization of the continuum kernel.  The
-integrand is even in p, so it is evaluated on the half lattice p >= 0 and
-mirrored; the nodes, laid out by momentum bin in a zero-padded block,
-fold onto the n bins as row sums, costing one FFT per damping rung.
+integrand is even in p, so it is evaluated on the half lattice p >= 0,
+given its grid phase (-1)^q, and mirrored; the nodes, laid out by
+momentum bin in a zero-padded block, fold onto the n bins as row sums,
+costing one FFT per damping rung.
 Sampling a kernel with jump discontinuities on the cone necessarily
 aliases content beyond the grid band onto lower bins; the multiplier
 identity is therefore compared over the declared band
@@ -59,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import Mass, omega, omega_multiplier
-from .spectral import MAX_SAMPLES, Field, PreconditionError, UniformGrid, _alternating, forward_transform
+from .spectral import MAX_SAMPLES, Field, PreconditionError, UniformGrid, forward_transform
 
 __all__ = [
     "QuadratureSpec",
@@ -154,13 +155,6 @@ class PropagatorSample:
         return self.delta.grid
 
 
-def _synthesize(grid: UniformGrid, block: np.ndarray) -> np.ndarray:
-    """sum_q g_q exp(i p_q x_j) over all grid points from a (rows, n) block
-    whose column j holds the nodes of bin j: row sums plus one FFT."""
-    # exp(i p_q x_j) = (-1)^q exp(2 pi i q j / n)
-    return np.fft.ifft(_alternating(grid.n) * block.sum(axis=0)) * grid.n
-
-
 def _extrapolate(levels: list[np.ndarray], smooth: np.ndarray) -> tuple[np.ndarray, float]:
     """Richardson table for a ladder halving eps per rung; returns the value
     and the change across the last rung, measured over ``smooth``."""
@@ -182,16 +176,20 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     """Extrapolated (1/2 pi) Int dp e^{-eps p^2} multiplier(w) e^{i p x}.
 
     The integrand is even in p bit for bit, so it is evaluated on the
-    nodes q = 0 .. q_max and mirrored.  Laid out in order from offset
-    -q_max mod n in a zero-padded (rows, n) block, node q sits in column
-    q mod n, and the row sums add each bin's nodes in increasing q.  A rung
-    allocates no node array: it reuses one buffer for exp((-eps p) p) and
-    writes the product straight into the block's right half, which the left
-    half mirrors."""
+    nodes q = 0 .. q_max and mirrored.  The grid starts at x_0 = -L/2, so
+    node q carries the phase exp(i p_q x_0) = (-1)^q, applied once to the
+    half-lattice integrand; being even in q, it survives the mirror.  Laid
+    out in order from offset -q_max mod n in a zero-padded (rows, n) block,
+    node q sits in column q mod n, and the row sums add each bin's nodes in
+    increasing q; sum_q g_q exp(2 pi i q j / n) is then one inverse FFT of
+    the row sums, times n.  A rung allocates no node array: it reuses one
+    buffer for exp((-eps p) p) and writes the product straight into the
+    block's right half, which the left half mirrors."""
     dp = 2.0 * np.pi / grid.L
     q_max = int(math.ceil(res.cutoff / dp))
     p = np.arange(q_max + 1) * dp
     base = multiplier(omega(p, m))
+    base[1::2] *= -1.0
     start = -q_max % grid.n
     rows = -(-(start + 2 * q_max + 1) // grid.n)
     block = np.zeros((rows, grid.n), dtype=complex)
@@ -205,7 +203,7 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
         np.exp(damp, out=damp)
         np.multiply(damp, base, out=right)
         flat[start : start + q_max] = right[:0:-1]
-        levels.append((dp / (2.0 * np.pi)) * _synthesize(grid, block))
+        levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(block.sum(axis=0)) * grid.n)
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 

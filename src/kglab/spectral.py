@@ -178,12 +178,16 @@ def forward_transform(f: Field) -> np.ndarray:
 def inverse_transform(like: Field, coefficients) -> Field:
     """Exact inverse of :func:`forward_transform`, on the grid of ``like``.
 
-    The coefficients are checked only as the new field's samples: a
-    non-finite coefficient or an overflowing sum fails rule ``field.finite``.
-    The signed coefficients are cast into one new complex128 buffer, which
-    the inverse FFT and the 1/dx weight overwrite in place.
+    The coefficients are checked as the new field's samples: a shape other
+    than ``(n,)`` fails rule ``field.size``, and a non-finite coefficient or
+    an overflowing sum fails rule ``field.finite``.  The signed coefficients
+    are cast into one new complex128 buffer, which the inverse FFT and the
+    1/dx weight overwrite in place.
     """
     g = like.grid
+    shape = np.shape(coefficients)
+    if shape != (g.n,):
+        raise PreconditionError("field.size", f"inverse transform needs {g.n} coefficients in one dimension, got shape {shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.multiply(_alternating(g.n), coefficients, out=np.empty(g.n, dtype=np.complex128))
         np.fft.ifft(samples, out=samples)
@@ -191,11 +195,13 @@ def inverse_transform(like: Field, coefficients) -> Field:
     return Field._adopt(g, samples)
 
 
-def check_bump(grid: UniformGrid, center: float, radius: float) -> float:
-    """The bump rules: radius > 4 dx (resolution) and at least L/8 of
+def check_bump(grid: UniformGrid, center: float, radius: float, amplitude: float) -> float:
+    """The bump rules: radius > 4 dx (resolution), at least L/8 of
     clearance between the support and the domain edge, so that periodic
-    wrap-around stays below the numerical floor over the simulated times.
-    Returns the bump's reach |center| + radius, the largest |x| of its support."""
+    wrap-around stays below the numerical floor over the simulated times,
+    and an amplitude whose square is a normal float, so that no norm of the
+    datum underflows.  Returns the bump's reach |center| + radius, the
+    largest |x| of its support."""
     if not (radius > 4.0 * grid.dx):
         raise PreconditionError(
             "initial_state.radius", f"under-resolved bump: radius {radius} must exceed 4*dx = {4.0 * grid.dx}"
@@ -207,12 +213,17 @@ def check_bump(grid: UniformGrid, center: float, radius: float) -> float:
             "initial_state.margin",
             f"bump support [{center - radius}, {center + radius}] leaves less than L/8 = {margin} of edge clearance",
         )
+    if not amplitude * amplitude >= sys.float_info.min:
+        raise PreconditionError(
+            "initial_state.amplitude",
+            f"amplitude {amplitude} squares below the smallest normal float64 {sys.float_info.min}",
+        )
     return reach
 
 
 def _bump(grid: UniformGrid, center: float, radius: float, amplitude: float, shape) -> Field:
     """shape(u, profile) on the support |u| < 1 of the bump, zero elsewhere."""
-    check_bump(grid, center, radius)
+    check_bump(grid, center, radius, amplitude)
     u = (grid.x - center) / radius
     values = np.zeros(grid.n, dtype=np.complex128)
     inside = np.abs(u) < 1.0

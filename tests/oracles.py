@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from kglab.dispersion import omega
 from kglab.evolution import CauchyData
 from kglab.propagator import QuadratureSpec, RESIDUAL_COLLAR_CELLS, _extrapolate, _off_cone, pauli_jordan
-from kglab.spectral import Field, PreconditionError, _alternating, forward_transform, inverse_transform
+from kglab.spectral import Field, PreconditionError, forward_transform, inverse_transform
 
 GL200 = np.polynomial.legendre.leggauss(200)
 
@@ -259,13 +259,14 @@ def full_lattice_kernel(grid, m, res, t: float, multiplier):
     p = q * dp
     base = multiplier(omega(p, m))
     bins = np.mod(q, grid.n)
+    sign = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)  # exp(i p_q x_0) of bin q mod n
     levels = []
     for eps in res.eps_ladder:
         g = np.exp(-eps * p * p) * base
         G = np.bincount(bins, weights=g.real, minlength=grid.n) + 1j * np.bincount(
             bins, weights=g.imag, minlength=grid.n
         )
-        levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(_alternating(grid.n) * G) * grid.n)
+        levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(sign * G) * grid.n)
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -9,6 +10,34 @@ import pytest
 import kglab
 
 MODULES = [f"kglab.{info.name}" for info in pkgutil.iter_modules(kglab.__path__)]
+SOURCES = sorted(Path(kglab.__file__).resolve().parent.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_crossings(path: Path) -> list[str]:
+    """The underscored, non-dunder names that the module at ``path`` imports
+    from a kglab module, or reads as an attribute of a name imported from one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "kglab"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{path.stem} imports {node.module or '.'}.{alias.name}")
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names if a.name.split(".")[0] == "kglab")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append(f"{path.stem} reads {ast.unparse(node)}")
+    return found
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,6 +46,30 @@ def test_every_exported_name_resolves(name):
     # `from kglab.<module> import *`
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_no_private_name_crosses_a_module():
+    # modules meet through public names: each module's underscored names
+    # are its own layout, free to change without touching another module
+    assert [line for path in SOURCES for line in private_crossings(path)] == []
+
+
+@pytest.mark.parametrize(
+    "source,crossings",
+    [
+        ("from .spectral import _alternating\n", 1),
+        ("from .spectral import Field\nField._adopt(None, None)\n", 1),
+        ("from . import spectral\nspectral._alternating(16)\n", 1),
+        ("import kglab.spectral as sp\nsp._alternating(16)\n", 1),
+        ("import kglab.spectral\nkglab.spectral.Field._adopt(None, None)\n", 1),
+        # a module's own private names, dunders and non-kglab imports are no crossing
+        ("import numpy as np\nfrom .spectral import Field\n_x = np._NoValue\nField.__name__\n", 0),
+    ],
+)
+def test_private_crossing_check_sees_each_form(tmp_path, source, crossings):
+    path = tmp_path / "scratch.py"
+    path.write_text(source)
+    assert len(private_crossings(path)) == crossings
 
 
 def test_the_package_reexports_nothing():

@@ -45,6 +45,18 @@ def test_field_refuses_every_shape_but_n_samples(shape):
     assert Field(grid, np.zeros(16)).values.shape == (16,)
 
 
+@pytest.mark.parametrize("shape", [(8,), (17,), (2, 16), ()])
+def test_inverse_transform_refuses_every_shape_but_n_coefficients(shape):
+    # a 0-d scalar would otherwise broadcast to a flat spectrum
+    grid = UniformGrid(16, 0.5)
+    like = Field(grid, np.zeros(16))
+    with pytest.raises(PreconditionError) as err:
+        inverse_transform(like, np.ones(shape, dtype=complex))
+    assert err.value.rule == "field.size"
+    assert f"got shape {shape}" in err.value.message
+    assert inverse_transform(like, np.ones(16)).values.shape == (16,)
+
+
 def test_values_are_immutable_and_decoupled(grid):
     # thread-safety contract: values are frozen copies of the input; the
     # inverse transform hands over its own buffer, frozen the same way
