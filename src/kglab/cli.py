@@ -8,11 +8,13 @@ with a JSON error on stderr that always names a rule: kind "usage" (a
 malformed command line), "config" (a precondition, at load time or from a
 domain check), "io", "memory" (an array too large for this machine) or
 "report".  Modules compute every field, kernel, fit and leakage; the CLI
-only reduces them to verdicts.  Each measurement is reduced once (a ladder
-maximum, the leakage at one time, a ratio) and every ceiling verdict is
-one strict comparison in ``_below``; the composite verdicts (a rising
-ladder, a leakage floor, a tail rate inside its band with its fit's r2,
-all slices converged) build their ``passed`` in ``_verdict``.
+only reduces them to verdicts, and is the one module that says what each
+output file holds (``kglab.io`` only formats).  Each measurement is
+reduced once (a ladder maximum, the leakage at one time, a ratio) and
+every ceiling verdict is one strict comparison in ``_below``; the
+composite verdicts (a rising ladder, a leakage floor, a tail rate inside
+its band with its fit's r2, all slices converged) build their ``passed``
+in ``_verdict``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .evolution import (
     evolve_spectral,
     leapfrog_energy,
 )
-from .io import field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
+from .io import write_csv, write_json
 from .runtime import parallel_map
 from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, make_bump
 
@@ -51,6 +53,10 @@ EXIT_ERROR = 2
 # peak |Phi(0)|
 ENERGY_DRIFT_BOUND = {"spectral-exact": 1e-12, "local-fd": 1e-6}
 BOUNDARY_FLOOR = 1e-10
+
+# the schemas of a field's JSON envelope and of witness_report.json
+FIELD_SCHEMA = "kglab.field/1"
+WITNESS_SCHEMA = "kglab.support-report/2"
 
 
 def _verdict(value, passed: bool) -> dict:
@@ -69,13 +75,41 @@ def _support_threshold(cfg: SimpleNamespace, datum: Field) -> float:
     return cfg.support * float(np.max(np.abs(datum.values)))
 
 
+def _grid_json(grid: UniformGrid) -> dict:
+    return {"n": grid.n, "dx": grid.dx, "L": grid.L}
+
+
+def _write_field(f: Field, path: Path, fmt: str) -> None:
+    """A snapshot: columns x, re, im, or the envelope {grid, im, re, schema}."""
+    if fmt == "csv":
+        write_csv(path, ["x", "re", "im"], [f.grid, f.values.real, f.values.imag])
+    else:
+        write_json(path, {"grid": _grid_json(f.grid), "im": f.values.imag, "re": f.values.real, "schema": FIELD_SCHEMA})
+
+
+def _witness_report(field: Field, threshold: float, window: tuple[float, float]) -> dict:
+    """The ``witness_report.json`` payload: the thresholded support radius
+    and the tail fit of the tail witness."""
+    radius = diagnostics.support_radius(field, threshold=threshold)
+    flags = ["nowhere-below-threshold"] if radius >= field.grid.L / 2.0 else []
+    tail = diagnostics.fit_exponential_tail(field, window)
+    return {
+        "support_radius": radius,
+        "tail_rate": tail.rate,
+        "tail_intercept": tail.intercept,
+        "fit_r2": tail.r2,
+        "window": list(window),
+        "flags": [*flags, *tail.flags],
+        "schema": WITNESS_SCHEMA,
+    }
+
+
 def _write_report(out: Path, command: str, cfg, verdicts: dict, **fields) -> int:
     """Write ``report.json``: the command, its grid, mass and verdicts, and
     the command's own ``fields``.  The exit code follows the verdicts."""
-    grid = cfg.grid
     report = {
         "command": command,
-        "grid": {"n": grid.n, "dx": grid.dx, "L": grid.L},
+        "grid": _grid_json(cfg.grid),
         "mass": cfg.mass.m,
         "verdicts": verdicts,
         **fields,
@@ -118,10 +152,9 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
         # continuum energy
         q0 = leapfrog_energy(data, cfg.dt)
         drifts = [abs(leapfrog_energy(state, cfg.dt) - q0) / q0 if q0 > 0 else 0.0 for state in states]
-    write_field = field_to_csv if cfg.format == "csv" else field_to_json
     for t, state in zip(cfg.times, states):
         if t in cfg.snapshot_times:
-            write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}.{cfg.format}")
+            _write_field(state.phi, out / f"snapshot_{cfg.times.index(t):03d}.{cfg.format}", cfg.format)
     write_csv(
         out / "series.csv",
         ["t", "energy", "joint_support_radius", "cone_leakage"],
@@ -158,8 +191,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
         )
 
     def witness():
-        field = posfreq.positivity_tail_witness(psi0, mass)
-        return diagnostics.support_report(field, threshold=threshold, window=cfg.window)
+        return _witness_report(posfreq.positivity_tail_witness(psi0, mass), threshold, cfg.window)
 
     # one pool pass over every job, reduced in this order: the base-grid
     # times, the witness, then the doubled-grid leakages
@@ -227,12 +259,22 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
         sample = propagator.pauli_jordan(t, cfg.grid, cfg.mass, cfg.quadrature)
         bridge = propagator.bridge_identity_error(sample)
         scan = propagator.spacelike_suppression_scan(sample, cfg.margin) if t != 0.0 else None
-        propagator_slice_to_csv(sample, out / f"slice_{idx:03d}.csv")
-        entry = {"t": t, "residual": sample.residual, "converged": sample.converged}
-        write_json(
-            out / f"slice_{idx:03d}.meta.json",
-            {**entry, "mass": cfg.mass.m, "quadrature": sample.quad.metadata()},
+        delta, plus = sample.delta.values, sample.delta_plus.values
+        write_csv(
+            out / f"slice_{idx:03d}.csv",
+            ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
+            [sample.grid, delta.real, delta.imag, plus.real, plus.imag],
         )
+        entry = {"t": t, "residual": sample.residual, "converged": sample.converged}
+        quad = sample.quad
+        quadrature = {
+            "cutoff": quad.cutoff,
+            "eps_ladder": list(quad.eps_ladder),
+            "residual_tol": quad.residual_tol,
+            "band_fraction": quad.band_fraction,
+            "residual_collar_cells": propagator.RESIDUAL_COLLAR_CELLS,
+        }
+        write_json(out / f"slice_{idx:03d}.meta.json", {**entry, "mass": cfg.mass.m, "quadrature": quadrature})
         entry["multiplier_error"] = bridge
         entry.update(scan or {"zero_slice_max": float(np.max(np.abs(sample.delta.values)))})
         return entry

@@ -6,8 +6,8 @@ zero-sets meaningful only for stencil schemes.  :func:`support_radius`
 measures one field, or the joint support of several on one grid, such as
 a Cauchy datum (Phi, Pi).  Tail fits symmetrize the left and right tails
 by averaging log-magnitudes; a left/right rate mismatch above 10% is
-flagged.  :func:`support_report` returns the ``witness_report.json``
-payload: the support radius and the tail fit under one ``schema``.
+flagged.  These functions only measure: each returns numbers, and the
+runner (``kglab.cli``) decides what a file holds.
 
 A practical note on fit windows: multiplier kernels built from
 sqrt(p^2 + m^2) produce tails |f| ~ exp(-m |x|) |x|^(-3/2), so a pure
@@ -32,12 +32,9 @@ __all__ = [
     "fit_exponential_tail",
     "support_radius",
     "boundary_floor",
-    "support_report",
     "check_threshold",
     "check_window",
 ]
-
-REPORT_SCHEMA = "kglab.support-report/2"
 
 #: magnitudes below this are treated as numerically zero in tail fits
 _TAIL_FLOOR = 1e-300
@@ -95,7 +92,12 @@ def cone_leakage(f: Field, R0: float, t: float, margin: float) -> float:
     if not edge < grid.L / 2.0:
         raise PreconditionError("times.cone-edge", f"cone edge {edge} reaches the boundary L/2 = {grid.L / 2.0}")
     with np.errstate(over="ignore"):
-        dens = np.abs(f.values) ** 2
+        dens = np.abs(f.values)
+        # scaled by the power of two that puts max|f| in [1, 2) before
+        # squaring: exact, so the fraction does not move with the amplitude;
+        # in place, so a pool of leakages holds one array each
+        np.ldexp(dens, 1 - np.frexp(np.max(dens))[1], out=dens)
+        dens *= dens
         total = finite_total(np.sum(dens), "squared norm")
     if total == 0.0:
         raise PreconditionError("field.zero-norm", "cone leakage undefined for a field with zero total norm")
@@ -166,22 +168,3 @@ def boundary_floor(f: Field) -> float:
     strip = np.abs(grid.x) >= _floor_strip_edge(grid)
     return float(np.max(np.abs(f.values[strip])))
 
-
-def support_report(f: Field, *, threshold: float, window: tuple[float, float]) -> dict:
-    """The thresholded support radius and the tail fit as one JSON payload,
-    for ``kglab.io.write_json``."""
-    radius = support_radius(f, threshold=threshold)
-    flags: list[str] = []
-    if radius >= f.grid.L / 2.0:
-        flags.append("nowhere-below-threshold")
-    tail = fit_exponential_tail(f, window)
-    flags.extend(tail.flags)
-    return {
-        "support_radius": radius,
-        "tail_rate": tail.rate,
-        "tail_intercept": tail.intercept,
-        "fit_r2": tail.r2,
-        "window": list(window),
-        "flags": flags,
-        "schema": REPORT_SCHEMA,
-    }

@@ -272,7 +272,7 @@ def energy(data: CauchyData) -> float:
     """
     grid = data.grid
     dphi = inverse_transform(data.phi, 1j * grid.p * forward_transform(data.phi))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         dens = (
             np.abs(data.pi.values) ** 2
             + np.abs(dphi.values) ** 2

@@ -1,21 +1,23 @@
-"""Deterministic serialization, writers only: CSV for bulk series, JSON
-envelopes for exact reconstruction and reports.
+"""Deterministic formatting, writers only: CSV cells and strict JSON.  The
+runner, ``kglab.cli``, declares what each output file holds.
 
 Floats are written with repr (shortest round-trip form), so identical
-inputs produce byte-identical files, and a field's envelope or CSV file
-read back with ``json.load`` or ``float`` per cell rebuilds it bit for bit.
+inputs produce byte-identical files, and a column read back with
+``json.load`` or ``float`` per cell rebuilds it bit for bit.
 
 Bulk writers format whole columns at once: each column is converted to
 Python floats by one ``ndarray.tolist()`` and formatted by one pass of
 ``repr`` over its cells other than +0.0, which all share one ``"0.0"``
 (a -0.0 still writes ``-0.0``); rows are joined in C and written in one
-call.  A grid's ``x`` column is formatted once and reused by every field
-or slice written on that grid, until a file on another grid replaces it.
-The field envelope joins the same cells for its ``re``/``im`` arrays:
+call.  A ``UniformGrid`` given as a CSV column writes the grid's ``x``
+cells, formatted once and reused by every file written on that grid,
+until a file on another grid replaces them.  ``write_json`` joins the
+same cells for each top-level value that is a 1-D float array:
 ``json.dump`` formats a float with ``float.__repr__`` too.  The bytes are
 exactly those of a row-at-a-time ``csv.writer`` over
-``repr(float(cell))`` and of ``json.dump(..., indent=2, sort_keys=True)``;
-``tests/test_io.py`` checks this against such reference writers.
+``repr(float(cell))`` and of ``json.dump(..., indent=2, sort_keys=True,
+allow_nan=False)`` with each array passed as a list; ``tests/test_io.py``
+checks this against such reference writers.
 """
 
 from __future__ import annotations
@@ -28,18 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import Field, UniformGrid
+from .spectral import UniformGrid
 
-__all__ = [
-    "FIELD_SCHEMA",
-    "write_csv",
-    "write_json",
-    "field_to_csv",
-    "field_to_json",
-    "propagator_slice_to_csv",
-]
-
-FIELD_SCHEMA = "kglab.field/1"
+__all__ = ["write_csv", "write_json"]
 
 
 def _cells(column):
@@ -62,46 +55,33 @@ def _x_cells(grid: UniformGrid) -> tuple[str, ...]:
     return tuple(_cells(grid.x))
 
 
-def _write_cells(path: Path, header: Sequence[str], cells: Sequence) -> None:
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length numeric columns under a header, one cell per float
+    repr; a column that is a ``UniformGrid`` writes the grid's ``x``."""
+    cells = [_x_cells(col) if isinstance(col, UniformGrid) else _cells(col) for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([",".join(header), *map(",".join, zip(*cells, strict=True))]))
         fh.write("\n")
 
 
-def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length numeric columns under a header, one cell per float repr."""
-    _write_cells(path, header, [_cells(col) for col in columns])
+def _json_pieces(value) -> list[str]:
+    """One top-level value as ``json.dump`` indents it under its key; a 1-D
+    float array is formatted a whole column at a time."""
+    if not (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f"):
+        return [json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")]
+    finite = np.isfinite(value)
+    if not finite.all():
+        json.dumps(float(value[~finite][0]), allow_nan=False)  # raises json's own ValueError
+    return ["[\n    ", ",\n    ".join(_cells(value)), "\n  ]"] if value.size else ["[]"]
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict[str, object]) -> None:
+    """Write ``payload`` as ``json.dump(payload, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline; each top-level 1-D float array is
+    written as the list of its cells."""
+    items = sorted(payload.items())
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def field_to_csv(f: Field, path: Path) -> None:
-    _write_cells(path, ["x", "re", "im"], [_x_cells(f.grid), _cells(f.values.real), _cells(f.values.imag)])
-
-
-def field_to_json(f: Field, path: Path) -> None:
-    """The envelope ``{"grid", "im", "re", "schema"}`` as ``write_json`` lays it out."""
-    grid = {"n": f.grid.n, "dx": f.grid.dx, "L": f.grid.L}
-    with open(path, "w") as fh:
-        fh.write('{\n  "grid": ')
-        fh.write(json.dumps(grid, indent=2, sort_keys=True).replace("\n", "\n  "))
-        for key, column in (("im", f.values.imag), ("re", f.values.real)):
-            fh.write(f',\n  "{key}": [\n    ')
-            fh.write(",\n    ".join(_cells(column)))
-            fh.write("\n  ]")
-        fh.write(f',\n  "schema": {json.dumps(FIELD_SCHEMA)}\n}}\n')
-
-
-def propagator_slice_to_csv(sample, path: Path) -> None:
-    """Slice columns (x, re D, im D, re Dp, im Dp)."""
-    delta = sample.delta.values
-    plus = sample.delta_plus.values
-    _write_cells(
-        path,
-        ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
-        [_x_cells(sample.grid), *map(_cells, (delta.real, delta.imag, plus.real, plus.imag))],
-    )
+        fh.write("{" if items else "{}")
+        for i, (key, value) in enumerate(items):
+            fh.writelines([",\n  " if i else "\n  ", json.dumps(key), ": ", *_json_pieces(value)])
+        fh.write("\n}\n" if items else "\n")

@@ -43,8 +43,8 @@ The kernels carry genuine distributional edges on the cone (D jumps by
 1/2 there, Dp adds a logarithmic spike), so pointwise values at the one
 or two grid cells straddling |x| = |t| do not converge as eps -> 0.  The
 residual is therefore measured outside a collar of
-``RESIDUAL_COLLAR_CELLS`` cells around the cone; the collar width is part
-of the sample metadata, and the cells inside it are exactly the ones
+``RESIDUAL_COLLAR_CELLS`` cells around the cone; the collar width is
+written with each slice's quadrature settings, and the cells inside it are exactly the ones
 every cone-support assertion already grants as geometric margin.
 
 Both kernels need m > 0: Dp has an infrared divergent imaginary part at
@@ -124,15 +124,6 @@ class QuadratureSpec:
         """The damping ladder of a resolved spec, halving eps per rung."""
         eps = EPS_BASE_FACTOR / self.cutoff**2
         return tuple(eps / 2.0**r for r in range(self.rungs))
-
-    def metadata(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "eps_ladder": list(self.eps_ladder),
-            "residual_tol": self.residual_tol,
-            "band_fraction": self.band_fraction,
-            "residual_collar_cells": RESIDUAL_COLLAR_CELLS,
-        }
 
 
 @dataclass(frozen=True, eq=False)

@@ -384,12 +384,12 @@ def run_tree(base, overrides):
         ("evolve", None, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 0}}, "initial_state.amplitude"),
         # 2 grid points per side in the window
         ("hegerfeldt", "hegerfeldt_default", {"tail_fit": {"window": [9.0, 9.01]}}, "tail_fit.window.points"),
-        # squares of 1e300 overflow float64: the initial energy, then the first leakage norm
+        # squares of 1e300 overflow float64 in the initial energy, also at m = 0 where m^2 |Phi|^2 is 0 * inf
         ("evolve", None, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e300}}, "field.overflow"),
         (
-            "hegerfeldt",
-            "hegerfeldt_default",
-            {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e300}},
+            "evolve",
+            "rightmover",
+            {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e300, "pi": "right-mover"}},
             "field.overflow",
         ),
         # the energy of 1e153 fits; the leapfrog form's stencil product overflows inside BLAS, unwarned
@@ -436,6 +436,16 @@ def test_overflowing_transform_leaves_one_json_line_on_stderr(tmp_path, command,
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1
     assert json.loads(res.stderr)["error"]["rule"] == "field.finite"
+
+
+def test_overflowing_energy_leaves_one_json_line_on_stderr(tmp_path):
+    # at m = 0 the energy's mass term is 0 * inf, which numpy would warn about
+    tree = run_tree("rightmover", {"initial_state": {"factory": "bump", "radius": 1, "amplitude": 1e300, "pi": "right-mover"}})
+    cfg = write_config(tmp_path, "cfg.json", tree)
+    res = run_cli("evolve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr)["error"]["rule"] == "field.overflow"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kglab.diagnostics import boundary_floor, cone_leakage, fit_exponential_tail, support_radius, support_report
+from kglab.cli import _witness_report
+from kglab.diagnostics import boundary_floor, cone_leakage, fit_exponential_tail, support_radius
 from kglab.dispersion import Mass
 from kglab.evolution import CauchyData, evolve_spectral
 from kglab.io import write_json
@@ -39,6 +40,13 @@ class TestConeLeakage:
         b = make_bump(grid, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="boundary"):
             cone_leakage(b, 1.0, grid.L / 2, 0.1)
+
+    @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["2^-520", "2^520"])
+    def test_power_of_two_scale_keeps_the_fraction_bit_for_bit(self, grid, scale):
+        # the tail's squares would be subnormal, or the peak's overflow, unscaled
+        w = positivity_tail_witness(make_bump(grid, 0.0, 1.0, 1.0), Mass(1.0))
+        scaled = Field(grid, scale * w.values)
+        assert cone_leakage(scaled, 1.0, 0.0, 0.5) == cone_leakage(w, 1.0, 0.0, 0.5) > 0.0
 
     def test_monotone_in_margin(self, grid):
         w = positivity_tail_witness(make_bump(grid, 0.0, 1.0, 1.0), Mass(1.0))
@@ -183,7 +191,7 @@ class TestBoundaryFloor:
 class TestSupportReport:
     def test_roundtrip_json(self, grid, tmp_path):
         f = Field(grid, np.exp(-np.abs(grid.x)))
-        report = support_report(f, threshold=np.exp(-5.0), window=(3.0, 8.0))
+        report = _witness_report(f, np.exp(-5.0), (3.0, 8.0))
         write_json(tmp_path / "report.json", report)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema"] == "kglab.support-report/2"
@@ -193,12 +201,12 @@ class TestSupportReport:
 
     def test_nowhere_below_threshold_flagged(self, grid):
         f = Field(grid, np.ones(grid.n) + np.exp(-np.abs(grid.x)))
-        report = support_report(f, threshold=0.5, window=(3.0, 8.0))
+        report = _witness_report(f, 0.5, (3.0, 8.0))
         assert report["support_radius"] == grid.L / 2
         assert "nowhere-below-threshold" in report["flags"]
 
     def test_invariants_enforced(self, grid):
         f = Field(grid, np.exp(-np.abs(grid.x)))
         with pytest.raises(PreconditionError) as err:
-            support_report(f, threshold=np.exp(-5.0), window=(2.0, 1.0))
+            _witness_report(f, np.exp(-5.0), (2.0, 1.0))
         assert err.value.rule == "tail_fit.window"

@@ -40,6 +40,75 @@ def private_crossings(path: Path) -> list[str]:
     return found
 
 
+def file_writes(path: Path) -> list[str]:
+    """The calls in the module at ``path`` that may open a file for writing:
+    ``open`` or a method ``.open`` given a mode that is not a constant
+    without "w", "a", "x" and "+", and ``write_text`` or ``write_bytes``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            # builtin open(file, mode) and a method path.open(mode)
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            if not all(isinstance(m, ast.Constant) and isinstance(m.value, str) and not set(m.value) & set("wax+") for m in modes):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+        elif name in ("write_text", "write_bytes"):
+            found.append(f"{path.stem}: {ast.unparse(node)}")
+    return found
+
+
+def io_imports(path: Path) -> list[str]:
+    """The statements of the module at ``path`` that import ``kglab.io``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            # a relative import is one from inside the package
+            module = "kglab" + (f".{node.module}" if node.module else "") if node.level else node.module
+            if module == "kglab.io" or module == "kglab" and any(a.name == "io" for a in node.names):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Import) and any(a.name.split(".")[:2] == ["kglab", "io"] for a in node.names):
+            found.append(f"{path.stem}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_the_runner_reaches_the_writers():
+    # kglab.io alone opens files for writing, and kglab.cli alone calls it,
+    # so what a file holds is declared where the run writes it
+    assert {path.stem for path in SOURCES if file_writes(path)} == {"io"}
+    assert {path.stem for path in SOURCES if io_imports(path)} == {"cli"}
+
+
+@pytest.mark.parametrize(
+    "source,writes,imports",
+    [
+        ('open(path, "w")\n', 1, 0),
+        ('open(path, mode="a")\n', 1, 0),
+        ('open(path, "r+b")\n', 1, 0),
+        ("open(path, mode)\n", 1, 0),
+        ('path.open("x")\n', 1, 0),
+        ('path.write_text("")\nPath(p).write_bytes(b"")\n', 2, 0),
+        # reading is no write
+        ('open(path)\nopen(path, "rb")\nopen(path, encoding="utf-8")\npath.open()\n', 0, 0),
+        ("from .io import write_csv\n", 0, 1),
+        ("from . import io\n", 0, 1),
+        ("from kglab.io import write_json\n", 0, 1),
+        ("from kglab import io as kio\n", 0, 1),
+        ("import kglab.io\n", 0, 1),
+        ("import kglab.io as kio\n", 0, 1),
+        # the standard library's io and other kglab modules are not kglab.io
+        ("import io\nfrom io import StringIO\nfrom . import spectral\nfrom .spectral import Field\n", 0, 0),
+    ],
+)
+def test_writer_check_sees_each_form(tmp_path, source, writes, imports):
+    path = tmp_path / "scratch.py"
+    path.write_text(source)
+    assert (len(file_writes(path)), len(io_imports(path))) == (writes, imports)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     # a stale export of a deleted name would otherwise surface only on

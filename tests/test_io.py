@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from kglab import cli
+from kglab.cli import FIELD_SCHEMA
 from kglab.dispersion import Mass
-from kglab.io import FIELD_SCHEMA, field_to_csv, field_to_json, propagator_slice_to_csv, write_csv, write_json
+from kglab.io import write_csv, write_json
 from kglab.propagator import pauli_jordan
 from kglab.spectral import Field, UniformGrid, make_bump
 
@@ -30,11 +32,31 @@ def words(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float).view(np.uint64)
 
 
+def snapshot_csv(f: Field, path) -> None:
+    """A CSV snapshot as the runner writes it: ``write_csv`` with the grid column."""
+    cli._write_field(f, path, "csv")
+
+
+def snapshot_json(f: Field, path) -> None:
+    """A field's envelope as the runner writes it: ``write_json`` with re/im arrays."""
+    cli._write_field(f, path, "json")
+
+
+def slice_csv(sample, path) -> None:
+    """A kernel slice: the grid column, then re/im of D and of D+."""
+    delta, plus = sample.delta.values, sample.delta_plus.values
+    write_csv(
+        path,
+        ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
+        [sample.grid, delta.real, delta.imag, plus.real, plus.imag],
+    )
+
+
 def test_field_json_roundtrip_is_exact(tmp_path):
     f = random_field()
     g = f.grid
     path = tmp_path / "field.json"
-    field_to_json(f, path)
+    snapshot_json(f, path)
     payload = json.loads(path.read_text())
     assert payload["schema"] == FIELD_SCHEMA
     assert payload["grid"] == {"n": g.n, "dx": g.dx, "L": g.L}
@@ -46,7 +68,7 @@ def test_field_csv_columns(tmp_path):
     g = UniformGrid(64, 0.25)
     f = make_bump(g, 0.0, 2.0, 1.0)
     path = tmp_path / "field.csv"
-    field_to_csv(f, path)
+    snapshot_csv(f, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,re,im"
     assert len(lines) == g.n + 1
@@ -59,8 +81,8 @@ def test_writes_are_deterministic(tmp_path):
     g = UniformGrid(64, 0.25)
     f = make_bump(g, 0.0, 2.0, 1.0)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    field_to_json(f, a)
-    field_to_json(f, b)
+    snapshot_json(f, a)
+    snapshot_json(f, b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -68,7 +90,7 @@ def test_propagator_slice_csv(tmp_path):
     g = UniformGrid(256, 1 / 16)
     sample = pauli_jordan(1.0, g, Mass(1.0))
     path = tmp_path / "slice.csv"
-    propagator_slice_to_csv(sample, path)
+    slice_csv(sample, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,re_delta,im_delta,re_delta_plus,im_delta_plus"
     assert len(lines) == g.n + 1
@@ -136,20 +158,20 @@ def test_write_csv_matches_the_csv_module_on_any_floats(tmp_path_factory, rows):
 @pytest.mark.parametrize("kind", ["csv", "json"])
 def test_field_writers_match_the_reference_writers(tmp_path, field, kind):
     if kind == "csv":
-        assert_same_bytes(tmp_path, field_to_csv, oracles.reference_field_csv, field)
+        assert_same_bytes(tmp_path, snapshot_csv, oracles.reference_field_csv, field)
     else:
-        assert_same_bytes(tmp_path, field_to_json, oracles.reference_field_json, field)
+        assert_same_bytes(tmp_path, snapshot_json, oracles.reference_field_json, field)
 
 
 def test_propagator_slice_matches_the_reference_writer(tmp_path):
     sample = pauli_jordan(1.0, UniformGrid(256, 1 / 16), Mass(1.0))
-    assert_same_bytes(tmp_path, propagator_slice_to_csv, oracles.reference_slice_csv, sample)
+    assert_same_bytes(tmp_path, slice_csv, oracles.reference_slice_csv, sample)
 
 
 def test_propagator_slice_edge_values_match_the_reference_writer(tmp_path):
     f = edge_field()
     sample = SimpleNamespace(grid=f.grid, delta=f, delta_plus=f)
-    assert_same_bytes(tmp_path, propagator_slice_to_csv, oracles.reference_slice_csv, sample)
+    assert_same_bytes(tmp_path, slice_csv, oracles.reference_slice_csv, sample)
 
 
 def test_slices_on_one_grid_share_their_x_cells(tmp_path):
@@ -157,9 +179,9 @@ def test_slices_on_one_grid_share_their_x_cells(tmp_path):
 
     grid = UniformGrid(256, 1 / 16)
     writes = [
-        (propagator_slice_to_csv, oracles.reference_slice_csv, pauli_jordan(1.0, grid, Mass(1.0))),
-        (propagator_slice_to_csv, oracles.reference_slice_csv, pauli_jordan(2.0, grid, Mass(1.0))),
-        (field_to_csv, oracles.reference_field_csv, make_bump(UniformGrid(64, 0.25), 0.0, 2.0, 1.0)),
+        (slice_csv, oracles.reference_slice_csv, pauli_jordan(1.0, grid, Mass(1.0))),
+        (slice_csv, oracles.reference_slice_csv, pauli_jordan(2.0, grid, Mass(1.0))),
+        (snapshot_csv, oracles.reference_field_csv, make_bump(UniformGrid(64, 0.25), 0.0, 2.0, 1.0)),
     ]
     io._x_cells.cache_clear()
     for i, (write, reference, obj) in enumerate(writes):
@@ -222,7 +244,7 @@ def leapfrog_snapshot() -> Field:
 )
 def test_field_csv_roundtrip_is_exact(tmp_path, field):
     path = tmp_path / "field.csv"
-    field_to_csv(field, path)
+    snapshot_csv(field, path)
     x, re, im = zip(*(map(float, line.split(",")) for line in path.read_text().splitlines()[1:]))
     assert np.array_equal(words(x), words(field.grid.x))
     assert np.array_equal(words(re), words(field.values.real))
@@ -234,8 +256,8 @@ def test_field_csv_roundtrip_is_exact(tmp_path, field):
 )
 def test_field_envelope_and_csv_hold_the_same_words(tmp_path, field):
     # either file rebuilds the field, so either can stand in for the other
-    field_to_json(field, tmp_path / "field.json")
-    field_to_csv(field, tmp_path / "field.csv")
+    snapshot_json(field, tmp_path / "field.json")
+    snapshot_csv(field, tmp_path / "field.csv")
     payload = json.loads((tmp_path / "field.json").read_text())
     _, re, im = zip(*(map(float, line.split(",")) for line in (tmp_path / "field.csv").read_text().splitlines()[1:]))
     assert np.array_equal(words(payload["re"]), words(re))
@@ -249,15 +271,15 @@ def test_field_envelope_and_csv_hold_the_same_words(tmp_path, field):
 def test_field_writers_match_the_reference_writers_on_exact_zeros(tmp_path, field, kind):
     assert (field.values.view(float) == 0).any()
     if kind == "csv":
-        assert_same_bytes(tmp_path, field_to_csv, oracles.reference_field_csv, field)
+        assert_same_bytes(tmp_path, snapshot_csv, oracles.reference_field_csv, field)
     else:
-        assert_same_bytes(tmp_path, field_to_json, oracles.reference_field_json, field)
+        assert_same_bytes(tmp_path, snapshot_json, oracles.reference_field_json, field)
 
 
 @pytest.mark.parametrize("fields", [sparse_fields(), (leapfrog_snapshot(),) * 2], ids=["sparse", "local-fd-snapshot"])
 def test_propagator_slice_matches_the_reference_writer_on_exact_zeros(tmp_path, fields):
     sample = SimpleNamespace(grid=fields[0].grid, delta=fields[0], delta_plus=fields[1])
-    assert_same_bytes(tmp_path, propagator_slice_to_csv, oracles.reference_slice_csv, sample)
+    assert_same_bytes(tmp_path, slice_csv, oracles.reference_slice_csv, sample)
 
 
 def test_write_csv_matches_the_csv_module_on_exact_zeros(tmp_path):
@@ -296,3 +318,41 @@ def test_positive_zero_cells_share_one_string():
     positive_zero = (sparse == 0) & ~np.signbit(sparse)
     assert len({id(c) for c, z in zip(cells, positive_zero) if z}) == 1
     assert [c for c, v in zip(cells, sparse) if v == 0 and np.signbit(v)] == ["-0.0"] * 7
+
+
+#: float cells for JSON arrays: any finite float, drawn often from the
+#: signed zeros and the subnormals
+FINITE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+FLOAT_ARRAYS = st.lists(FINITE_CELLS, max_size=12).map(lambda cells: np.array(cells, dtype=float))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(max_size=6), JSON_VALUES | FLOAT_ARRAYS, max_size=6))
+def test_write_json_matches_json_dump(tmp_path_factory, payload):
+    tmp = tmp_path_factory.mktemp("json")
+    write_json(tmp / "new.json", payload)
+    as_lists = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in payload.items()}
+    with open(tmp / "ref.json", "w") as fh:
+        json.dump(as_lists, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    assert (tmp / "new.json").read_bytes() == (tmp / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("cells", [[1.0, math.nan], [math.inf], [0.0, -0.0, -math.inf]])
+def test_write_json_refuses_non_finite_array_cells(tmp_path, cells):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(tmp_path / "field.json", {"grid": {"n": 2}, "re": np.array(cells)})
+
+
+def test_write_json_writes_an_empty_array_as_json_does(tmp_path):
+    write_json(tmp_path / "empty.json", {"im": np.array([]), "re": np.zeros(0)})
+    assert (tmp_path / "empty.json").read_text() == '{\n  "im": [],\n  "re": []\n}\n'

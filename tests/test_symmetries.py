@@ -1,7 +1,10 @@
 """The equation is linear, so scaling the datum by a power of two scales
 every field sample exactly and changes no verdict: the support threshold
 reads relative to max|Phi(0)|, and leakages, contrasts, drifts and the
-doubling ratio are ratios of exactly scaled sums."""
+doubling ratio are ratios of exactly scaled sums.  Any other amplitude,
+down to where its square underflows and up to where the energy overflows,
+moves a leakage only by rounding: each one squares the field after scaling
+its peak to [1, 2)."""
 
 import contextlib
 import io
@@ -79,6 +82,25 @@ def test_power_of_two_amplitude_keeps_every_verdict(tmp_path, unit_runs, stem, s
         # a log-linear fit of exactly scaled magnitudes moves its rate only by rounding
         for name in ("witness_rate", "snapshot_rate"):
             assert scaled["verdicts"][name]["value"] == pytest.approx(unit["verdicts"][name]["value"], rel=1e-13, abs=0)
+
+
+#: verdicts whose values are leakage fractions, or ratios of them
+LEAKAGES = {"cone_leakage", "leakage_floor", "leakage_monotone", "spectral_contrast", "grid_doubling_stability"}
+
+
+@pytest.mark.parametrize(
+    "stem,amplitude", [*((stem, 1e-150) for stem in BUMP_CONFIGS), ("hegerfeldt_default", 1e300)]
+)
+def test_extreme_amplitude_keeps_every_leakage(tmp_path, unit_runs, stem, amplitude):
+    # the tails' squares would be subnormal at 1e-150, and the peak's would overflow at 1e300
+    rc, err, out = run(tmp_path, stem, amplitude)
+    assert (rc, err) == (0, "")
+    unit = json.loads((unit_runs[stem] / "report.json").read_text())["verdicts"]
+    scaled = json.loads((out / "report.json").read_text())["verdicts"]
+    assert scaled.keys() == unit.keys()
+    assert all(v["passed"] for v in scaled.values())
+    for name in LEAKAGES & unit.keys():
+        assert scaled[name]["value"] == pytest.approx(unit[name]["value"], rel=1e-3, abs=0), name
 
 
 @pytest.mark.parametrize("amplitude", [0.0, 1e-160, 1e-300])
