@@ -87,6 +87,16 @@ def _write_field(f: Field, path: Path, fmt: str) -> None:
         write_json(path, {"grid": _grid_json(f.grid), "im": f.values.imag, "re": f.values.real, "schema": FIELD_SCHEMA})
 
 
+def _write_slice(sample: propagator.PropagatorSample, path: Path) -> None:
+    """A kernel slice: the grid column, then re/im of D and of D+."""
+    delta, plus = sample.delta.values, sample.delta_plus.values
+    write_csv(
+        path,
+        ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
+        [sample.grid, delta.real, delta.imag, plus.real, plus.imag],
+    )
+
+
 def _witness_report(field: Field, threshold: float, window: tuple[float, float]) -> dict:
     """The ``witness_report.json`` payload: the thresholded support radius
     and the tail fit of the tail witness."""
@@ -259,12 +269,7 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
         sample = propagator.pauli_jordan(t, cfg.grid, cfg.mass, cfg.quadrature)
         bridge = propagator.bridge_identity_error(sample)
         scan = propagator.spacelike_suppression_scan(sample, cfg.margin) if t != 0.0 else None
-        delta, plus = sample.delta.values, sample.delta_plus.values
-        write_csv(
-            out / f"slice_{idx:03d}.csv",
-            ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
-            [sample.grid, delta.real, delta.imag, plus.real, plus.imag],
-        )
+        _write_slice(sample, out / f"slice_{idx:03d}.csv")
         entry = {"t": t, "residual": sample.residual, "converged": sample.converged}
         quad = sample.quad
         quadrature = {

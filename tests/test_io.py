@@ -43,13 +43,8 @@ def snapshot_json(f: Field, path) -> None:
 
 
 def slice_csv(sample, path) -> None:
-    """A kernel slice: the grid column, then re/im of D and of D+."""
-    delta, plus = sample.delta.values, sample.delta_plus.values
-    write_csv(
-        path,
-        ["x", "re_delta", "im_delta", "re_delta_plus", "im_delta_plus"],
-        [sample.grid, delta.real, delta.imag, plus.real, plus.imag],
-    )
+    """A kernel slice as the runner writes it: ``write_csv`` with the grid column."""
+    cli._write_slice(sample, path)
 
 
 def test_field_json_roundtrip_is_exact(tmp_path):
