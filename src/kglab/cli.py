@@ -264,7 +264,8 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
 
 def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
     def one_slice(item: tuple[int, float]) -> dict:
-        # writes its own slice, so its repr overlaps the other kernels
+        # writes its own slice: its CSV writer holds the GIL (~0.1 s of a dense
+        # slice) while other slices' kernels run in numpy (BENCH_fold.json)
         idx, t = item
         sample = propagator.pauli_jordan(t, cfg.grid, cfg.mass, cfg.quadrature)
         bridge = propagator.bridge_identity_error(sample)

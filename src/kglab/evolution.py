@@ -273,11 +273,9 @@ def energy(data: CauchyData) -> float:
     grid = data.grid
     dphi = inverse_transform(data.phi, 1j * grid.p * forward_transform(data.phi))
     with np.errstate(over="ignore", invalid="ignore"):
-        dens = (
-            np.abs(data.pi.values) ** 2
-            + np.abs(dphi.values) ** 2
-            + data.m.m**2 * np.abs(data.phi.values) ** 2
-        )
+        dens = np.abs(data.pi.values) ** 2 + np.abs(dphi.values) ** 2
+        if data.m.m > 0:  # at m = 0 the term would be 0 * inf, nan, on an overflow
+            dens += data.m.m**2 * np.abs(data.phi.values) ** 2
         return finite_total(0.5 * grid.dx * np.sum(dens), "energy")
 
 

@@ -28,9 +28,8 @@ i/(4 pi) the one-dimensional analog of the conventional constant.
 Quadrature nodes sit on the lattice dp = 2 pi / L of the target grid, so
 a kernel sample equals the periodization of the continuum kernel.  The
 integrand is even in p, so it is evaluated on the half lattice p >= 0,
-given its grid phase (-1)^q, and mirrored; the nodes, laid out by
-momentum bin in a zero-padded block, fold onto the n bins as row sums,
-costing one FFT per damping rung.
+given its grid phase (-1)^q, and mirrored; the nodes fold onto the n
+momentum bins one row of n at a time, costing one FFT per damping rung.
 Sampling a kernel with jump discontinuities on the cone necessarily
 aliases content beyond the grid band onto lower bins; the multiplier
 identity is therefore compared over the declared band
@@ -113,8 +112,10 @@ class QuadratureSpec:
         cutoff = floor if self.cutoff is None else float(self.cutoff)
         if cutoff < floor:
             raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} below the required floor {floor}")
-        # 2 ceil(cutoff / dp) + 1 nodes with dp = 2 pi / L, padded to whole rows
-        # of n: fewer than cutoff L / pi + 2 n + 2 samples; eps divides by cutoff^2
+        # 2 ceil(cutoff / dp) + 1 nodes with dp = 2 pi / L: fewer than
+        # cutoff L / pi + 2 n + 2 samples, a conservative bound since no
+        # array holds more than the q_max + 1 half-lattice nodes; eps divides
+        # by cutoff^2
         if not (math.isfinite(cutoff * cutoff) and cutoff * grid.L / math.pi + 2 * (grid.n + 1) < MAX_SAMPLES):
             raise PreconditionError("quadrature.cutoff", f"cutoff {cutoff} needs more nodes than an array can hold")
         return replace(self, cutoff=cutoff)
@@ -169,32 +170,43 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     The integrand is even in p bit for bit, so it is evaluated on the
     nodes q = 0 .. q_max and mirrored.  The grid starts at x_0 = -L/2, so
     node q carries the phase exp(i p_q x_0) = (-1)^q, applied once to the
-    half-lattice integrand; being even in q, it survives the mirror.  Laid
-    out in order from offset -q_max mod n in a zero-padded (rows, n) block,
-    node q sits in column q mod n, and the row sums add each bin's nodes in
-    increasing q; sum_q g_q exp(2 pi i q j / n) is then one inverse FFT of
-    the row sums, times n.  A rung allocates no node array: it reuses one
-    buffer for exp((-eps p) p) and writes the product straight into the
-    block's right half, which the left half mirrors."""
+    half-lattice integrand; being even in q, it survives the mirror.  Node
+    i = q + q_max sits at position start + i, start = -q_max mod n, of rows
+    of n, so node q lands in bin q mod n.  Row r, the nodes i in
+    [r n - start, (r + 1) n - start), is split at q = 0 into a reversed run
+    of the half lattice (q < 0) and a forward one.  Each rung damps the
+    half lattice once, n nodes at a time, and adds these runs in row order
+    into one accumulator of n bins, starting from +0.0, so every bin adds
+    its nodes in increasing q; sum_q g_q exp(2 pi i q j / n) is then one
+    inverse FFT of the accumulator, times n.  A rung holds one float per
+    half-lattice node beside the integrand, and O(n) values more."""
+    n = grid.n
     dp = 2.0 * np.pi / grid.L
     q_max = int(math.ceil(res.cutoff / dp))
-    p = np.arange(q_max + 1) * dp
-    base = multiplier(omega(p, m))
+    base = multiplier(omega(np.arange(q_max + 1) * dp, m))
     base[1::2] *= -1.0
-    start = -q_max % grid.n
-    rows = -(-(start + 2 * q_max + 1) // grid.n)
-    block = np.zeros((rows, grid.n), dtype=complex)
-    flat = block.reshape(-1)
-    right = flat[start + q_max : start + 2 * q_max + 1]
-    damp = np.empty_like(p)
+    start = -q_max % n
+    segments = []  # (column, a, b, mirrored): base[a:b], reversed for q < 0
+    for lo in range(-start, 2 * q_max + 1, n):  # the row of nodes i in [lo, lo + n)
+        col, q0, q1 = max(-lo, 0), max(lo, 0) - q_max, min(lo + n, 2 * q_max + 1) - q_max
+        if q0 < 0:
+            mid = min(q1, 0)
+            segments.append((col, 1 - mid, 1 - q0, True))
+            col, q0 = col + mid - q0, mid
+        if q0 < q1:
+            segments.append((col, q0, q1, False))
+    ramp = np.arange(n, dtype=float)  # ramp + a is arange(a, a + n), exactly
+    damp = np.empty(q_max + 1)
     levels = []
     for eps in res.eps_ladder:
-        np.multiply(-eps, p, out=damp)
-        damp *= p
-        np.exp(damp, out=damp)
-        np.multiply(damp, base, out=right)
-        flat[start : start + q_max] = right[:0:-1]
-        levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(block.sum(axis=0)) * grid.n)
+        for a in range(0, q_max + 1, n):
+            pq = (ramp[: q_max + 1 - a] + a) * dp
+            np.exp((-eps * pq) * pq, out=damp[a : a + n])
+        acc = np.zeros(n, dtype=complex)
+        for col, a, b, mirrored in segments:
+            g = damp[a:b] * base[a:b]
+            acc[col : col + b - a] += g[::-1] if mirrored else g
+        levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(acc) * n)
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
 

@@ -445,7 +445,9 @@ def test_overflowing_energy_leaves_one_json_line_on_stderr(tmp_path):
     res = run_cli("evolve", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1
-    assert json.loads(res.stderr)["error"]["rule"] == "field.overflow"
+    error = json.loads(res.stderr)["error"]
+    assert error["rule"] == "field.overflow"
+    assert "energy is inf" in error["message"]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -80,6 +80,14 @@ def test_energy_zero_data(grid):
     assert energy(CauchyData(z, z, Mass(1.0))) == 0.0
 
 
+def test_massless_energy_overflow_names_inf(grid):
+    # at m = 0 the mass term is left out, so 0 * inf cannot turn the overflow into nan
+    with pytest.raises(PreconditionError) as err:
+        energy(CauchyData(make_bump(grid, 0.0, 1.0, 1e300), Field(grid, np.zeros(grid.n)), Mass(0.0)))
+    assert err.value.rule == "field.overflow"
+    assert "energy is inf" in str(err.value)
+
+
 def test_energy_single_mode_closed_form(grid):
     p1 = 2 * np.pi / grid.L
     a, m = 0.7, 1.3

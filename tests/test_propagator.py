@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,8 @@ from kglab.propagator import (
     spacelike_suppression_scan,
 )
 from kglab.spectral import Field, PreconditionError, UniformGrid, make_bump
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # committed golden value for Dp(t=1.5, x=0.5, m=1), regenerated by
@@ -306,8 +314,8 @@ def test_time_derivative_cross_check(scan_grid):
 
 
 class TestHalfLatticeFold:
-    """The kernel evaluates the even integrand on q >= 0 and folds by row
-    sums; the full-lattice np.bincount form it replaced is the reference."""
+    """The kernel evaluates the even integrand on q >= 0 and folds it row
+    by row; the full-lattice np.bincount form it replaced is the reference."""
 
     @pytest.mark.parametrize(
         "n,dx,m,cutoff,t,offset",
@@ -320,6 +328,10 @@ class TestHalfLatticeFold:
             (4096, 1 / 256, 1.0, 32767.5 * math.pi / 8, 1.0, 0),
             # m = 2 on a coarse grid: q_max = 6519, offset 649
             (1024, 1 / 16, 2.0, None, 1.0, 649),
+            # q_max = 8 n - 1: offset 1, so the last row is exactly full
+            (4096, 1 / 256, 1.0, 32766.5 * math.pi / 8, 1.0, 1),
+            # q_max = 8 n + 1: offset n - 1, so the first row holds one node
+            (4096, 1 / 256, 1.0, 32768.5 * math.pi / 8, 1.0, 4095),
         ],
     )
     def test_matches_the_full_lattice_fold(self, n, dx, m, cutoff, t, offset):
@@ -371,6 +383,49 @@ class TestHalfLatticeFold:
         with pytest.raises(PreconditionError) as err:
             QuadratureSpec(cutoff=15 * math.pi).resolve(grid, Mass(1.0))
         assert err.value.rule == "quadrature.cutoff"
+
+
+class TestFoldMemory:
+    """The kernel folds its nodes row by row: beside the half-lattice
+    integrand it holds one damping float per half-lattice node and O(n)
+    values, so it peaks where the multiplier builds the integrand."""
+
+    def test_dense_kernel_peaks_below_48_bytes_per_half_lattice_node(self):
+        # the propagator-dense grid: n = 2^14, dx = 1/256, 4x the default cutoff
+        grid, mass = UniformGrid(16384, 1 / 256), Mass(1.0)
+        res = QuadratureSpec(cutoff=40960.0).resolve(grid, mass)
+        nodes = math.ceil(res.cutoff / (2.0 * math.pi / grid.L)) + 1
+        tracemalloc.start()
+        try:
+            _damped_kernel(grid, mass, res, 1.0, lambda w: 0.5j * np.exp(-1j * w) / w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * nodes
+
+    def test_slice_at_cutoff_1e6_stays_below_128_mb(self, tmp_path):
+        # one propagator_default slice at about 100x its cutoff floor: 2.5e6 half-lattice nodes
+        tree = json.loads((REPO / "configs" / "propagator_default.json").read_text())
+        tree.update({"times": [1.0], "quadrature": {**tree["quadrature"], "cutoff": 1e6}})
+        cfg = tmp_path / "prop.json"
+        cfg.write_text(json.dumps(tree))
+        child = (
+            "import resource, sys\n"
+            "from kglab.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        # Linux carries the spawning process's peak RSS into a child's
+        # ru_maxrss across exec, so the child is forked by a small launcher
+        # instead of by this test process
+        launcher = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+        env = dict(os.environ, KGLAB_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", child, "propagator", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        res = subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True, text=True, env=env, check=True)
+        rc, maxrss_kib = map(int, res.stdout.split())
+        assert rc == 0
+        assert maxrss_kib < 128 * 1024
 
 
 def test_richardson_ladder_recovers_limit():
