@@ -8,13 +8,15 @@ inputs produce byte-identical files, and a column read back with
 Bulk writers format whole columns at once: each column is converted to
 Python floats by one ``ndarray.tolist()`` and formatted by one pass of
 ``repr`` over its cells other than +0.0, which all share one ``"0.0"``
-(a -0.0 still writes ``-0.0``); rows are joined in C and written in one
-call.  A ``UniformGrid`` given as a CSV column writes the grid's ``x``
-cells, formatted once and reused by every file written on that grid,
-until a file on another grid replaces them.  ``write_json`` joins the
-same cells for each top-level value that is a 1-D float array:
-``json.dump`` formats a float with ``float.__repr__`` too.  The bytes are
-exactly those of a row-at-a-time ``csv.writer`` over
+(a -0.0 still writes ``-0.0``): a column with such zeros starts as a list
+of the shared zero, and each other cell's repr is written at its index,
+so a mostly-zero leapfrog snapshot formats only its support.  Rows are
+joined in C and written in one call.  A ``UniformGrid`` given as a CSV
+column writes the grid's ``x`` cells, formatted once and reused by every
+file written on that grid, until a file on another grid replaces them.
+``write_json`` joins the same cells for each top-level value that is a
+1-D float array: ``json.dump`` formats a float with ``float.__repr__``
+too.  The bytes are exactly those of a row-at-a-time ``csv.writer`` over
 ``repr(float(cell))`` and of ``json.dump(..., indent=2, sort_keys=True,
 allow_nan=False)`` with each array passed as a list; ``tests/test_io.py``
 checks this against such reference writers.
@@ -36,18 +38,23 @@ __all__ = ["write_csv", "write_json"]
 
 
 def _cells(column):
-    """The repr of each cell, lazily; every +0.0 cell shares one ``"0.0"``.
+    """The repr of each cell; every +0.0 cell shares one ``"0.0"``.
 
-    A column with such zeros pulls each cell's string from one of two
-    streams, the shared zero or the reprs of the other cells in order, so
-    only the other cells go through ``repr`` and no Python loop runs per cell.
+    Only the other cells go through ``repr``: a column with such zeros
+    starts as a list of the shared zero and each other cell's repr is
+    written at its index, and a column of +0.0 alone repeats the zero.
     """
     values = np.asarray(column, dtype=float)
     zero = (values == 0) & ~np.signbit(values)
     if not zero.any():
         return map(repr, values.tolist())
-    streams = np.where(zero, itertools.repeat("0.0"), map(repr, values[~zero].tolist()))
-    return map(next, streams.tolist())
+    if zero.all():
+        return itertools.repeat("0.0", values.size)
+    cells = ["0.0"] * values.size
+    other = ~zero
+    for i, cell in zip(np.flatnonzero(other), map(repr, values[other].tolist())):
+        cells[i] = cell
+    return cells
 
 
 @functools.lru_cache(maxsize=1)

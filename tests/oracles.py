@@ -16,6 +16,9 @@ dual-route check.  Some sections are exceptions on purpose:
 * the full-lattice kernel synthesis is the package's own former form of
   the propagator quadrature, whose bits the half-lattice row-sum fold must
   reproduce;
+* the full-grid leapfrog form is the package's own former
+  ``leapfrog_energy``, which the sum over the joint support's span must
+  match to rounding;
 * the two probes that no command runs, ``cauchy_via_propagator`` and
   ``complex_momentum_transform``, use the package's kernels and FFT path:
   they carry acceptance criteria 5 and 8, not a second route;
@@ -268,6 +271,25 @@ def full_lattice_kernel(grid, m, res, t: float, multiplier):
         )
         levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(sign * G) * grid.n)
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
+
+
+# --- the package's own former leapfrog form: every cell, BLAS dot products ---
+
+
+def full_grid_leapfrog_energy(data, dt: float) -> float:
+    """``leapfrog_energy`` as the package once computed it: the periodic
+    stencil on all n cells by one ``np.concatenate`` each, and three
+    ``np.vdot`` sums over all n cells."""
+    dx, msq = data.grid.dx, data.m.m**2
+    phi, pi = data.phi.values, data.pi.values
+
+    def stencil(values):
+        ext = np.concatenate((values[-1:], values, values[:1]))
+        mid = ext[1:-1]
+        return msq * mid - ((ext[2:] - 2.0 * mid) + ext[:-2]) * (1.0 / (dx * dx))
+
+    q = np.vdot(pi, pi).real - 0.25 * dt * dt * np.vdot(pi, stencil(pi)).real + np.vdot(phi, stencil(phi)).real
+    return float(0.5 * dx * q)
 
 
 # --- probes of the package reached by no command ---

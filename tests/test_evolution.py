@@ -252,6 +252,45 @@ class TestLocalFd:
         assert abs(q1 / q0 - 1.0) < 1e-12
 
     @staticmethod
+    def support_data(cells, imag=False, n=256):
+        """Phi and Pi random on ``cells`` (indices taken mod n), zero elsewhere;
+        Pi's support is Phi's shifted by one cell, so the joint support is wider."""
+        rng = np.random.default_rng(len(cells))
+        phi, pi = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        idx = np.mod(cells, n)
+        phi[idx] = rng.standard_normal(idx.size) + (1j * rng.standard_normal(idx.size) if imag else 0)
+        pi[np.mod(idx + 1, n)] = rng.standard_normal(idx.size)
+        grid = UniformGrid(n, 1 / 16)
+        return CauchyData(Field(grid, phi), Field(grid, pi), Mass(1.0))
+
+    @pytest.mark.parametrize(
+        "cells,imag",
+        [
+            (np.arange(0, 9), False),
+            (np.arange(240, 255), False),
+            (np.arange(-6, 7), False),
+            ([97], False),
+            (np.arange(100, 140), True),
+            ([*range(20, 30), *range(180, 200)], False),
+            (np.arange(256), True),
+            ([], False),
+        ],
+        ids=[
+            "touches-cell-0", "touches-cell-n-1", "straddles-the-edge", "one-cell", "complex", "two-bumps", "full-grid",
+            "all-zero",
+        ],
+    )
+    def test_leapfrog_form_on_the_support_matches_the_full_grid(self, cells, imag):
+        data = self.support_data(np.asarray(cells, dtype=int), imag)
+        dt = data.grid.dx / 2
+        q = leapfrog_energy(data, dt)
+        # abs=0: zero data must give exactly 0.0
+        assert q == pytest.approx(oracles.full_grid_leapfrog_energy(data, dt), rel=1e-14, abs=0)
+        for k in (-30, -1, 3, 40):
+            scaled = CauchyData(Field(data.grid, 2.0**k * data.phi.values), Field(data.grid, 2.0**k * data.pi.values), data.m)
+            assert leapfrog_energy(scaled, dt) == 4.0**k * q
+
+    @staticmethod
     def assert_matches_reference(data, dt, n_steps, ref_phi, ref_pi):
         reference = oracles.leapfrog_steps(ref_phi, ref_pi, data.grid.dx, data.m.m, dt, n_steps)
         for (k, phi, pi), (_, want_phi, want_pi) in zip(local_fd_steps(data, dt, n_steps), reference):

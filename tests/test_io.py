@@ -226,6 +226,20 @@ def sparse_fields(n: int = 64) -> tuple[Field, Field]:
     return Field(grid, a), Field(grid, b)
 
 
+def zero_edge_fields(n: int = 32) -> list[Field]:
+    """An all-zero field; one whose ``re`` column's only zero is its first
+    cell and whose ``im`` column's only zero is its last; and one whose
+    ``re`` column is a -0.0 run among +0.0 cells."""
+    grid = UniformGrid(n, 0.1)
+    rng = np.random.default_rng(11)
+    edges = np.empty(n, dtype=complex)
+    edges.real, edges.imag = rng.standard_normal(n), rng.standard_normal(n)
+    edges.real[0] = edges.imag[-1] = 0.0
+    signed = np.zeros(n, dtype=complex)
+    signed.real[10:14] = -0.0
+    return [Field(grid, np.zeros(n)), Field(grid, edges), Field(grid, signed)]
+
+
 def leapfrog_snapshot() -> Field:
     from kglab.evolution import CauchyData, evolve_local_fd_ladder
 
@@ -261,7 +275,11 @@ def test_field_envelope_and_csv_hold_the_same_words(tmp_path, field):
     assert np.array_equal(words(payload["im"]), words(field.values.imag))
 
 
-@pytest.mark.parametrize("field", [*sparse_fields(), leapfrog_snapshot()], ids=["sparse", "single-zero", "local-fd-snapshot"])
+@pytest.mark.parametrize(
+    "field",
+    [*sparse_fields(), leapfrog_snapshot(), *zero_edge_fields()],
+    ids=["sparse", "single-zero", "local-fd-snapshot", "all-zero", "zero-first-and-last", "signed-zero-run"],
+)
 @pytest.mark.parametrize("kind", ["csv", "json"])
 def test_field_writers_match_the_reference_writers_on_exact_zeros(tmp_path, field, kind):
     assert (field.values.view(float) == 0).any()
