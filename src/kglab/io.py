@@ -5,13 +5,12 @@ Floats are written with repr (shortest round-trip form), so identical
 inputs produce byte-identical files, and a column read back with
 ``json.load`` or ``float`` per cell rebuilds it bit for bit.
 
-Bulk writers format whole columns at once: each column is converted to
-Python floats by one ``ndarray.tolist()`` and formatted by one pass of
-``repr`` over its cells other than +0.0, which all share one ``"0.0"``
-(a -0.0 still writes ``-0.0``): a column with such zeros starts as a list
-of the shared zero, and each other cell's repr is written at its index,
-so a mostly-zero leapfrog snapshot formats only its support.  Rows are
-joined in C and written in one call.  A ``UniformGrid`` given as a CSV
+Bulk writers format whole columns at once.  Every +0.0 cell shares one
+``"0.0"`` (a -0.0 still writes ``-0.0``): a column is cut into runs of
++0.0 cells and runs of other cells, and each run of other cells is
+converted to Python floats by one ``ndarray.tolist()`` and formatted by
+``repr``, so a mostly-zero leapfrog snapshot formats only its support.
+Rows are joined in C and written in one call.  A ``UniformGrid`` given as a CSV
 column writes the grid's ``x`` cells, formatted once and reused by every
 file written on that grid, until a file on another grid replaces them.
 ``write_json`` joins the same cells for each top-level value that is a
@@ -38,23 +37,19 @@ __all__ = ["write_csv", "write_json"]
 
 
 def _cells(column):
-    """The repr of each cell; every +0.0 cell shares one ``"0.0"``.
+    """The repr of each cell, lazily; every +0.0 cell shares one ``"0.0"``.
 
-    Only the other cells go through ``repr``: a column with such zeros
-    starts as a list of the shared zero and each other cell's repr is
-    written at its index, and a column of +0.0 alone repeats the zero.
+    The column is cut into runs of +0.0 cells and runs of other cells: a
+    zero run repeats the shared string, and only the other runs go
+    through ``repr``, one run at a time as the cells are consumed.
     """
     values = np.asarray(column, dtype=float)
     zero = (values == 0) & ~np.signbit(values)
-    if not zero.any():
-        return map(repr, values.tolist())
-    if zero.all():
-        return itertools.repeat("0.0", values.size)
-    cells = ["0.0"] * values.size
-    other = ~zero
-    for i, cell in zip(np.flatnonzero(other), map(repr, values[other].tolist())):
-        cells[i] = cell
-    return cells
+    starts = np.flatnonzero(np.diff(zero, prepend=~zero[:1])).tolist()
+    return itertools.chain.from_iterable(
+        itertools.repeat("0.0", hi - lo) if zero[lo] else map(repr, values[lo:hi].tolist())
+        for lo, hi in itertools.pairwise([*starts, values.size])
+    )
 
 
 @functools.lru_cache(maxsize=1)
