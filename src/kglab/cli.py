@@ -40,7 +40,7 @@ from .evolution import (
 )
 from .io import write_csv, write_json
 from .runtime import parallel_map
-from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, make_bump
+from .spectral import Field, PreconditionError, UniformGrid
 
 __all__ = ["main"]
 
@@ -130,12 +130,9 @@ def _write_report(out: Path, command: str, cfg, verdicts: dict, **fields) -> int
 
 def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
     grid = cfg.grid
-    bump = (grid, cfg.center, cfg.radius, cfg.amplitude)
-    phi = make_bump(*bump)
-    pi = bump_right_mover(*bump) if cfg.pi == "right-mover" else Field(grid, np.zeros(grid.n, dtype=np.complex128))
-    data = CauchyData(phi, pi, cfg.mass)
-    threshold = _support_threshold(cfg, phi)
-    r0 = diagnostics.support_radius(phi, pi, threshold=threshold)
+    data = CauchyData(cfg.phi(grid), cfg.pi(grid), cfg.mass)
+    threshold = _support_threshold(cfg, data.phi)
+    r0 = diagnostics.support_radius(data.phi, data.pi, threshold=threshold)
     margin = cfg.cone_margin_cells * grid.dx
     e0 = energy(data)
     # the leapfrog reaches every ladder time in one pass; spectral states
@@ -183,9 +180,8 @@ def _run_evolve(cfg: SimpleNamespace, out: Path) -> int:
 
 
 def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
-    grid = cfg.grid
-    mass = cfg.mass
-    psi0 = make_bump(grid, cfg.center, cfg.radius, cfg.amplitude)
+    grid, mass = cfg.grid, cfg.mass
+    psi0 = cfg.phi(grid)
     threshold = _support_threshold(cfg, psi0)
     r0 = diagnostics.support_radius(psi0, threshold=threshold)
     margin = cfg.cone_margin_cells * grid.dx
@@ -210,7 +206,7 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
         # same cone edge (base-grid support radius and margin) isolates
         # the resolution dependence, which is what rules out aliasing; the
         # verdict reads only the leakage, so only the leakage is computed
-        psi2 = make_bump(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0), cfg.center, cfg.radius, cfg.amplitude)
+        psi2 = cfg.phi(UniformGrid(n=2 * grid.n, dx=grid.dx / 2.0))
         psi2.spectrum  # transformed once, before the pool shares it
 
         def leak2(t: float):

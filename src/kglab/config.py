@@ -6,12 +6,12 @@ and a nested dict is a section.  One reader walks the table.  It refuses
 unknown keys in every section, fills in the defaults and checks each
 value's kind, under a rule named by the key's dotted path.  The
 command's parser then builds the domain values (grid, mass and
-quadrature settings) and runs the domain checks (the bump, the times),
+quadrature settings) and runs the domain checks (the datum, the times),
 which own every range and geometry rule, and checks the command's
-cross-key policy.  The initial state stays plain values, built by the
-command that reads it.  So a bad config fails at load time, and
-:class:`~kglab.spectral.PreconditionError`, the package's one
-rule-carrying exception, names the rule.
+cross-key policy.  Every datum is checked, and built on each grid a
+runner asks for, through one table, :data:`INITIAL_STATE`.  So a bad
+config fails at load time, and :class:`~kglab.spectral.PreconditionError`,
+the package's one rule-carrying exception, names the rule.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from .diagnostics import check_threshold, check_window
 from .dispersion import Mass
 from .evolution import check_margin, ladder_steps
 from .propagator import QuadratureSpec, check_scan
-from .spectral import PreconditionError, UniformGrid, check_bump
+from .spectral import Field, PreconditionError, UniformGrid, bump_right_mover, check_bump, make_bump
 
-__all__ = ["KEYS", "REQUIRED", "load_config"]
+__all__ = ["INITIAL_STATE", "KEYS", "REQUIRED", "load_config"]
 
 #: the default of a key that every config must set
 REQUIRED = "required"
@@ -88,9 +90,16 @@ def _output(*formats: str) -> dict:
     return {"format": ("csv", _one_of("csv", *formats))}
 
 
-#: the initial_state section: a bump Phi; evolve adds its Pi
+#: every datum a config can name: initial_state.factory -> (its check, returning the reach, its
+#: Phi builder), evolve's initial_state.pi -> its Pi builder (the first the default).  Each takes
+#: (grid, center, radius, amplitude) and looks its function up per call, so a patched name runs.
+INITIAL_STATE = {
+    "factory": {"bump": (lambda *bump: check_bump(*bump), lambda *bump: make_bump(*bump))},
+    "pi": {"zero": lambda grid, *_: Field(grid, np.zeros(grid.n, complex)), "right-mover": lambda *bump: bump_right_mover(*bump)},
+}
+#: the initial_state section: a factory's Phi; evolve adds its Pi
 _STATE = {
-    "factory": (REQUIRED, _one_of("bump")),
+    "factory": (REQUIRED, _one_of(*INITIAL_STATE["factory"])),
     "center": (0.0, _NUMBER),
     "radius": (REQUIRED, _NUMBER),
     "amplitude": (1.0, _NUMBER),
@@ -104,7 +113,7 @@ _CONE_MARGIN = (5, _CELLS)
 #: every key of every command: ``key: (default, kind)``, a dict for a section
 KEYS = {
     "evolve": _keys(
-        initial_state={**_STATE, "pi": ("zero", _one_of("zero", "right-mover"))},
+        initial_state={**_STATE, "pi": (next(iter(INITIAL_STATE["pi"])), _one_of(*INITIAL_STATE["pi"]))},
         times=_TIME_LADDER,
         dt=(None, _NUMBER),
         method=("spectral-exact", _one_of("spectral-exact", "local-fd")),
@@ -173,14 +182,19 @@ def _read(tree: dict, table: dict, values: dict, path: str = "") -> dict:
 
 
 def _build(values: dict, positive_mass: bool) -> SimpleNamespace:
-    """The config with its grid and mass built, its bump (if any) checked and
-    its ``reach`` kept, in that order, and every time checked against the periodic margin."""
+    """The config with its grid and mass built, its datum (if any) checked and bound through
+    :data:`INITIAL_STATE` as ``reach``, ``phi`` and ``pi``, and every time checked against the periodic margin."""
     grid = values["grid"] = UniformGrid(n=values.pop("n"), dx=values.pop("dx"))
     mass = values["mass"] = Mass(values["mass"])
     if positive_mass:
         mass.require_positive("this command (1/omega is singular at m = 0)")
     if "factory" in values:  # the command reads an initial state
-        values["reach"] = check_bump(grid, values["center"], values["radius"], values["amplitude"])
+        check, phi = INITIAL_STATE["factory"][values.pop("factory")]
+        state = [values.pop(key) for key in ("center", "radius", "amplitude")]
+        values["reach"] = check(grid, *state)
+        values["phi"] = lambda g: phi(g, *state)
+        if "pi" in values:  # evolve's
+            values["pi"] = lambda g, pi=INITIAL_STATE["pi"][values["pi"]]: pi(g, *state)
     for t in values["times"]:
         check_margin(grid, t)
     return SimpleNamespace(**values)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kglab.cli import main
-from kglab.config import KEYS
+from kglab.config import INITIAL_STATE, KEYS
 from kglab.spectral import PreconditionError, UniformGrid
 from test_config import dotted, plant
 
@@ -340,6 +340,23 @@ def test_hegerfeldt_makes_one_pool_pass(tmp_path, monkeypatch, config, jobs):
     monkeypatch.setattr(cli, "parallel_map", counted)
     assert main(["hegerfeldt", "--config", str(REPO / "configs" / f"{config}.json"), "--out", str(tmp_path)]) == 0
     assert sizes == [jobs]
+
+
+def test_hegerfeldt_builds_both_grids_through_the_table(tmp_path, monkeypatch):
+    # the doubled-grid datum is the table's Phi on 2n points at dx/2, built
+    # like the base grid's, with no second build path
+    path = REPO / "configs" / "hegerfeldt_default.json"
+    factory = json.loads(path.read_text())["initial_state"]["factory"]
+    check, build = INITIAL_STATE["factory"][factory]
+    grids = []
+
+    def spy(grid, *state):
+        grids.append((grid.n, grid.dx))
+        return build(grid, *state)
+
+    monkeypatch.setitem(INITIAL_STATE["factory"], factory, (check, spy))
+    assert main(["hegerfeldt", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert grids == [(8192, 1 / 128), (16384, 1 / 256)]
 
 
 def run_main(*argv) -> tuple[int, str]:

@@ -1,17 +1,19 @@
 import copy
+import importlib.util
 import json
 import math
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kglab.config import KEYS, REQUIRED, load_config
+from kglab.config import INITIAL_STATE, KEYS, REQUIRED, load_config
 from kglab.propagator import MAX_RUNGS, QuadratureSpec
-from kglab.spectral import PreconditionError
+from kglab.spectral import Field, PreconditionError, UniformGrid, bump_right_mover, make_bump
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -53,6 +55,7 @@ def test_valid_evolve_config(tmp_path):
         (lambda t: t.__setitem__("method", "magic"), "method"),
         (lambda t: t.__setitem__("snapshot_times", [3.0]), "snapshot_times"),
         (lambda t: t.__setitem__("bogus", 1), "unknown-key"),
+        (lambda t: t.__setitem__("initial_state", {"factory": "bump", "radius": 1.0, "pi": "spin"}), "initial_state.pi"),
     ],
 )
 def test_evolve_validation_names_first_failing_rule(tmp_path, mutate, rule):
@@ -138,7 +141,7 @@ def hegerfeldt_tree(**overrides):
         ({"tail_fit": {"window": [9.0, 16.0], "min_r2": 1.0}}, "tail_fit.min_r2"),
         ({"tail_fit": {"window": [9.0, 16.0], "min_r2": -0.5}}, "tail_fit.min_r2"),
         # hegerfeldt evolves Phi alone: its initial state has no Pi
-        ({"initial_state": {"factory": "bump", "radius": 1.0, "pi": "zero"}}, "unknown-key"),
+        *(({"initial_state": {"factory": "bump", "radius": 1.0, "pi": pi}}, "unknown-key") for pi in INITIAL_STATE["pi"]),
     ],
 )
 def test_hegerfeldt_rejects_malformed_values(tmp_path, overrides, rule):
@@ -330,11 +333,13 @@ def test_rungs_stop_where_the_last_rung_still_damps(tmp_path):
 
 
 def loaded(tmp_path, tree, command):
-    """The loaded config's values, or the rule that refused it."""
+    """The loaded config's values, each datum builder (``phi``, ``pi``) by the
+    words it builds on the config's grid, or the rule that refused it."""
     try:
-        return vars(load_config(write(tmp_path, tree), command))
+        cfg = load_config(write(tmp_path, tree), command)
     except PreconditionError as exc:
         return exc.rule
+    return {key: value(cfg.grid).values.tobytes() if callable(value) else value for key, value in vars(cfg).items()}
 
 
 @pytest.mark.parametrize(
@@ -377,9 +382,9 @@ def dotted(table: dict, path: str = ""):
 
 def shared_leaf_names(table: dict) -> list[str]:
     """Leaf names that ``_read`` would gather twice, or that a parser
-    overwrites with a value it builds (``grid``, ``reach``, ``quadrature``)."""
+    overwrites with a value it builds (``grid``, ``reach``, ``phi``, ``quadrature``)."""
     names = [path.rsplit(".", 1)[-1] for path, entry in dotted(table) if not isinstance(entry, dict)]
-    names += ["grid", "reach", "quadrature"]
+    names += ["grid", "reach", "phi", "quadrature"]
     return sorted({name for name in names if names.count(name) > 1})
 
 
@@ -465,18 +470,25 @@ def test_missing_file_is_config_error(tmp_path):
     assert err.value.rule == "config.path"
 
 
-def readme_keys() -> dict:
-    """Each command's ``{dotted key: default}`` from the README's Config keys tables."""
+def readme_rows() -> dict:
+    """Each command's ``{dotted key: (default cell, bounds cell)}`` from the README's Config keys tables."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Config keys\n")[1].split("\n## ")[0]
-    tables = {}
-    for command, body in re.findall(r"^### `(\w+)`\n(.*?)(?=^### |\Z)", section, re.M | re.S):
-        rows = re.findall(r"^\| `([\w.]+)` \| (.+?) \| ", body, re.M)
-        tables[command] = {
+    return {
+        command: {key: cells for key, *cells in re.findall(r"^\| `([\w.]+)` \| (.+?) \| (.+) \|$", body, re.M)}
+        for command, body in re.findall(r"^### `(\w+)`\n(.*?)(?=^### |\Z)", section, re.M | re.S)
+    }
+
+
+def readme_keys() -> dict:
+    """Each command's ``{dotted key: default}`` from the README's Config keys tables."""
+    return {
+        command: {
             key: REQUIRED if cell == REQUIRED else None if cell == "—" else json.loads(cell.strip("`"))
-            for key, cell in rows
+            for key, (cell, _) in rows.items()
         }
-    return tables
+        for command, rows in readme_rows().items()
+    }
 
 
 @pytest.mark.parametrize("command", sorted(KEYS))
@@ -484,3 +496,78 @@ def test_readme_documents_every_key_with_its_default(command):
     # the same keys both ways, each with its table default
     defaults = {path: entry[0] for path, entry in dotted(KEYS[command]) if not isinstance(entry, dict)}
     assert readme_keys()[command] == defaults
+
+
+@pytest.mark.parametrize("command", [command for command in sorted(KEYS) if "initial_state" in KEYS[command]])
+def test_readme_lists_every_datum_choice(command):
+    # each initial_state row that selects a datum lists exactly the names of
+    # the datum table, so a new datum cannot land undocumented
+    rows = readme_rows()[command]
+    for leaf in INITIAL_STATE.keys() & KEYS[command]["initial_state"].keys():
+        _, bounds = rows[f"initial_state.{leaf}"]
+        assert sorted(re.findall(r'"([^"]+)"', bounds)) == sorted(INITIAL_STATE[leaf])
+
+
+def workload_configs(tmp_path) -> list[tuple[str, dict]]:
+    """``(command, tree)`` of every benchmark workload config that reads an
+    initial state, at seeds 0 to 3, as ``benchmarks/workloads.py`` writes it."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    trees = []
+    for name in workloads.NAMES:
+        for seed in range(4):
+            for argv in workloads.build(name, seed, REPO, tmp_path / f"{name}-{seed}", tmp_path / "out"):
+                tree = json.loads(Path(argv[2]).read_text()) if argv[0] != "report" else {}
+                if "initial_state" in tree:
+                    trees.append((argv[0], tree))
+    return trees
+
+
+#: each datum as the runners built it inline before the datum table, from
+#: (grid, center, radius, amplitude): a factory's Phi and evolve's Pi
+INLINE_PHI = {"bump": make_bump}
+INLINE_PI = {"zero": lambda grid, *_: Field(grid, np.zeros(grid.n, dtype=np.complex128)), "right-mover": bump_right_mover}
+
+
+@pytest.mark.parametrize("factory,pi", [(factory, pi) for factory in INITIAL_STATE["factory"] for pi in INITIAL_STATE["pi"]])
+def test_every_datum_is_reachable_and_builds_the_inline_words(tmp_path, factory, pi):
+    # every table entry loads from a config and builds the same words as the
+    # inline build, on the base grid and the doubled grid, at every seeded
+    # centre and amplitude of the benchmark workloads
+    trees = workload_configs(tmp_path)
+    assert {command for command, _ in trees} == {"evolve", "hegerfeldt"}
+    assert len({(tree["initial_state"]["center"], tree["initial_state"]["amplitude"]) for _, tree in trees}) > 1
+    for command, tree in trees:
+        state = tree["initial_state"]
+        state["factory"] = factory
+        if command == "evolve":
+            state["pi"] = pi
+        cfg = load_config(write(tmp_path, tree), command)
+        bump = (state["center"], state["radius"], state["amplitude"])
+        for grid in (cfg.grid, UniformGrid(n=2 * cfg.grid.n, dx=cfg.grid.dx / 2.0)):
+            built = [(cfg.phi(grid), INLINE_PHI[factory](grid, *bump))]
+            if command == "evolve":
+                built.append((cfg.pi(grid), INLINE_PI[pi](grid, *bump)))
+            for got, inline in built:
+                assert np.array_equal(got.values.view(np.uint64), inline.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("factory", sorted(INITIAL_STATE["factory"]))
+@pytest.mark.parametrize("command", ["evolve", "hegerfeldt"])
+@pytest.mark.parametrize(
+    "state,rule",
+    [
+        ({"factory": "gauss"}, "initial_state.factory"),
+        ({"radius": 0.01}, "initial_state.radius"),
+        ({"center": 31.0}, "initial_state.margin"),
+        ({"amplitude": 1e-155}, "initial_state.amplitude"),
+    ],
+)
+def test_every_factory_is_refused_outside_its_preconditions(tmp_path, factory, command, state, rule):
+    tree = evolve_tree() if command == "evolve" else hegerfeldt_tree()
+    tree["initial_state"] = {"factory": factory, "radius": 1.0, **state}
+    with pytest.raises(PreconditionError) as err:
+        load_config(write(tmp_path, tree), command)
+    assert err.value.rule == rule
+
