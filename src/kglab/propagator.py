@@ -29,7 +29,7 @@ Quadrature nodes sit on the lattice dp = 2 pi / L of the target grid, so
 a kernel sample equals the periodization of the continuum kernel.  The
 integrand is even in p, so it is evaluated on the half lattice p >= 0,
 given its grid phase (-1)^q, and mirrored; the nodes fold onto the n
-momentum bins one row of n at a time, costing one FFT per damping rung.
+momentum bins in runs between multiples of n, one FFT per damping rung.
 Sampling a kernel with jump discontinuities on the cone necessarily
 aliases content beyond the grid band onto lower bins; the multiplier
 identity is therefore compared over the declared band
@@ -160,8 +160,12 @@ def _extrapolate(levels: list[np.ndarray], smooth: np.ndarray) -> tuple[np.ndarr
 
 
 def _off_cone(grid: UniformGrid, t: float, collar_cells: int) -> np.ndarray:
-    """Mask of grid points farther than the collar from the cone |x| = |t|."""
-    return np.abs(np.abs(grid.x) - abs(t)) > collar_cells * grid.dx
+    """Mask of grid points farther than the collar from the cone |x| = |t|,
+    where the residual is measured; refused when it holds no point."""
+    mask = np.abs(np.abs(grid.x) - abs(t)) > collar_cells * grid.dx
+    if not mask.any():
+        raise PreconditionError("times.collar", f"every cell lies within {collar_cells} cells of the cone |x| = {abs(t)}")
+    return mask
 
 
 def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, float]:
@@ -171,12 +175,11 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     nodes q = 0 .. q_max and mirrored.  The grid starts at x_0 = -L/2, so
     node q carries the phase exp(i p_q x_0) = (-1)^q, applied once to the
     half-lattice integrand; being even in q, it survives the mirror.  Node
-    i = q + q_max sits at position start + i, start = -q_max mod n, of rows
-    of n, so node q lands in bin q mod n.  Row r, the nodes i in
-    [r n - start, (r + 1) n - start), is split at q = 0 into a reversed run
-    of the half lattice (q < 0) and a forward one.  Each rung damps the
-    half lattice once, n nodes at a time, and adds these runs in row order
-    into one accumulator of n bins, starting from +0.0, so every bin adds
+    q lands in bin q mod n, so a run of nodes between consecutive multiples
+    of n fills consecutive bins; 0 is such a multiple, so each run is one
+    slice of the half lattice, reversed for q < 0.  Each rung damps the
+    half lattice once, n nodes at a time, and adds the runs in increasing
+    q into one accumulator of n bins, starting from +0.0, so every bin adds
     its nodes in increasing q; sum_q g_q exp(2 pi i q j / n) is then one
     inverse FFT of the accumulator, times n.  A rung holds one float per
     half-lattice node beside the integrand, and O(n) values more."""
@@ -185,16 +188,7 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
     q_max = int(math.ceil(res.cutoff / dp))
     base = multiplier(omega(np.arange(q_max + 1) * dp, m))
     base[1::2] *= -1.0
-    start = -q_max % n
-    segments = []  # (column, a, b, mirrored): base[a:b], reversed for q < 0
-    for lo in range(-start, 2 * q_max + 1, n):  # the row of nodes i in [lo, lo + n)
-        col, q0, q1 = max(-lo, 0), max(lo, 0) - q_max, min(lo + n, 2 * q_max + 1) - q_max
-        if q0 < 0:
-            mid = min(q1, 0)
-            segments.append((col, 1 - mid, 1 - q0, True))
-            col, q0 = col + mid - q0, mid
-        if q0 < q1:
-            segments.append((col, q0, q1, False))
+    cuts = [-q_max, *range(-(q_max // n) * n, q_max + 1, n), q_max + 1]
     ramp = np.arange(n, dtype=float)  # ramp + a is arange(a, a + n), exactly
     damp = np.empty(q_max + 1)
     levels = []
@@ -203,9 +197,10 @@ def _damped_kernel(grid, m, res, t: float, multiplier) -> tuple[np.ndarray, floa
             pq = (ramp[: q_max + 1 - a] + a) * dp
             np.exp((-eps * pq) * pq, out=damp[a : a + n])
         acc = np.zeros(n, dtype=complex)
-        for col, a, b, mirrored in segments:
+        for lo, hi in itertools.pairwise(cuts):  # the run of nodes q in [lo, hi)
+            a, b = (1 - hi, 1 - lo) if lo < 0 else (lo, hi)
             g = damp[a:b] * base[a:b]
-            acc[col : col + b - a] += g[::-1] if mirrored else g
+            acc[lo % n : lo % n + hi - lo] += g[::-1] if lo < 0 else g
         levels.append((dp / (2.0 * np.pi)) * np.fft.ifft(acc) * n)
     return _extrapolate(levels, _off_cone(grid, t, RESIDUAL_COLLAR_CELLS))
 
@@ -249,16 +244,17 @@ def pauli_jordan(t: float, grid: UniformGrid, m: Mass, quad: QuadratureSpec = Qu
 
 
 def check_scan(grid: UniformGrid, t: float, margin: float) -> None:
-    """The scan rules: t = 0 or |t| >= dx, margin >= 3 dx and |t| + margin
-    inside L/2.  Below one cell the timelike region |x| <= |t| is the
-    single cell x = 0, so no suppression ratio or multiplier identity is
-    resolved there."""
+    """The scan rules: t = 0 or |t| >= dx, margin >= 3 dx, |t| + margin
+    inside L/2, and a cell outside the residual's collar.  Below one cell
+    the timelike region |x| <= |t| is the single cell x = 0, so no
+    suppression ratio or multiplier identity is resolved there."""
     if 0.0 < abs(t) < grid.dx:
         raise PreconditionError("times.resolved", f"slice time {t} is below one cell dx = {grid.dx}")
     if margin < 3.0 * grid.dx:
         raise PreconditionError("margin", f"margin {margin} below 3*dx = {3.0 * grid.dx}")
     if abs(t) + margin >= grid.L / 2.0:
         raise PreconditionError("times.scan-region", f"scan region reaches the domain boundary L/2 = {grid.L / 2.0}")
+    _off_cone(grid, t, RESIDUAL_COLLAR_CELLS)
 
 
 def spacelike_suppression_scan(sample: PropagatorSample, margin: float) -> dict:
@@ -271,14 +267,9 @@ def spacelike_suppression_scan(sample: PropagatorSample, margin: float) -> dict:
     mags = np.abs(sample.delta.values)
     ax = np.abs(grid.x)
     spacelike = float(np.max(mags[ax > abs(t) + margin]))
-    inside = ax <= abs(t)
-    timelike = float(np.max(mags[inside])) if np.any(inside) else 0.0
+    timelike = float(np.max(mags[ax <= abs(t)]))
     ratio = spacelike / timelike if timelike > 0 else math.inf
     return {"spacelike_max": spacelike, "timelike_max": timelike, "ratio": ratio}
-
-
-def _band_mask(grid: UniformGrid, band_fraction: float) -> np.ndarray:
-    return np.abs(grid.p) <= band_fraction * np.pi / grid.dx
 
 
 def bridge_identity_error(sample: PropagatorSample) -> float:
@@ -291,7 +282,7 @@ def bridge_identity_error(sample: PropagatorSample) -> float:
     grid = sample.grid
     measured = forward_transform(sample.delta)
     target = omega_multiplier(grid, sample.m, lambda w: sample.t * np.sinc(w * sample.t / np.pi))
-    band = _band_mask(grid, sample.quad.band_fraction)
+    band = np.abs(grid.p) <= sample.quad.band_fraction * np.pi / grid.dx
     sup = float(np.max(np.abs(target[band])))
     if sup == 0.0:
         return float(np.max(np.abs(measured[band])))

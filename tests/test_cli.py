@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from kglab.cli import main
 from kglab.config import INITIAL_STATE, KEYS
-from kglab.spectral import PreconditionError, UniformGrid
+from kglab.spectral import PreconditionError, UniformGrid, make_bump
 from test_config import dotted, plant
 
 REPO = Path(__file__).resolve().parent.parent
@@ -74,6 +74,25 @@ def test_rightmover_snapshot_matches_translated_bump(tmp_path):
     x = np.array([float(r.split(",")[0]) for r in rows])
     re = np.array([float(r.split(",")[1]) for r in rows])
     assert np.max(np.abs(re - oracles.bump_profile(x - 2.0))) < 1e-10
+
+
+@pytest.mark.parametrize("center,amplitude", [(0.0, 1.0), (0.21, 1.7), (-0.13, 0.6)])
+def test_rightmover_obeys_dalembert(tmp_path, center, amplitude):
+    # m = 0 with Pi = -Phi': d'Alembert's solution Phi(t, x) = f(x - t) is
+    # exact, so the t = 2 snapshot is the datum moved right by 2; a field
+    # that does not move errs by about the amplitude
+    tree = json.loads((REPO / "configs" / "rightmover.json").read_text())
+    tree["initial_state"].update(center=center, amplitude=amplitude)
+    out = tmp_path / "out"
+    res = run_cli("evolve", "--config", str(write_config(tmp_path, "mover.json", tree)), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert tree["snapshot_times"] == [2.0]
+    x, re, im = np.loadtxt(out / "snapshot_000.csv", delimiter=",", skiprows=1, unpack=True)
+    grid = UniformGrid(tree["grid"]["n"], tree["grid"]["dx"])
+    assert np.array_equal(x, grid.x)
+    moved = make_bump(grid, center + 2.0, tree["initial_state"]["radius"], amplitude).values
+    assert np.max(np.abs(re - moved)) < 1e-10 * amplitude
+    assert np.max(np.abs(im)) < 1e-10 * amplitude
 
 
 def test_backward_evolution_is_measured_in_its_own_cone(tmp_path):

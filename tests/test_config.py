@@ -299,6 +299,8 @@ def propagator_tree(**overrides):
         ({"output": {"format": "json"}}, "output.format"),
         ({"times": [0.0, 1e-300]}, "times.resolved"),
         ({"times": [-1 / 512, 1.0]}, "times.resolved"),
+        # n = 16 with |t| = 4 dx: every cell lies within the residual's collar of the cone
+        ({"grid": {"n": 16, "dx": 0.0625}, "times": [0.25], "margin": 0.2}, "times.collar"),
     ],
 )
 def test_propagator_rejects_malformed_values(tmp_path, overrides, rule):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kglab.dispersion import Mass, omega
@@ -19,6 +21,7 @@ from kglab.propagator import (
     _damped_kernel,
     _off_cone,
     bridge_identity_error,
+    check_scan,
     delta_plus,
     pauli_jordan,
     spacelike_suppression_scan,
@@ -219,6 +222,15 @@ class TestSuppressionScan:
             spacelike_suppression_scan(pauli_jordan(scan_grid.dx / 2, scan_grid, Mass(1.0)), 0.2)
         assert err.value.rule == "times.resolved"
 
+    def test_slice_without_cells_off_the_collar_refused(self):
+        # n = 16 with |t| = 4 dx: every cell lies within the residual's collar,
+        # so a direct kernel call names the rule that config load names
+        grid = UniformGrid(16, 1 / 16)
+        for call in (lambda: delta_plus(0.25, grid, Mass(1.0)), lambda: check_scan(grid, -0.25, 3 * grid.dx)):
+            with pytest.raises(PreconditionError) as err:
+                call()
+            assert err.value.rule == "times.collar"
+
     def test_boundary_enforced(self, sample):
         with pytest.raises(ValueError, match="boundary"):
             spacelike_suppression_scan(sample, 7.0)
@@ -314,8 +326,9 @@ def test_time_derivative_cross_check(scan_grid):
 
 
 class TestHalfLatticeFold:
-    """The kernel evaluates the even integrand on q >= 0 and folds it row
-    by row; the full-lattice np.bincount form it replaced is the reference."""
+    """The kernel evaluates the even integrand on q >= 0 and folds it in
+    runs between multiples of n; the full-lattice np.bincount form it
+    replaced is the reference."""
 
     @pytest.mark.parametrize(
         "n,dx,m,cutoff,t,offset",
@@ -324,13 +337,13 @@ class TestHalfLatticeFold:
             (4096, 1 / 256, 1.0, None, 0.0, 2596),
             (4096, 1 / 256, 1.0, None, 1.0, 2596),
             (4096, 1 / 256, 1.0, None, 2.0, 2596),
-            # an explicit cutoff with q_max = 8 n: the block starts at 0
+            # an explicit cutoff with q_max = 8 n: the first run is empty
             (4096, 1 / 256, 1.0, 32767.5 * math.pi / 8, 1.0, 0),
             # m = 2 on a coarse grid: q_max = 6519, offset 649
             (1024, 1 / 16, 2.0, None, 1.0, 649),
-            # q_max = 8 n - 1: offset 1, so the last row is exactly full
+            # q_max = 8 n - 1: offset 1, so the last run is exactly full
             (4096, 1 / 256, 1.0, 32766.5 * math.pi / 8, 1.0, 1),
-            # q_max = 8 n + 1: offset n - 1, so the first row holds one node
+            # q_max = 8 n + 1: offset n - 1, so the first run holds one node
             (4096, 1 / 256, 1.0, 32768.5 * math.pi / 8, 1.0, 4095),
         ],
     )
@@ -338,7 +351,34 @@ class TestHalfLatticeFold:
         grid, mass = UniformGrid(n, dx), Mass(m)
         res = QuadratureSpec(cutoff=cutoff).resolve(grid, mass)
         assert -math.ceil(res.cutoff / (2.0 * math.pi / grid.L)) % n == offset
+        self.assert_matches_the_full_lattice_fold(grid, mass, res, t)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_full_lattice_fold_at_every_offset(self, data):
+        # small grids with q_max between 1 and 3 times its floor, drawn so
+        # that the first run, q_max mod n nodes long, takes every length
+        n = data.draw(st.sampled_from([16, 32, 64, 128, 256]))
+        grid = UniformGrid(n, data.draw(st.sampled_from([1 / 16, 0.1, 1 / 4])))
+        mass = Mass(data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+        dp = 2.0 * math.pi / grid.L
+        q_floor = math.ceil(QuadratureSpec().resolve(grid, mass).cutoff / dp)
+        offset = data.draw(st.sampled_from([0, 1, n - 1]) | st.integers(0, n - 1))
+        rows = data.draw(st.integers((q_floor + offset) // n + 1, (3 * q_floor + offset) // n))
+        q_max = rows * n - offset
+        res = QuadratureSpec(cutoff=(q_max - 0.5) * dp).resolve(grid, mass)
+        assert math.ceil(res.cutoff / dp) == q_max
+        # |t| <= L/4 in half cells; at n = 16, |t| = L/4 leaves no cell off the collar
+        t = data.draw(st.sampled_from([0, n // 2, -(n // 2)]) | st.integers(-(n // 2), n // 2)) * grid.dx / 2
+        if n == 16 and abs(t) == 4 * grid.dx:
+            with pytest.raises(PreconditionError) as err:
+                self.assert_matches_the_full_lattice_fold(grid, mass, res, t)
+            assert err.value.rule == "times.collar"
+        else:
+            self.assert_matches_the_full_lattice_fold(grid, mass, res, t)
+
+    @staticmethod
+    def assert_matches_the_full_lattice_fold(grid, mass, res, t):
         def plus(w):
             return 0.5j * np.exp(-1j * w * t) / w
 
@@ -386,9 +426,10 @@ class TestHalfLatticeFold:
 
 
 class TestFoldMemory:
-    """The kernel folds its nodes row by row: beside the half-lattice
-    integrand it holds one damping float per half-lattice node and O(n)
-    values, so it peaks where the multiplier builds the integrand."""
+    """The kernel folds its nodes in runs between multiples of n: beside
+    the half-lattice integrand it holds one damping float per half-lattice
+    node and O(n) values, so it peaks where the multiplier builds the
+    integrand."""
 
     def test_dense_kernel_peaks_below_48_bytes_per_half_lattice_node(self):
         # the propagator-dense grid: n = 2^14, dx = 1/256, 4x the default cutoff
