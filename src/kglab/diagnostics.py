@@ -101,8 +101,12 @@ def cone_leakage(f: Field, R0: float, t: float, margin: float) -> float:
         total = finite_total(np.sum(dens), "squared norm")
     if total == 0.0:
         raise PreconditionError("field.zero-norm", "cone leakage undefined for a field with zero total norm")
-    outside = np.abs(grid.x) > edge
-    return float(np.sum(dens[outside]) / total)
+    # x < -edge and x > edge are two runs of the sorted x; joined, they sum like a masked copy
+    i = np.searchsorted(grid.x, -edge)
+    j = max(i, np.searchsorted(grid.x, edge, side="right"))
+    k = i + grid.n - j
+    dens[i:k] = dens[j:]
+    return float(np.sum(dens[:k]) / total)
 
 
 def _side_fit(radii: np.ndarray, logmags: np.ndarray) -> tuple[float, float, float]:

@@ -10,7 +10,7 @@ omega is even in p bit for bit: ``grid.p[n - k] == -grid.p[k]`` exactly
 and hypot ignores the sign.  So every grid multiplier that is a function
 of omega alone goes through :func:`omega_multiplier`, which evaluates it
 on the modes k = 0 .. n/2 only and mirrors the result onto the negative
-momenta.
+momenta (:func:`phase_multiplier` does so for exp(-i w t) and cos(w t)).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .spectral import PreconditionError, UniformGrid
 
-__all__ = ["Mass", "omega", "omega_multiplier"]
+__all__ = ["Mass", "omega", "omega_multiplier", "phase_multiplier"]
 
 
 @dataclass(frozen=True)
@@ -72,3 +72,20 @@ def omega_multiplier(grid, m: Mass, fn) -> np.ndarray:
     """
     half = fn(_half_omega(grid.n, grid.dx, m))
     return np.concatenate((half, half[-2:0:-1]))
+
+
+def phase_multiplier(grid, m: Mass, t: float, real: bool = False) -> np.ndarray:
+    """np.exp(-1j * w * t) bit for bit, or cos(w t) + 0j if ``real``, indexed like
+    ``grid.p``: cos and sin of the phase 0.0 - w t (+0.0 at w t = 0) go into the
+    two parts of one new complex128 array on k = 0 .. n/2, mirrored in place."""
+    h = grid.n // 2 + 1
+    out = np.empty(grid.n, dtype=np.complex128)
+    re, im = out.real[:h], out.imag[:h]
+    np.multiply(_half_omega(grid.n, grid.dx, m), t, out=re)
+    if real:
+        im[...] = 0.0
+    else:
+        np.sin(np.subtract(0.0, re, out=im), out=im)
+    np.cos(re, out=re)
+    out[h:] = out[h - 2 : 0 : -1]
+    return out

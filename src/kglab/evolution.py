@@ -15,7 +15,8 @@ datum and each combination returns through one ``inverse_transform``, so a
 time ladder costs one forward transform per datum and two inverses per time.
 A datum at rest (Pi = 0) needs only Phi_k(t) = cos(w t) Phi_k(0): one
 inverse per time, see :func:`evolve_from_rest`.  The multipliers come
-from :func:`~kglab.dispersion.omega_multiplier`.
+from :func:`~kglab.dispersion.omega_multiplier`; that cos(w t) comes from
+:func:`~kglab.dispersion.phase_multiplier`, in the buffer it transforms back.
 
 Local (finite propagation speed by construction): the first-order system
 Phi' = Pi, Pi' = (D2 - m^2) Phi with the 3-point Laplacian D2, stepped by
@@ -57,7 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dispersion import Mass, omega_multiplier
+from .dispersion import Mass, omega_multiplier, phase_multiplier
 from .spectral import Field, PreconditionError, finite_total, forward_transform, inverse_transform
 
 __all__ = [
@@ -130,7 +131,8 @@ def evolve_from_rest(phi: Field, m: Mass, t: float) -> Field:
     """
     grid = phi.grid
     check_margin(grid, t)
-    return inverse_transform(phi, omega_multiplier(grid, m, lambda w: np.cos(w * t)) * phi.spectrum)
+    coeffs = phase_multiplier(grid, m, t, real=True) * phi.spectrum
+    return inverse_transform(phi, coeffs, coeffs)
 
 
 def _stencil(ext: np.ndarray, dx: float, msq: float) -> np.ndarray:

@@ -10,18 +10,16 @@ first-order flow leaks L2 mass outside the light cone immediately, at
 any t > 0.
 
 Both operations multiply the cached coefficient array ``Field.spectrum``
-of their input and take one inverse transform (of exp(-i w t), and of w in
-the tail witness, which applies its -i to a copy of the samples; both from
-:func:`~kglab.dispersion.omega_multiplier`), so a state evolved
+of their input (by exp(-i w t) from :func:`~kglab.dispersion.phase_multiplier`,
+by w in the tail witness, which applies its -i to a copy of the samples) and
+take one inverse transform in the product's own buffer, so a state evolved
 to a time ladder and fed to the witness is transformed once; take that spectrum
 before the ladder fans out over threads (see :class:`~kglab.spectral.Field`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .dispersion import Mass, omega_multiplier
+from .dispersion import Mass, omega_multiplier, phase_multiplier
 from .evolution import check_margin
 from .spectral import Field, inverse_transform
 
@@ -32,7 +30,9 @@ def evolve_positive(psi: Field, m: Mass, t: float) -> Field:
     """First-order flow psi_k(t) = exp(-i w t) psi_k(0); unitary per mode."""
     grid = psi.grid
     check_margin(grid, t)
-    return inverse_transform(psi, psi.spectrum * omega_multiplier(grid, m, lambda w: np.exp(-1j * w * t)))
+    # keep spectrum * <fresh array>: from n = 2^14 numpy swaps the operands to multiply in place
+    coeffs = psi.spectrum * phase_multiplier(grid, m, t)
+    return inverse_transform(psi, coeffs, coeffs)
 
 
 def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
@@ -44,6 +44,7 @@ def positivity_tail_witness(phi_compact: Field, m: Mass) -> Field:
     module notes on fit windows).
     """
     m.require_positive("the tail witness")
-    derivative = inverse_transform(phi_compact, phi_compact.spectrum * omega_multiplier(phi_compact.grid, m, lambda w: w))
+    coeffs = phi_compact.spectrum * omega_multiplier(phi_compact.grid, m, lambda w: w)
+    derivative = inverse_transform(phi_compact, coeffs, coeffs)
     # -1j goes on the samples: inside the inverse FFT it flips the sign of some exact zeros
     return Field(phi_compact.grid, -1j * derivative.values)

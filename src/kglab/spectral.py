@@ -17,9 +17,10 @@ a read-only array built per transform.
 
 Coefficients are plain complex128 arrays in FFT order (``Field.spectrum``
 caches a field's own); every mode multiplier returns to the grid through
-one ``inverse_transform(like, multiplier * coefficients)``, which allocates
-one n-sample buffer: the signed coefficients, transformed and scaled in
-place, become the new field's samples without a copy.
+one ``inverse_transform(like, multiplier * coefficients)``, which works in
+one n-sample buffer, new or a flow's own product passed again as ``out``:
+the signed coefficients, transformed and scaled in place, become the new
+field's samples without a copy.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class Field:
 
     ``Field(grid, values)`` validates a copy of ``values``, so the caller
     keeps its array; only :func:`inverse_transform` hands over the buffer
-    it allocated, validated the same way but not copied.
+    it wrote, validated the same way but not copied.
 
     ``spectrum`` is :func:`forward_transform` of the field, a read-only
     coefficient array computed on first access and kept, so a datum evolved
@@ -175,21 +176,22 @@ def forward_transform(f: Field) -> np.ndarray:
     return coeffs
 
 
-def inverse_transform(like: Field, coefficients) -> Field:
+def inverse_transform(like: Field, coefficients, out: np.ndarray | None = None) -> Field:
     """Exact inverse of :func:`forward_transform`, on the grid of ``like``.
 
     The coefficients are checked as the new field's samples: a shape other
     than ``(n,)`` fails rule ``field.size``, and a non-finite coefficient or
     an overflowing sum fails rule ``field.finite``.  The signed coefficients
-    are cast into one new complex128 buffer, which the inverse FFT and the
-    1/dx weight overwrite in place.
+    are cast into ``out`` (a complex128 n-array that the caller gives up,
+    such as ``coefficients`` itself) or a new buffer, which the inverse FFT
+    and the 1/dx weight overwrite in place.
     """
     g = like.grid
     shape = np.shape(coefficients)
     if shape != (g.n,):
         raise PreconditionError("field.size", f"inverse transform needs {g.n} coefficients in one dimension, got shape {shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.multiply(_alternating(g.n), coefficients, out=np.empty(g.n, dtype=np.complex128))
+        samples = np.multiply(_alternating(g.n), coefficients, out=np.empty(g.n, np.complex128) if out is None else out)
         np.fft.ifft(samples, out=samples)
         samples /= g.dx
     return Field._adopt(g, samples)

@@ -13,6 +13,8 @@ dual-route check.  Some sections are exceptions on purpose:
 * the former multiplier form is the package's own earlier tail witness,
   whose bits the single ``inverse_transform(field, coefficients)`` path
   must reproduce;
+* the masked cone leakage is the package's own former ``cone_leakage``,
+  whose bits the sum over two runs of the sorted ``x`` must reproduce;
 * the full-lattice kernel synthesis is the package's own former form of
   the propagator quadrature, whose bits the half-lattice row-sum fold must
   reproduce;
@@ -247,6 +249,16 @@ def former_tail_witness(phi, m):
     multiplier omega alone, one inverse transform, then -1j on the samples."""
     scaled = forward_transform(phi) * omega(phi.grid.p, m)
     return Field(phi.grid, -1j * inverse_transform(phi, scaled).values)
+
+
+def masked_cone_leakage(f, R0: float, t: float, margin: float) -> float:
+    """``diagnostics.cone_leakage`` as the package once computed it: the
+    squared magnitudes, scaled as there, summed through the x-mask |x| > edge."""
+    edge = R0 + abs(t) + margin
+    dens = np.abs(f.values)
+    np.ldexp(dens, 1 - np.frexp(np.max(dens))[1], out=dens)
+    dens *= dens
+    return float(np.sum(dens[np.abs(f.grid.x) > edge]) / float(np.sum(dens)))
 
 
 # --- the package's own former kernel synthesis: full lattice, np.bincount fold ---

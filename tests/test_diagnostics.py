@@ -10,7 +10,7 @@ from kglab.diagnostics import boundary_floor, cone_leakage, fit_exponential_tail
 from kglab.dispersion import Mass
 from kglab.evolution import CauchyData, evolve_spectral
 from kglab.io import write_json
-from kglab.posfreq import positivity_tail_witness
+from kglab.posfreq import evolve_positive, positivity_tail_witness
 from kglab.spectral import Field, PreconditionError, UniformGrid, make_bump
 
 import oracles
@@ -52,6 +52,38 @@ class TestConeLeakage:
         w = positivity_tail_witness(make_bump(grid, 0.0, 1.0, 1.0), Mass(1.0))
         fracs = [cone_leakage(w, 1.0, 0.0, mg) for mg in (0.1, 0.5, 1.0, 2.0)]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
+
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            (1.0, 0.25, 0.25),  # edge 1.5, on a grid point
+            (1.0, -0.25, 0.0),  # edge 1.25, on a grid point, backward in time
+            (1.0, 0.1, 0.01),  # edge between grid points
+            (31.0, 0.0, 1.0 - 1 / 64),  # within one cell of L/2 = 32, above the last x
+            (31.0, 0.0, 1.0 - 1 / 32),  # on the last x, L/2 - dx
+            (0.0, 0.0, 0.0),  # edge 0: only x = 0 is inside
+            (0.0, 0.0, -0.5),  # a negative edge leaves every cell outside
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("field", ["off-centre", "complex", "2^40", "2^-40"])
+    def test_matches_the_masked_sum_bit_for_bit(self, grid, field, cone):
+        m = Mass(1.0)
+        if field == "off-centre":
+            f = positivity_tail_witness(make_bump(grid, 5.0, 1.0, 1.0), m)
+        else:
+            f = evolve_positive(make_bump(grid, -3.0, 1.5, 1.0), m, 0.7)
+            f = Field(grid, {"complex": 1.0, "2^40": 2.0**40, "2^-40": 2.0**-40}[field] * f.values)
+        got, ref = cone_leakage(f, *cone), oracles.masked_cone_leakage(f, *cone)
+        assert got.hex() == ref.hex()
+
+    def test_a_cell_on_the_edge_stays_inside(self, grid):
+        # mass only at x = -1.5 and x = 1.5, both grid points
+        values = np.zeros(grid.n)
+        values[np.flatnonzero(np.abs(grid.x) == 1.5)] = 1.0
+        f = Field(grid, values)
+        assert cone_leakage(f, 1.0, 0.25, 0.25) == 0.0
+        assert cone_leakage(f, 1.0, 0.25, 0.25 - grid.dx) == 1.0
 
 
 class TestTailFit:

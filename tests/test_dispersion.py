@@ -8,7 +8,7 @@ from kglab.spectral import Field, UniformGrid, make_bump
 
 import oracles
 from kglab import dispersion
-from kglab.dispersion import omega_multiplier
+from kglab.dispersion import omega_multiplier, phase_multiplier
 
 
 def test_omega_rest_energy():
@@ -142,6 +142,19 @@ def test_half_lattice_multiplier_is_the_full_lattice_one_bit_for_bit(form, m, n,
         mirrored = omega_multiplier(grid, mass, fn)
         assert mirrored.dtype == full.dtype and mirrored.shape == (n,)
         assert np.array_equal(mirrored.view(np.uint64), full.view(np.uint64)), t
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+@pytest.mark.parametrize("n, dx", [(16, 0.25), (2**16, 1 / 128)])
+def test_phase_multiplier_is_the_full_lattice_exp_and_cos_bit_for_bit(m, n, dx):
+    # at t = 0 (and on the massless zero mode) exp(-1j w t) has imaginary part +0.0, not -0.0
+    grid, mass = UniformGrid(n, dx), Mass(m)
+    for t in (0.0, -0.0, 1e-3, 0.1, 1.7, -0.3, 1e6):
+        w = omega(grid.p, mass)
+        for real, full in ((False, np.exp(-1j * w * t)), (True, np.cos(w * t).astype(np.complex128))):
+            got = phase_multiplier(grid, mass, t, real=real)
+            assert got.dtype == np.complex128 and got.shape == (n,)
+            assert np.array_equal(got.view(np.uint64), full.view(np.uint64)), (t, real)
 
 
 def test_half_lattice_ends_on_the_nyquist_bin():

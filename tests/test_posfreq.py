@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kglab.diagnostics import cone_leakage, fit_exponential_tail, support_radius
 from kglab.dispersion import Mass
-from kglab.evolution import CauchyData, evolve_spectral
+from kglab.evolution import CauchyData, evolve_from_rest, evolve_spectral
 from kglab.posfreq import evolve_positive, positivity_tail_witness
 from kglab.spectral import Field, UniformGrid, make_bump
 
@@ -210,3 +212,32 @@ def test_snapshot_tails_match_cut_oracle():
         assert fit.rate == pytest.approx(oracle_rate, abs=0.02)
         assert abs(fit.rate / m - 1.0) < 0.15
         assert fit.r2 > 0.99
+
+
+class TestFlowMemory:
+    """Each per-time flow writes its multiplier into one n-sample complex
+    buffer, multiplies the spectrum into it and takes the inverse transform
+    there, so the new field's samples are that buffer; ``cone_leakage`` sums
+    the outside inside its one array of squared magnitudes."""
+
+    @pytest.mark.parametrize(
+        "name, bound", [("evolve_positive", 32), ("evolve_from_rest", 32), ("cone_leakage", 10)]
+    )
+    def test_peak_bytes_per_sample_on_the_hegerfeldt_doubling_grid(self, name, bound):
+        grid, m = UniformGrid(2**16, 1 / 128), Mass(1.0)
+        psi = make_bump(grid, 0.0, 1.0, 1.0)
+        psi.spectrum
+        evolved = evolve_positive(psi, m, 0.1)
+        call = {
+            "evolve_positive": lambda: evolve_positive(psi, m, 0.1),
+            "evolve_from_rest": lambda: evolve_from_rest(psi, m, 0.1),
+            "cone_leakage": lambda: cone_leakage(evolved, 1.0, 0.1, 5 * grid.dx),
+        }[name]
+        call()  # the cached half-lattice omega and grid.x are not the call's
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * grid.n

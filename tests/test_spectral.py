@@ -75,6 +75,15 @@ def test_values_are_immutable_and_decoupled(grid):
         back.values[0] = 2.0
 
 
+def test_a_consumed_product_becomes_the_samples_with_the_same_bits(grid):
+    f = make_bump(grid, 0.3, 2.0, 1.0)
+    coeffs = 1j * forward_transform(f)
+    copied = inverse_transform(f, coeffs)
+    consumed = inverse_transform(f, coeffs, coeffs)
+    assert np.shares_memory(consumed.values, coeffs) and not consumed.values.flags.writeable
+    assert np.array_equal(consumed.values.view(np.uint64), copied.values.view(np.uint64))
+
+
 def test_constant_field_transform(grid):
     F = forward_transform(Field(grid, np.ones(grid.n)))
     assert F[0] == pytest.approx(grid.L, rel=1e-14)
@@ -229,6 +238,44 @@ def test_transform_outputs_keep_their_bits_across_the_elision_threshold(n):
     }
     digests = {name: hashlib.sha256(f.values.view(np.uint64).tobytes()).hexdigest() for name, f in outputs.items()}
     assert digests == TRANSFORM_DIGESTS[n]
+
+
+# the two per-time flows at t = 0, where exp(-1j w t) has imaginary part
+# +0.0, and at a negative time, captured like TRANSFORM_DIGESTS before each
+# flow wrote its multiplier into the buffer that it transforms back
+FLOW_DIGESTS = {
+    (2**13, 0.0): {
+        "evolve_positive": "95778f4528ac0c4fb91e6b01914978874435707e23e304680cbec273aff453ef",
+        "evolve_from_rest": "95778f4528ac0c4fb91e6b01914978874435707e23e304680cbec273aff453ef",
+    },
+    (2**13, -0.7): {
+        "evolve_positive": "e619102090654886dd00c755259ce6072b502326456894fbb944bed0422655be",
+        "evolve_from_rest": "db01af18826017dbf64bcc50c795718104ebcf6bb0b56409b3f5b66ca88d6012",
+    },
+    (2**16, 0.0): {
+        "evolve_positive": "71a30ccdf3d159060b2cc01e6d7f92822aeddf94e0951e804e2a78aed3aea5ba",
+        "evolve_from_rest": "71a30ccdf3d159060b2cc01e6d7f92822aeddf94e0951e804e2a78aed3aea5ba",
+    },
+    (2**16, -0.7): {
+        "evolve_positive": "b8351122df9c376499d8f5d060fe9b8c7e9909cb7538fbeea8cb76c3cdd92203",
+        "evolve_from_rest": "18e29731c66c7957a86d150a55df251b09d8a9ef5b352e18eb446282ee853947",
+    },
+}
+
+
+@pytest.mark.parametrize("n, t", sorted(FLOW_DIGESTS))
+def test_flows_keep_their_bits_at_zero_and_negative_times(n, t):
+    import hashlib
+
+    from kglab.dispersion import Mass
+    from kglab.evolution import evolve_from_rest
+    from kglab.posfreq import evolve_positive
+
+    grid = UniformGrid(n, 64.0 / n)
+    phi = make_bump(grid, 0.3, 2.0, 1.0)
+    outputs = {"evolve_positive": evolve_positive(phi, Mass(1.0), t), "evolve_from_rest": evolve_from_rest(phi, Mass(1.0), t)}
+    digests = {name: hashlib.sha256(f.values.view(np.uint64).tobytes()).hexdigest() for name, f in outputs.items()}
+    assert digests == FLOW_DIGESTS[n, t]
 
 
 class TestBump:
