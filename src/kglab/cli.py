@@ -6,7 +6,8 @@ outputs regardless of KGLAB_THREADS.  Exit status 0 means every verdict
 passed, 1 means at least one verdict failed, 2 means the run was refused,
 with a JSON error on stderr that always names a rule: kind "usage" (a
 malformed command line), "config" (a precondition, at load time or from a
-domain check), "io", "memory" (an array too large for this machine) or
+domain check), "io", "memory" (an array too large for this machine, or a
+propagator worker process that could not start or left no result) or
 "report".  Modules compute every field, kernel, fit and leakage; the CLI
 only reduces them to verdicts, and is the one module that says what each
 output file holds (``kglab.io`` only formats).  Each measurement is
@@ -213,6 +214,8 @@ def _run_hegerfeldt(cfg: SimpleNamespace, out: Path) -> int:
             return diagnostics.cone_leakage(posfreq.evolve_positive(psi2, mass, t), r0, t, margin)
 
         jobs += [partial(leak2, t) for t in cfg.times]
+    # threads, not forked workers: the FFTs release the GIL, and forked
+    # workers read slower in 11 of 16 rounds (BENCH_procs.json)
     results = parallel_map(lambda job: job(), jobs)
     k = len(cfg.times)
     leaks, tails, contrasts = zip(*results[:k])
@@ -263,8 +266,8 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
         # writes its own slice, so no finished slice waits for the others:
         # writing every slice from the main thread after the pool read the same
         # wall time and ~4.6 MB more peak RSS on propagator-dense.  Formatting a
-        # slice holds the GIL throughout one str.join, so the pool gains by
-        # overlapping two kernels, not a kernel and a write (BENCH_support.json)
+        # slice holds the GIL throughout one str.join, so slices run in forked
+        # processes, where two slices format at once (BENCH_procs.json)
         idx, t = item
         sample = propagator.pauli_jordan(t, cfg.grid, cfg.mass, cfg.quadrature)
         bridge = propagator.bridge_identity_error(sample)
@@ -284,7 +287,7 @@ def _run_propagator(cfg: SimpleNamespace, out: Path) -> int:
         entry.update(scan or {"zero_slice_max": float(np.max(np.abs(sample.delta.values)))})
         return entry
 
-    slices = parallel_map(one_slice, enumerate(cfg.times))
+    slices = parallel_map(one_slice, enumerate(cfg.times), fork=True)
     verdicts = {}
     for idx, entry in enumerate(slices):
         verdicts[f"multiplier_identity_t{idx}"] = _below(entry["multiplier_error"], cfg.multiplier_error_ceiling)

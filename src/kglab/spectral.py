@@ -59,6 +59,11 @@ class PreconditionError(ValueError):
         self.rule = rule
         self.message = message
 
+    def __reduce__(self):
+        # pickled by a forked worker: the default would call __init__ with
+        # the one formatted string
+        return type(self), (self.rule, self.message)
+
 
 def _alternating(n: int) -> np.ndarray:
     """(-1)^k for k = 0 .. n-1 as float64, read-only so that numpy never elides a product into it."""

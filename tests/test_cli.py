@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -120,18 +122,25 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert all(t1[p] == t2[p] for p in t1)
 
 
+def four_slice_propagator_config():
+    return {**small_propagator_config(), "times": [0.0, 0.75, 0.875, 1.0]}
+
+
 def test_thread_count_does_not_change_bytes(tmp_path):
-    cfg = write_config(tmp_path, "prop.json", small_propagator_config())
+    # four slices over one, two, three and four workers: stripes of one,
+    # two and three slices, each worker a forked process
+    cfg = write_config(tmp_path, "prop.json", four_slice_propagator_config())
     outs = {}
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "3", "4"):
         out = tmp_path / f"t{threads}"
         res = run_cli(
             "propagator", "--config", str(cfg), "--out", str(out),
             env_extra={"KGLAB_THREADS": threads},
         )
-        assert res.returncode == 0, res.stderr
+        assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
         outs[threads] = tree_bytes(out)
-    assert outs["1"] == outs["4"]
+    assert len(outs["1"]) == 9
+    assert outs["1"] == outs["2"] == outs["3"] == outs["4"]
 
 
 def test_blas_thread_count_does_not_change_local_fd_bytes(tmp_path):
@@ -269,18 +278,21 @@ def test_propagator_run_takes_one_quadrature_per_slice(tmp_path, monkeypatch):
     from kglab import propagator
     from kglab.cli import main
 
-    calls = []
+    calls = tmp_path / "calls.txt"
     original = propagator._damped_kernel
 
     def counted(*args):
-        calls.append(args[3])
+        # appended by whichever process runs the slice, forked workers too
+        with open(calls, "a") as fh:
+            fh.write(f"{args[3]!r}\n")
         return original(*args)
 
+    monkeypatch.delenv("KGLAB_THREADS", raising=False)
     monkeypatch.setattr(propagator, "_damped_kernel", counted)
     out = tmp_path / "out"
     config = REPO / "configs" / "propagator_default.json"
     assert main(["propagator", "--config", str(config), "--out", str(out)]) == 0
-    assert sorted(calls) == [0.0, 1.0, 2.0]
+    assert sorted(float(t) for t in calls.read_text().split()) == [0.0, 1.0, 2.0]
     for path in sorted(out.glob("slice_*.csv")):
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[2] == "im_delta"
@@ -534,6 +546,104 @@ def test_slice_refused_in_its_worker_writes_no_report(tmp_path, monkeypatch, thr
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_earliest_refused_slice_names_the_rule(tmp_path, monkeypatch, threads):
+    # at two workers slice 1 is refused in the forked worker, slice 2 in the parent
+    from kglab import propagator
+
+    real = propagator.pauli_jordan
+    rules = {0.75: "quadrature.cutoff", 0.875: "quadrature.rungs"}
+
+    def refuse_two(t, *args):
+        if t in rules:
+            raise PreconditionError(rules[t], f"refused at t = {t}")
+        return real(t, *args)
+
+    monkeypatch.setenv("KGLAB_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(propagator, "pauli_jordan", refuse_two)
+    cfg = write_config(tmp_path, "prop.json", four_slice_propagator_config())
+    out = tmp_path / "out"
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(out))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"], error["message"]) == ("config", "quadrature.cutoff", "refused at t = 0.75")
+    assert not (out / "report.json").exists()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_killed_without_a_result_is_a_memory_refusal(tmp_path, monkeypatch):
+    # what the kernel's out-of-memory killer does to a worker
+    from kglab import propagator
+
+    parent, real = os.getpid(), propagator.pauli_jordan
+
+    def die_in_a_worker(t, *args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(t, *args)
+
+    monkeypatch.setenv("KGLAB_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(propagator, "pauli_jordan", die_in_a_worker)
+    cfg = write_config(tmp_path, "prop.json", four_slice_propagator_config())
+    out = tmp_path / "out"
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(out))
+    assert (rc, err.count("\n")) == (2, 1)
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"]) == ("memory", "memory")
+    assert "a worker process ended without a result (killed by signal 9)" in error["message"]
+    assert not (out / "report.json").exists()
+    assert_no_child_left()
+
+
+def test_failed_fork_is_refused_and_reaps_the_started_worker(tmp_path, monkeypatch):
+    # three workers: the first fork starts one, the second fails
+    forks = []
+    real_fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setenv("KGLAB_THREADS", "3")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", fork_once)
+    cfg = write_config(tmp_path, "prop.json", four_slice_propagator_config())
+    out = tmp_path / "out"
+    rc, err = run_main("propagator", "--config", str(cfg), "--out", str(out))
+    assert (rc, err.count("\n")) == (2, 1)
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["rule"]) == ("memory", "memory")
+    assert "cannot start a worker process" in error["message"]
+    assert forks == [1]
+    assert not (out / "report.json").exists()
+    assert_no_child_left()
+
+
+def test_forked_workers_are_capped_by_the_cpu_count(tmp_path, monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setenv("KGLAB_THREADS", "1000000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    cfg = write_config(tmp_path, "prop.json", four_slice_propagator_config())
+    assert main(["propagator", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_hegerfeldt_cone_edge_refusal_under_the_single_pass(tmp_path, threads):
     # support edge 18 plus t = 15 passes L/2 = 32 with the doubled grid on
     tree = run_tree(
@@ -591,7 +701,7 @@ def test_unwritable_slice_path_is_an_io_error(tmp_path):
 def test_evolve_never_reaches_the_worker_pool(tmp_path, monkeypatch):
     from kglab import cli
 
-    def refuse(fn, items):
+    def refuse(fn, items, fork=False):
         raise AssertionError("parallel_map called")
 
     monkeypatch.setattr(cli, "parallel_map", refuse)

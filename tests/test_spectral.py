@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,12 @@ def test_field_refuses_every_shape_but_n_samples(shape):
     assert err.value.rule == "field.size"
     assert f"got shape {shape}" in err.value.message
     assert Field(grid, np.zeros(16)).values.shape == (16,)
+
+
+def test_precondition_error_survives_pickling():
+    # a forked propagator worker sends its refusal back pickled
+    err = pickle.loads(pickle.dumps(PreconditionError("times.collar", "m")))
+    assert (type(err), err.rule, err.message, str(err)) == (PreconditionError, "times.collar", "m", "times.collar: m")
 
 
 @pytest.mark.parametrize("shape", [(8,), (17,), (2, 16), ()])
