@@ -40,7 +40,7 @@ from .evolution import (
     leapfrog_energy,
 )
 from .io import write_csv, write_json
-from .runtime import parallel_map
+from .runtime import parallel_map, worker_cap
 from .spectral import Field, PreconditionError, UniformGrid
 
 __all__ = ["main"]
@@ -359,6 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
     try:
+        worker_cap()  # KGLAB_THREADS is checked before any file is read or made
         if args.subcommand == "report":
             return _run_report(args.path)
         cfg = load_config(args.config, args.subcommand)

@@ -4,10 +4,10 @@ Support is thresholded everywhere except the stencil bound of the local
 evolution, which is asserted at exact zero; floating point makes exact
 zero-sets meaningful only for stencil schemes.  :func:`support_radius`
 measures one field, or the joint support of several on one grid, such as
-a Cauchy datum (Phi, Pi).  Tail fits symmetrize the left and right tails
-by averaging log-magnitudes; a left/right rate mismatch above 10% is
-flagged.  These functions only measure: each returns numbers, and the
-runner (``kglab.cli``) decides what a file holds.
+a Cauchy datum (Phi, Pi).  Tail fits are closed-form least-squares sums
+over the mean log-magnitude of the left and right tails; a left/right rate
+mismatch above 10% is flagged.  These functions only measure: each returns
+numbers, and the runner (``kglab.cli``) decides what a file holds.
 
 A practical note on fit windows: multiplier kernels built from
 sqrt(p^2 + m^2) produce tails |f| ~ exp(-m |x|) |x|^(-3/2), so a pure
@@ -109,17 +109,11 @@ def cone_leakage(f: Field, R0: float, t: float, margin: float) -> float:
     return float(np.sum(dens[:k]) / total)
 
 
-def _side_fit(radii: np.ndarray, logmags: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(radii, logmags, 1)
-    fitted = slope * radii + intercept
-    ss_res = float(np.sum((logmags - fitted) ** 2))
-    ss_tot = float(np.sum((logmags - np.mean(logmags)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
-
-
 def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
-    """Fit log|f| against |x| over the window, symmetrized over both sides."""
+    """Fit log|f| against |x| over the window, symmetrized over both sides, by
+    closed-form least-squares sums over the centred radii xc = x - mean(x):
+    slope sum(xc y) / sum(xc^2), r^2 = sxy^2 / (sxx syy) in [0, 1] (1 for a
+    flat y).  Pairwise ``np.sum`` only, so no BLAS or LAPACK routine runs."""
     grid = f.grid
     right = _window_points(grid, window)
     left = (grid.n - right) % grid.n
@@ -128,14 +122,17 @@ def fit_exponential_tail(f: Field, window: tuple[float, float]) -> TailFit:
     if np.any(mag_r <= _TAIL_FLOOR) or np.any(mag_l <= _TAIL_FLOOR):
         raise PreconditionError("tail_fit.window.zero", "zero magnitude inside the fit window; tail fit rejected")
     radii = grid.x[right]
-    log_r = np.log(mag_r)
-    log_l = np.log(mag_l)
-    slope, intercept, r2 = _side_fit(radii, 0.5 * (log_r + log_l))
-    rate_r = -_side_fit(radii, log_r)[0]
-    rate_l = -_side_fit(radii, log_l)[0]
+    log_r, log_l = np.log(mag_r), np.log(mag_l)
+    y = 0.5 * (log_r + log_l)
+    x_mean, y_mean = np.mean(radii), np.mean(y)
+    xc, yc = radii - x_mean, y - y_mean
+    sxx, sxy, syy = np.sum(xc * xc), np.sum(xc * yc), np.sum(yc * yc)
+    rate = -float(sxy / sxx)
+    rate_r, rate_l = (-float(np.sum(xc * side) / sxx) for side in (log_r, log_l))
+    r2 = min(1.0, float(sxy * sxy / (sxx * syy))) if syy > 0.0 else 1.0
     scale = max(abs(rate_r), abs(rate_l), 1e-30)
     flags = ("asymmetric-tails",) if abs(rate_r - rate_l) > _ASYMMETRY_LIMIT * scale else ()
-    return TailFit(rate=-slope, intercept=intercept, r2=r2, flags=flags)
+    return TailFit(rate=rate, intercept=float(y_mean + rate * x_mean), r2=r2, flags=flags)
 
 
 def support_radius(f: Field, *more: Field, threshold: float) -> float:

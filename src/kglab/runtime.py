@@ -1,18 +1,17 @@
 """Worker policy.
 
-KGLAB_THREADS caps the workers (default: machine CPU count).  Results are
+A map runs on min(KGLAB_THREADS, items, CPU count) workers.  Results are
 always reduced in submission order, so outputs are byte-identical for every
 setting; parallelism exists only across independent work items.
 
 Workers are threads, or with ``fork=True`` processes made by POSIX
 ``os.fork``: for work that holds the GIL for long stretches, such as a
 propagator slice formatting its CSV inside one ``str.join``, threads run
-those stretches one after another.  The calling thread forks
-``workers - 1`` children before it runs any item, with no pool threads
-alive; child ``j`` runs the stripe ``work[j::workers]`` up to its first
-failure, pipes back only its pickled outcomes and leaves with ``os._exit``,
-and the parent runs stripe 0 itself.  Forked workers are also capped by the
-CPU count.  Without ``os.fork`` the items run serially.
+those stretches one after another.  The calling thread forks ``workers - 1``
+children before it runs any item, with no pool threads alive; child ``j``
+runs the stripe ``work[j::workers]`` up to its first failure, pipes back
+only its pickled outcomes and leaves with ``os._exit``, and the parent runs
+stripe 0 itself.  Without ``os.fork`` the items run serially.
 """
 
 from __future__ import annotations
@@ -25,25 +24,29 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .spectral import PreconditionError
 
-__all__ = ["parallel_map"]
+__all__ = ["parallel_map", "worker_cap"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], *, fork: bool = False) -> list[R]:
-    """``[fn(item) for item in items]`` over the worker pool; the exception
-    of the earliest failing item is raised."""
-    work: Sequence[T] = list(items)
+def worker_cap() -> int:
+    """min(KGLAB_THREADS, CPU count), at least 1 (the CPU count when unset);
+    a value that is not an integer fails rule ``KGLAB_THREADS``."""
     raw = os.environ.get("KGLAB_THREADS", "")
+    cpus = os.cpu_count() or 1
     try:
-        cap = max(1, int(raw)) if raw else os.cpu_count() or 1
+        return max(1, min(int(raw), cpus)) if raw else cpus
     except ValueError as exc:
         raise PreconditionError("KGLAB_THREADS", f"KGLAB_THREADS must be an integer, got {raw!r}") from exc
-    workers = min(cap, len(work)) or 1
-    if fork:
-        workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if workers == 1:
+
+
+def parallel_map(fn: Callable[[T], R], items: Iterable[T], *, fork: bool = False) -> list[R]:
+    """``[fn(item) for item in items]`` over ``min(worker_cap(), items)``
+    workers; the exception of the earliest failing item is raised."""
+    work: Sequence[T] = list(items)
+    workers = min(worker_cap(), len(work))
+    if workers <= 1 or fork and not hasattr(os, "fork"):
         return [fn(item) for item in work]
     if fork:
         return _forked_map(fn, work, workers)

@@ -21,6 +21,9 @@ dual-route check.  Some sections are exceptions on purpose:
 * the full-grid leapfrog form is the package's own former
   ``leapfrog_energy``, which the sum over the joint support's span must
   match to rounding;
+* the reference tail fit is the package's own former
+  ``fit_exponential_tail``, one ``np.polyfit`` line per side, which the
+  closed-form sums must match to rounding;
 * the two probes that no command runs, ``cauchy_via_propagator`` and
   ``complex_momentum_transform``, use the package's kernels and FFT path:
   they carry acceptance criteria 5 and 8, not a second route;
@@ -146,14 +149,34 @@ def leapfrog_steps(phi, pi, dx: float, m: float, dt: float, n_steps: int):
         yield k, phi, pi
 
 
+def polyfit_line(radii, logmags):
+    """Slope, intercept and r^2 = 1 - ss_res / ss_tot of the ``np.polyfit``
+    line through (radii, logmags); r^2 is 1 when both sums are 0."""
+    slope, intercept = np.polyfit(radii, logmags, 1)
+    fitted = slope * np.asarray(radii) + intercept
+    ss_res = float(np.sum((logmags - fitted) ** 2))
+    ss_tot = float(np.sum((logmags - np.mean(logmags)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r2
+
+
 def log_linear_rate(radii, values):
     """Least-squares rate and r^2 of log(values) against radii."""
-    logm = np.log(np.asarray(values, dtype=float))
-    slope, intercept = np.polyfit(radii, logm, 1)
-    fitted = slope * np.asarray(radii) + intercept
-    ss_res = float(np.sum((logm - fitted) ** 2))
-    ss_tot = float(np.sum((logm - np.mean(logm)) ** 2))
-    return -float(slope), 1.0 - ss_res / ss_tot
+    slope, _, r2 = polyfit_line(radii, np.log(np.asarray(values, dtype=float)))
+    return -slope, r2
+
+
+def reference_tail_fit(f, window):
+    """(rate, intercept, r2, rate_right, rate_left) of the tail fit by
+    ``np.polyfit``: the line through the mean log-magnitude of the two
+    sides over the window's radii, and each side's own rate."""
+    grid = f.grid
+    right = np.flatnonzero((grid.x >= window[0]) & (grid.x <= window[1]))
+    left = (grid.n - right) % grid.n
+    radii = grid.x[right]
+    log_r, log_l = np.log(np.abs(f.values[right])), np.log(np.abs(f.values[left]))
+    slope, intercept, r2 = polyfit_line(radii, 0.5 * (log_r + log_l))
+    return -slope, intercept, r2, -polyfit_line(radii, log_r)[0], -polyfit_line(radii, log_l)[0]
 
 
 def delta_plus_quad(t: float, x: float, m: float, cutoff: float, eps0: float, panels: int = 4096):

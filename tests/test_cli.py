@@ -643,6 +643,57 @@ def test_forked_workers_are_capped_by_the_cpu_count(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("evolve", "--config", "configs/causal_default.json"),
+        ("hegerfeldt", "--config", "configs/hegerfeldt_default.json"),
+        ("propagator", "--config", "configs/propagator_default.json"),
+        ("report", "tests/golden/hegerfeldt_default/report.json"),
+    ],
+)
+def test_malformed_thread_cap_refuses_every_command_before_any_work(tmp_path, args):
+    out = tmp_path / "out"
+    argv = [*args, "--out", str(out)] if args[0] != "report" else args
+    res = run_cli(*argv, env_extra={"KGLAB_THREADS": "abc"})
+    assert (res.returncode, res.stdout, res.stderr.count("\n")) == (2, "", 1)
+    error = json.loads(res.stderr)["error"]
+    assert (error["kind"], error["rule"]) == ("config", "KGLAB_THREADS")
+    assert error["message"] == "KGLAB_THREADS must be an integer, got 'abc'"
+    assert not out.exists()
+
+
+def test_threads_are_capped_by_the_cpu_count(tmp_path, monkeypatch):
+    # hegerfeldt_default maps seven jobs over its thread pool
+    import threading
+
+    started = []
+    real_start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setenv("KGLAB_THREADS", "1000000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    assert main(["hegerfeldt", "--config", str(REPO / "configs" / "hegerfeldt_default.json"), "--out", str(tmp_path)]) == 0
+    assert 1 <= len(started) <= 2
+
+
+def test_hegerfeldt_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # four CPUs, so each setting runs a pool of its own size
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    outs = {}
+    for threads in ("1", "2", "3", "4"):
+        monkeypatch.setenv("KGLAB_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        assert main(["hegerfeldt", "--config", str(REPO / "configs" / "hegerfeldt_default.json"), "--out", str(out)]) == 0
+        outs[threads] = tree_bytes(out)
+    assert len(outs["1"]) == 4
+    assert outs["1"] == outs["2"] == outs["3"] == outs["4"]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_hegerfeldt_cone_edge_refusal_under_the_single_pass(tmp_path, threads):
     # support edge 18 plus t = 15 passes L/2 = 32 with the doubled grid on

@@ -124,6 +124,61 @@ class TestTailFit:
         vals = np.where(grid.x < 0, np.exp(-2.0 * np.abs(grid.x)), np.exp(-np.abs(grid.x)))
         fit = fit_exponential_tail(Field(grid, vals), (3.0, 8.0))
         assert "asymmetric-tails" in fit.flags
+        assert_matches_reference(Field(grid, vals), (3.0, 8.0))
+
+    @pytest.mark.parametrize("level", [1e-250, 1e-3, 0.1, 1.0, 7.0, 1e250])
+    def test_flat_field_r2_in_unit_interval(self, level):
+        # the former np.polyfit fit read r^2 = -9.7 at level 0.1
+        fit = fit_exponential_tail(Field(UniformGrid(4096, 1 / 64), np.full(4096, level)), (3.0, 8.0))
+        assert 0.0 <= fit.r2 <= 1.0
+        assert abs(fit.rate) < 1e-13
+
+    def test_exact_exponential_r2_in_unit_interval(self, grid):
+        fit = fit_exponential_tail(Field(grid, np.exp(1.5 - 2.0 * np.abs(grid.x))), (3.0, 8.0))
+        assert 1.0 - 1e-15 <= fit.r2 <= 1.0
+        assert fit.rate == pytest.approx(2.0, rel=1e-14)
+        assert fit.intercept == pytest.approx(1.5, rel=1e-13)
+
+    @pytest.mark.parametrize("m, window, times", [(1.0, (9.0, 16.0), (0.001, 0.01, 0.1)), (2.0, (4.0, 9.0), (0.0005, 0.005, 0.05))])
+    @pytest.mark.parametrize("center", [0.0, 0.25, -0.25])
+    def test_matches_the_polyfit_reference_on_the_shipped_windows(self, m, window, times, center):
+        # the grid, windows and times of hegerfeldt_default (m = 1) and hegerfeldt_m2
+        psi0 = make_bump(UniformGrid(8192, 1 / 128), center, 1.0, 1.0)
+        assert_matches_reference(positivity_tail_witness(psi0, Mass(m)), window)
+        for t in times:
+            assert_matches_reference(evolve_positive(psi0, Mass(m), t), window)
+
+
+def assert_matches_reference(f, window):
+    """The closed-form fit against ``np.polyfit`` to 1e-13 relative.  The
+    intercept is a difference of log-magnitudes up to rate * hi, so it is
+    held to 1e-13 of that size: an intercept of 0 reads 1e-15 either way."""
+    fit = fit_exponential_tail(f, window)
+    rate, intercept, r2, rate_r, rate_l = oracles.reference_tail_fit(f, window)
+    assert fit.rate == pytest.approx(rate, rel=1e-13, abs=0.0)
+    assert fit.intercept == pytest.approx(intercept, abs=1e-13 * max(abs(intercept), abs(rate) * window[1]))
+    assert fit.r2 == pytest.approx(r2, rel=1e-13, abs=0.0)
+    assert fit.flags == (("asymmetric-tails",) if abs(rate_r - rate_l) > 0.1 * max(abs(rate_r), abs(rate_l)) else ())
+
+
+NOISY_GRID = UniformGrid(2048, 1 / 32)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.floats(-4.0, 4.0),
+    intercept=st.floats(-20.0, 20.0),
+    noise=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noisy_line_r2_in_unit_interval(rate, intercept, noise, seed):
+    # log|f| a line plus Gaussian noise, drawn independently on each side;
+    # flat data, where the reference divides 0 by 0, is the flat-field test
+    jitter = noise * np.random.default_rng(seed).standard_normal(NOISY_GRID.n)
+    f = Field(NOISY_GRID, np.exp(intercept - rate * np.abs(NOISY_GRID.x) + jitter))
+    fit = fit_exponential_tail(f, (3.0, 8.0))
+    assert 0.0 <= fit.r2 <= 1.0
+    assert fit.r2 == pytest.approx(oracles.reference_tail_fit(f, (3.0, 8.0))[2], abs=1e-12)
 
 
 class TestSupportRadius:

@@ -75,6 +75,54 @@ def io_imports(path: Path) -> list[str]:
     return found
 
 
+#: numpy names whose routines run on BLAS or LAPACK
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg", "polyfit", "polynomial"}
+
+
+def blas_calls(path: Path) -> list[str]:
+    """The uses in the module at ``path`` of a BLAS- or LAPACK-backed
+    routine: the ``@`` operator, and any name or attribute in ``BLAS_NAMES``
+    (``np.dot``, ``a.dot(b)``, ``np.linalg.norm``, ``from numpy import inner``)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{path.stem}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES or isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append(f"{path.stem}: {ast.unparse(node)}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            if any(BLAS_NAMES & set(name.split(".")) for name in names):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_reaches_blas_or_lapack():
+    # numpy's pairwise sums are the same bits for every BLAS build and
+    # thread count; a BLAS dot or a LAPACK solve need not be
+    assert [line for path in SOURCES for line in blas_calls(path)] == []
+
+
+@pytest.mark.parametrize(
+    "source,calls",
+    [
+        ("np.dot(a, b)\na.dot(b)\nnp.vdot(a, b)\nnp.inner(a, b)\n", 4),
+        ("np.matmul(a, b)\na @ b\na @= b\n", 3),
+        ("np.tensordot(a, b, 1)\nnp.einsum('i,i', a, b)\n", 2),
+        ("np.linalg.norm(a)\nnp.linalg.lstsq(a, b)\n", 2),
+        ("np.polyfit(x, y, 1)\nnp.polynomial.Polynomial.fit(x, y, 1)\n", 2),
+        ("from numpy import dot\n", 1),
+        ("import numpy.linalg\n", 1),
+        ("from numpy.polynomial import Polynomial\n", 1),
+        # pairwise sums, elementwise products and a private _dot are no BLAS call
+        ("np.sum(a * b)\nnp.multiply(a, b, out=c)\n_dot(a, b)\na * b\n", 0),
+    ],
+)
+def test_blas_check_sees_each_form(tmp_path, source, calls):
+    path = tmp_path / "scratch.py"
+    path.write_text(source)
+    assert len(blas_calls(path)) == calls
+
+
 def test_only_the_runner_reaches_the_writers():
     # kglab.io alone opens files for writing, and kglab.cli alone calls it,
     # so what a file holds is declared where the run writes it

@@ -215,10 +215,10 @@ def test_snapshot_tails_match_cut_oracle():
 
 
 class TestFlowMemory:
-    """Each per-time flow writes its multiplier into one n-sample complex
-    buffer, multiplies the spectrum into it and takes the inverse transform
-    there, so the new field's samples are that buffer; ``cone_leakage`` sums
-    the outside inside its one array of squared magnitudes."""
+    """Each per-time flow takes the inverse transform in the one n-sample
+    complex buffer of its multiplier-spectrum product, so the new field's
+    samples are that buffer; ``cone_leakage`` sums the outside inside its one
+    array of squared magnitudes."""
 
     @pytest.mark.parametrize(
         "name, bound", [("evolve_positive", 32), ("evolve_from_rest", 32), ("cone_leakage", 10)]
