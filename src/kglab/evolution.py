@@ -15,8 +15,8 @@ datum and each combination returns through one ``inverse_transform``, so a
 time ladder costs one forward transform per datum and two inverses per time.
 A datum at rest (Pi = 0) needs only Phi_k(t) = cos(w t) Phi_k(0): one
 inverse per time, see :func:`evolve_from_rest`, whose product is the buffer
-it transforms back.  Every multiplier comes from
-:func:`~kglab.dispersion.omega_multiplier`.
+it transforms back.  Every multiplier comes from :func:`~kglab.dispersion.omega_multiplier`, and
+:func:`energy` sums by Parseval over half-length real transforms, with no inverse.
 
 Local (finite propagation speed by construction): the first-order system
 Phi' = Pi, Pi' = (D2 - m^2) Phi with the 3-point Laplacian D2, stepped by
@@ -59,7 +59,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dispersion import Mass, omega_multiplier
-from .spectral import Field, PreconditionError, finite_total, forward_transform, inverse_transform
+from .spectral import Field, PreconditionError, finite_total, inverse_transform, real_transform
 
 __all__ = [
     "CauchyData",
@@ -269,16 +269,16 @@ def evolve_local_fd_ladder(data: CauchyData, times: Sequence[float], dt: float) 
 def energy(data: CauchyData) -> float:
     """Conserved quadratic form E = dx/2 sum(|Pi|^2 + |dPhi/dx|^2 + m^2 |Phi|^2).
 
-    The derivative is spectral, so E is invariant under
-    :func:`evolve_spectral` to rounding (mode-wise rotation).
-    """
-    grid = data.grid
-    dphi = inverse_transform(data.phi, 1j * grid.p * forward_transform(data.phi))
+    The derivative is spectral, summed by Parseval over the rfft of each nonzero part
+    of Phi (modes 0 < k < n/2 twice), so E is invariant under :func:`evolve_spectral` to rounding."""
+    grid, phi = data.grid, data.phi.values
     with np.errstate(over="ignore", invalid="ignore"):
-        dens = np.abs(data.pi.values) ** 2 + np.abs(dphi.values) ** 2
+        sq = (np.abs(grid.p[: grid.n // 2 + 1] * real_transform(grid, part)) ** 2 for part in (phi.real, phi.imag) if part.any())
+        grad = sum(2.0 * np.sum(s[1:-1]) + s[0] + s[-1] for s in sq)
+        dens = np.abs(data.pi.values) ** 2
         if data.m.m > 0:  # at m = 0 the term would be 0 * inf, nan, on an overflow
-            dens += data.m.m**2 * np.abs(data.phi.values) ** 2
-        return finite_total(0.5 * grid.dx * np.sum(dens), "energy")
+            dens += data.m.m**2 * np.abs(phi) ** 2
+        return finite_total(0.5 * (grid.dx * np.sum(dens) + grad / grid.L), "energy")
 
 
 def leapfrog_energy(data: CauchyData, dt: float) -> float:

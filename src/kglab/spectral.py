@@ -39,6 +39,7 @@ __all__ = [
     "Field",
     "finite_total",
     "forward_transform",
+    "real_transform",
     "inverse_transform",
     "check_bump",
     "make_bump",
@@ -173,9 +174,17 @@ def forward_transform(f: Field) -> np.ndarray:
     """Riemann-sum DFT: F(p_k) = dx * sum_j exp(-i p_k x_j) f_j, the n
     complex coefficients indexed like ``grid.p`` (FFT order); a sum past
     float64 fails rule ``field.finite`` here, unwarned in any thread."""
-    g = f.grid
+    return _weighted(f.grid, np.fft.fft, f.values, f.grid.n)
+
+
+def real_transform(grid: UniformGrid, samples: np.ndarray) -> np.ndarray:
+    """:func:`forward_transform` of n real ``samples`` on its modes k = 0 .. n/2 alone, by one ``rfft``."""
+    return _weighted(grid, np.fft.rfft, samples, grid.n // 2 + 1)
+
+
+def _weighted(g: UniformGrid, fft, samples: np.ndarray, modes: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = g.dx * _alternating(g.n) * np.fft.fft(f.values)
+        coeffs = g.dx * _alternating(modes) * fft(samples)
     if not np.isfinite(coeffs).all():
         raise PreconditionError("field.finite", "the forward transform of finite samples overflows float64")
     return coeffs

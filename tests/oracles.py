@@ -21,6 +21,8 @@ dual-route check.  Some sections are exceptions on purpose:
 * the full-grid leapfrog form is the package's own former
   ``leapfrog_energy``, which the sum over the joint support's span must
   match to rounding;
+* the inverse-transform energy is the package's own former ``energy``,
+  which the Parseval sum over real transforms must match to rounding;
 * the reference tail fit is the package's own former
   ``fit_exponential_tail``, one ``np.polyfit`` line per side, which the
   closed-form sums must match to rounding;
@@ -325,6 +327,22 @@ def full_grid_leapfrog_energy(data, dt: float) -> float:
 
     q = np.vdot(pi, pi).real - 0.25 * dt * dt * np.vdot(pi, stencil(pi)).real + np.vdot(phi, stencil(phi)).real
     return float(0.5 * dx * q)
+
+
+# --- the package's own former energy: the derivative's inverse transform ---
+
+
+def inverse_transform_energy(data) -> float:
+    """``energy`` as the package once computed it: the spectral derivative
+    ``inverse_transform(phi, 1j p F)`` of the complex forward transform,
+    back on the grid, and one sum dx/2 (|Pi|^2 + |dPhi/dx|^2 + m^2 |Phi|^2)
+    over its samples."""
+    grid = data.grid
+    dphi = inverse_transform(data.phi, 1j * grid.p * forward_transform(data.phi))
+    dens = np.abs(data.pi.values) ** 2 + np.abs(dphi.values) ** 2
+    if data.m.m > 0:
+        dens += data.m.m**2 * np.abs(data.phi.values) ** 2
+    return float(0.5 * grid.dx * np.sum(dens))
 
 
 # --- probes of the package reached by no command ---

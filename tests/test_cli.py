@@ -126,18 +126,26 @@ def four_slice_propagator_config():
     return {**small_propagator_config(), "times": [0.0, 0.75, 0.875, 1.0]}
 
 
-def test_thread_count_does_not_change_bytes(tmp_path):
-    # four slices over one, two, three and four workers: stripes of one,
-    # two and three slices, each worker a forked process
+def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # four slices over one, two, three and four workers, each worker a forked
+    # process: stripes of four, two, two or one, and one slice.  Workers are
+    # capped by the CPU count, so three and four run in process on four
+    # patched CPUs; one and two run in fresh interpreters
     cfg = write_config(tmp_path, "prop.json", four_slice_propagator_config())
     outs = {}
-    for threads in ("1", "2", "3", "4"):
+    for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         res = run_cli(
             "propagator", "--config", str(cfg), "--out", str(out),
             env_extra={"KGLAB_THREADS": threads},
         )
         assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+        outs[threads] = tree_bytes(out)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for threads in ("3", "4"):
+        monkeypatch.setenv("KGLAB_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        assert run_main("propagator", "--config", str(cfg), "--out", str(out)) == (0, "")
         outs[threads] = tree_bytes(out)
     assert len(outs["1"]) == 9
     assert outs["1"] == outs["2"] == outs["3"] == outs["4"]
@@ -310,9 +318,11 @@ def test_propagator_run_takes_one_quadrature_per_slice(tmp_path, monkeypatch):
             "hegerfeldt_default",
             {("forward", 8192): 1, ("inverse", 8192): 7, ("forward", 16384): 1, ("inverse", 16384): 3},
         ),
-        # Phi and Pi once each, energy() a pair per state, two inverses per time
-        ("causal_default", {("forward", 4096): 6, ("inverse", 4096): 10}),
-        ("rightmover", {("forward", 4096): 4, ("inverse", 4096): 4}),
+        # Phi and Pi once each, two inverses per time, and energy() one real
+        # transform per nonzero part of Phi: the datum's real part, and both
+        # parts of each evolved state, whose imaginary part is rounding noise
+        ("causal_default", {("forward", 4096): 2, ("inverse", 4096): 6, ("real", 4096): 7}),
+        ("rightmover", {("forward", 4096): 2, ("inverse", 4096): 2, ("real", 4096): 3}),
         # doubling off: the base grid alone
         ("hegerfeldt_m2", {("forward", 8192): 1, ("inverse", 8192): 7}),
     ],
@@ -324,21 +334,22 @@ def test_each_datum_is_transformed_once(tmp_path, monkeypatch, config, expected,
 
     calls = {}
     lock = threading.Lock()
-    for name in ("forward_transform", "inverse_transform"):
+    for name in ("forward_transform", "inverse_transform", "real_transform"):
         original = getattr(spectral, name)
 
         def counted(arg, *rest, _kind=name.split("_")[0], _original=original):
             with lock:
-                key = (_kind, arg.grid.n)
+                key = (_kind, getattr(arg, "grid", arg).n)
                 calls[key] = calls.get(key, 0) + 1
             return _original(arg, *rest)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "kglab" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    # and numpy's own transforms, so no path goes around the pair: the
-    # README's totals are hegerfeldt_default 12 and causal_default 16
-    for name, kind in (("fft", "np.forward"), ("ifft", "np.inverse")):
+    # and numpy's own transforms, so no path goes around the three: the
+    # README's totals are hegerfeldt_default 12, and causal_default 8
+    # complex and 7 real
+    for name, kind in (("fft", "np.forward"), ("ifft", "np.inverse"), ("rfft", "np.real")):
 
         def counted_np(*args, _kind=kind, _original=getattr(np.fft, name), **kwargs):
             with lock:
@@ -350,8 +361,8 @@ def test_each_datum_is_transformed_once(tmp_path, monkeypatch, config, expected,
     path = REPO / "configs" / f"{config}.json"
     command = json.loads(path.read_text())["command"]
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    for kind in ("forward", "inverse"):
-        assert calls.pop(f"np.{kind}") == sum(count for (k, _), count in expected.items() if k == kind)
+    for kind in ("forward", "inverse", "real"):
+        assert calls.pop(f"np.{kind}", 0) == sum(count for (k, _), count in expected.items() if k == kind)
     assert calls == expected
 
 
@@ -491,23 +502,27 @@ def test_precondition_found_during_the_run_names_a_rule(tmp_path, command, base,
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
-    "command,base,amplitude",
+    "command,base,amplitude,rule",
     [
         # samples of 1.7e308 are finite, their forward transform is not
-        ("evolve", None, 1.7e308),
-        ("hegerfeldt", "hegerfeldt_default", 1.7e308),
-        # a finite spectrum whose derivative overflows the inverse transform
-        ("evolve", None, 3e306),
+        ("evolve", None, 1.7e308, "field.finite"),
+        ("hegerfeldt", "hegerfeldt_default", 1.7e308, "field.finite"),
+        # a finite spectrum: the energy's squares overflow before any transform does
+        ("evolve", None, 3e306, "field.overflow"),
     ],
+    ids=["evolve-None-1.7e+308", "hegerfeldt-hegerfeldt_default-1.7e+308", "evolve-None-3e+306"],
 )
-def test_overflowing_transform_leaves_one_json_line_on_stderr(tmp_path, command, base, amplitude, threads):
+def test_overflowing_transform_leaves_one_json_line_on_stderr(tmp_path, command, base, amplitude, rule, threads):
     # no numpy warning may reach stderr ahead of the error, from any thread
     tree = run_tree(base, {"initial_state": {"factory": "bump", "radius": 1, "amplitude": amplitude}})
     cfg = write_config(tmp_path, "cfg.json", tree)
     res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"), env_extra={"KGLAB_THREADS": threads})
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1
-    assert json.loads(res.stderr)["error"]["rule"] == "field.finite"
+    error = json.loads(res.stderr)["error"]
+    assert error["rule"] == rule
+    if rule == "field.overflow":
+        assert "energy is inf" in error["message"]
 
 
 def test_overflowing_energy_leaves_one_json_line_on_stderr(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kglab.config import load_config
 from kglab.dispersion import Mass
 from kglab.evolution import (
     CauchyData,
@@ -20,6 +23,8 @@ from kglab.evolution import (
 from kglab.spectral import Field, PreconditionError, UniformGrid, make_bump
 
 import oracles
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def bump_data(grid, m=1.0, pi="zero"):
@@ -103,6 +108,70 @@ def test_energy_bump_against_quadrature():
     oracle = oracles.bump_energy_quad()
     assert oracle == pytest.approx(2.004921291105526, abs=1e-9)
     assert energy(data) == pytest.approx(oracle, rel=1e-8)
+
+
+def shipped_states(stem):
+    """A shipped config's datum and its spectral states at the config's times."""
+    cfg = load_config(REPO / "configs" / f"{stem}.json", "evolve")
+    data = CauchyData(cfg.phi(cfg.grid), cfg.pi(cfg.grid), cfg.mass)
+    return [data, *(evolve_spectral(data, t) for t in cfg.times)]
+
+
+def leapfrog_ladder_states():
+    """The leapfrog-ladder benchmark's datum (n = 2^15) and its leapfrog states."""
+    data = bump_data(UniformGrid(2**15, 1 / 64))
+    return [data, *evolve_local_fd_ladder(data, [2.0, 4.0, 8.0], 1 / 128)]
+
+
+def at_rest(grid, values, m=1.0):
+    return [CauchyData(Field(grid, values), Field(grid, np.zeros(grid.n)), Mass(m))]
+
+
+def complex_data():
+    g = UniformGrid(2048, 1 / 32)
+    phi = make_bump(g, 0.0, 1.0, 1.0).values + 1j * make_bump(g, 0.3, 1.0, 0.5).values
+    return [CauchyData(Field(g, phi), make_bump(g, -0.2, 1.0, 0.7), Mass(1.0))]
+
+
+ENERGY_CASES = {
+    "causal_default": lambda: shipped_states("causal_default"),
+    "rightmover": lambda: shipped_states("rightmover"),
+    "leapfrog-ladder": leapfrog_ladder_states,
+    "complex": complex_data,
+    "massless": lambda: [bump_data(UniformGrid(2048, 1 / 32), m=0.0, pi="right-mover")],
+    # (-1)^j lives on mode n/2 alone, cos(p_1 x_j) on modes 1 and n - 1
+    "nyquist": lambda: at_rest(UniformGrid(16, 0.25), (-1.0) ** np.arange(16)),
+    "k1": lambda: at_rest(UniformGrid(16, 0.25), np.cos(2 * np.pi * np.arange(16) / 16)),
+    "zero": lambda: at_rest(UniformGrid(16, 0.25), np.zeros(16)),
+}
+
+
+@pytest.mark.parametrize("case", ENERGY_CASES)
+def test_parseval_energy_matches_the_inverse_transform_form(case):
+    # zero data must give exactly 0.0: the tolerance is relative only
+    for data in ENERGY_CASES[case]():
+        assert energy(data) == pytest.approx(oracles.inverse_transform_energy(data), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+@pytest.mark.parametrize("case", ["causal_default", "complex"])
+def test_energy_of_a_datum_scaled_by_a_power_of_two(case, k):
+    data = ENERGY_CASES[case]()[0]
+    scaled = CauchyData(Field(data.grid, 2.0**k * data.phi.values), Field(data.grid, 2.0**k * data.pi.values), data.m)
+    assert energy(scaled) == 4.0**k * energy(data)
+
+
+def test_energy_peak_bytes_per_sample():
+    # the former complex transform pair peaked at 44 B/sample
+    state = leapfrog_ladder_states()[-1]
+    energy(state)  # the cached grid.p is the grid's, not the call's
+    tracemalloc.start()
+    try:
+        energy(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * state.grid.n
 
 
 def test_group_property(grid):
